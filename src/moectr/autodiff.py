@@ -3,8 +3,7 @@
 The engine is deliberately small: a ``Tape`` records a static graph of
 primitive ops once, at model-build time, and is then re-executed for every
 batch.  Nothing is traced per step, so a run is fully determined by the
-parameter values and the bound inputs.  All math is float64 by default;
-float32 can be selected per ``ParamStore`` as a speed option.
+parameter values and the bound inputs.  All math is float64.
 
 Gradients flow back through the node list in reverse order and accumulate
 additively, so a parameter used in several places receives the sum of its
@@ -70,8 +69,7 @@ class ParamStore:
     phases can freeze and thaw entire groups atomically.
     """
 
-    def __init__(self, dtype=np.float64):
-        self.dtype = np.dtype(dtype)
+    def __init__(self):
         self._params: dict[str, Param] = {}
 
     def add(self, name: str, value: np.ndarray, group: str) -> str:
@@ -79,7 +77,7 @@ class ParamStore:
             raise AutodiffError(f"duplicate parameter name {name!r}")
         if not group:
             raise AutodiffError(f"parameter {name!r} has no group tag")
-        arr = np.ascontiguousarray(np.asarray(value, dtype=self.dtype))
+        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
         self._params[name] = Param(name, arr, group)
         return name
 
@@ -97,7 +95,7 @@ class ParamStore:
 
     def set(self, name: str, value: np.ndarray) -> None:
         p = self._params[name]
-        arr = np.ascontiguousarray(np.asarray(value, dtype=self.dtype))
+        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
         if arr.shape != p.value.shape:
             raise ShapeError(
                 f"parameter {name!r} has shape {p.value.shape}, got {arr.shape}"
@@ -150,9 +148,9 @@ class ParamStore:
             p = self._params[name]
             if not match(p.group):
                 continue
-            arr = np.ascontiguousarray(p.value, dtype=self.dtype)
+            arr = np.ascontiguousarray(p.value, dtype="<f8")
             head = f"{name}|{p.group}|{arr.shape}|".encode("utf-8")
-            chunks.append(head + arr.astype("<f8" if self.dtype == np.float64 else "<f4").tobytes())
+            chunks.append(head + arr.tobytes())
         return b"".join(chunks)
 
     def group_checksum(self, groups) -> str:
@@ -206,7 +204,7 @@ class Tape:
         return self._param_nodes[name]
 
     def const(self, value) -> int:
-        arr = np.asarray(value, dtype=self.store.dtype)
+        arr = np.asarray(value, dtype=np.float64)
         return self._push("const", (), value=arr)
 
     def matmul(self, a: int, b: int, transpose_b: bool = False) -> int:
@@ -273,7 +271,7 @@ class Tape:
         if not (0 <= output < len(self.nodes)):
             raise AutodiffError(f"output node {output} out of range")
         vals: list = [None] * (output + 1)
-        dt = self.store.dtype
+        dt = np.float64
         for nid in range(output + 1):
             node = self.nodes[nid]
             op = node.op
@@ -385,7 +383,7 @@ class Tape:
         if np.asarray(vals[loss]).shape != ():
             raise AutodiffError(f"loss node {loss} is not scalar")
         grads: list = [None] * (loss + 1)
-        grads[loss] = np.asarray(seed, dtype=self.store.dtype)
+        grads[loss] = np.asarray(seed, dtype=np.float64)
 
         def acc(nid: int, g: np.ndarray) -> None:
             # Gradients are never mutated in place, so views are safe to keep.

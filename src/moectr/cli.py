@@ -34,11 +34,7 @@ class ConfigError(ValueError):
 
 
 ADAPTER_DEFAULTS = asdict(AdapterConfig())
-TRAIN_DEFAULTS = {
-    "lr": 1e-3, "gate_lr": 1e-2, "batch_size": 256, "epochs": [5, 5, 5],
-    "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8, "patience": 2,
-    "balanced_phase3": False,
-}
+TRAIN_DEFAULTS = {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"}
 SYNTH_DEFAULTS = {k: v for k, v in asdict(SyntheticSpec()).items() if k != "seed"}
 
 

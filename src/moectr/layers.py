@@ -2,10 +2,9 @@
 
 Every layer registers its parameters in a shared ``ParamStore`` under a
 group tag ("backbone", "gate", or "expert(d,k,layer)") and knows how to emit
-its ops onto a ``Tape``.  The per-expert mixture is emitted as a sequential
-chain of weighted adds so that a one-hot weight vector reduces it exactly,
-bit for bit, to the single-adapter form: adding an exact float zero never
-changes the accumulator.
+its ops onto a ``Tape``.  A gated layer mixes every expert's delta by its
+softmax weights; a gateless layer is hard-routed, and a row passes through
+the backbone plus its own domain's expert alone (the bypass form).
 
 The module-level ``*_forward`` helpers build a throwaway tape around a
 single layer; models assemble the same emit calls into one static tape.
@@ -174,41 +173,31 @@ class MoELayer:
 
     Experts are ordered by (domain, replica); the gate's columns follow that
     order, preceded by a backbone column when ``gate_includes_backbone`` is
-    set.  ``gate_mode`` chooses between the learned softmax weights and a
-    constant one-hot-by-domain vector (which requires one expert per domain
-    and is what the plain per-domain adapter baseline uses).
+    set.  With ``gate=None`` the layer is hard-routed: each domain owns one
+    expert and a row uses only its own (the per-domain adapter baseline).
     """
 
     def __init__(self, base: DenseLayer, experts: list[tuple[int, int, LoRAAdapter]],
                  gate: GateNet | None = None, gate_includes_backbone: bool = False,
-                 gate_mode: str = "softmax", n_domains: int | None = None):
+                 n_domains: int | None = None):
         if not experts:
             raise AutodiffError("adapted layer needs at least one expert")
-        if gate_mode not in ("softmax", "one_hot"):
-            raise AutodiffError(f"unknown gate mode {gate_mode!r}")
         self.base = base
         self.experts = sorted(experts, key=lambda e: (e[0], e[1]))
-        self.domains = sorted({d for d, _, _ in self.experts})
-        self.n_domains = n_domains if n_domains is not None else len(self.domains)
+        self.n_domains = n_domains if n_domains is not None else len({d for d, _, _ in experts})
         self.gate = gate
         self.gate_includes_backbone = bool(gate_includes_backbone)
-        self.gate_mode = gate_mode
-        n_cols = len(self.experts) + (1 if gate_includes_backbone else 0)
-        if gate_mode == "softmax":
-            if gate is None:
-                raise AutodiffError("softmax gating needs a GateNet")
+        if gate is None:
+            if gate_includes_backbone:
+                raise AutodiffError("hard routing keeps the backbone outside the mixture")
+            if [(d, k) for d, k, _ in self.experts] != [(d, 0) for d in range(self.n_domains)]:
+                raise AutodiffError("hard routing requires exactly one expert per domain")
+        else:
+            n_cols = len(self.experts) + (1 if gate_includes_backbone else 0)
             if gate.n_cols != n_cols:
                 raise AutodiffError(
                     f"gate has {gate.n_cols} columns, layer needs {n_cols}"
                 )
-        else:
-            if gate_includes_backbone:
-                raise AutodiffError("one-hot gating keeps the backbone outside the mixture")
-            counts = {d: 0 for d in self.domains}
-            for d, _, _ in self.experts:
-                counts[d] += 1
-            if any(c != 1 for c in counts.values()) or len(self.domains) != self.n_domains:
-                raise AutodiffError("one-hot gating requires exactly one expert per domain")
 
     @property
     def store(self) -> ParamStore:
@@ -244,12 +233,11 @@ class MoELayer:
             acc = tape.add(acc, tape.mul(w_j, adapter.emit_delta(tape, x)))
         return _apply_activation(tape, self.base.activation, acc)
 
-    def emit(self, tape: Tape, x: int, domain_node: int, onehot_node: int | None = None) -> int:
-        """Full gated forward; ``onehot_node`` feeds one-hot gate mode."""
-        if self.gate_mode == "one_hot":
-            if onehot_node is None:
-                raise AutodiffError("one-hot gating needs a domain one-hot input node")
-            return self.emit_mixture(tape, x, onehot_node)
+    def emit(self, tape: Tape, x: int, domain_node: int) -> int:
+        """Full gated forward: the domain's softmax weights over the columns."""
+        if self.gate is None:
+            raise AutodiffError(
+                f"layer {self.base.name!r} is hard-routed; emit its domain's expert")
         weights = self.gate.emit_weights(
             tape, domain_node, x if self.gate.input_conditioned else None
         )
@@ -259,28 +247,20 @@ class MoELayer:
 # ---- one-off functional forms ------------------------------------------
 
 
-def dense_forward(x, layer: DenseLayer) -> np.ndarray:
+def _forward_one(x, store: ParamStore, emit, **inputs) -> np.ndarray:
+    """Run ``emit(tape, x_node)`` on a throwaway tape for a vector or a batch."""
     xb, squeeze = _as_batch(x)
-    tape = Tape(layer.store)
-    out = layer.emit(tape, tape.input("x"))
-    y = tape.forward({"x": xb}, output=out)
+    tape = Tape(store)
+    y = tape.forward({"x": xb, **inputs}, output=emit(tape, tape.input("x")))
     return y[0] if squeeze else y
+
+
+def dense_forward(x, layer: DenseLayer) -> np.ndarray:
+    return _forward_one(x, layer.store, layer.emit)
 
 
 def lora_delta(x, adapter: LoRAAdapter) -> np.ndarray:
-    xb, squeeze = _as_batch(x)
-    tape = Tape(adapter.store)
-    out = adapter.emit_delta(tape, tape.input("x"))
-    y = tape.forward({"x": xb}, output=out)
-    return y[0] if squeeze else y
-
-
-def _domain_onehot(domain: int, n: int) -> np.ndarray:
-    if not (0 <= domain < n):
-        raise AutodiffError(f"domain index {domain} out of range for {n} domains")
-    row = np.zeros((1, n))
-    row[0, domain] = 1.0
-    return row
+    return _forward_one(x, adapter.store, adapter.emit_delta)
 
 
 def mlora_forward(x, domain: int, base: DenseLayer, adapters: list[LoRAAdapter]) -> np.ndarray:
@@ -288,21 +268,8 @@ def mlora_forward(x, domain: int, base: DenseLayer, adapters: list[LoRAAdapter])
 
     ``adapters[d]`` is domain d's adapter; all must share ``base``'s store.
     """
-    layer = MoELayer(
-        base,
-        [(d, 0, ad) for d, ad in enumerate(adapters)],
-        gate=None,
-        gate_mode="one_hot",
-    )
-    xb, squeeze = _as_batch(x)
-    tape = Tape(base.store)
-    out = layer.emit(tape, tape.input("x"), tape.input("domain"), tape.input("domain_onehot"))
-    y = tape.forward(
-        {"x": xb, "domain": np.array([domain]),
-         "domain_onehot": _domain_onehot(domain, len(adapters))},
-        output=out,
-    )
-    return y[0] if squeeze else y
+    layer = MoELayer(base, [(d, 0, ad) for d, ad in enumerate(adapters)])
+    return moe_forward(x, domain, layer)
 
 
 def gate_weights(domain: int, gate: GateNet, x=None) -> np.ndarray:
@@ -324,16 +291,12 @@ def gate_weights(domain: int, gate: GateNet, x=None) -> np.ndarray:
 def moe_forward(x, domain: int, layer: MoELayer) -> np.ndarray:
     if not (0 <= domain < layer.n_domains):
         raise AutodiffError(f"domain index {domain} out of range for {layer.n_domains} domains")
-    xb, squeeze = _as_batch(x)
-    tape = Tape(layer.store)
-    out = layer.emit(tape, tape.input("x"), tape.input("domain"), tape.input("domain_onehot"))
-    inputs = {
-        "x": xb,
-        "domain": np.array([domain]),
-        "domain_onehot": _domain_onehot(domain, len(layer.experts)),
-    }
-    y = tape.forward(inputs, output=out)
-    return y[0] if squeeze else y
+    if layer.gate is None:
+        return _forward_one(
+            x, layer.store, lambda tape, xn: layer.emit_single_expert(tape, xn, domain, 0))
+    return _forward_one(x, layer.store,
+                        lambda tape, xn: layer.emit(tape, xn, tape.input("domain")),
+                        domain=np.array([domain]))
 
 
 def param_groups(store: ParamStore) -> list[tuple[str, str, bool]]:

@@ -51,15 +51,16 @@ def auc(labels, scores) -> float | None:
 
 
 def wauc(per_domain) -> float:
-    """Count-weighted mean of per-domain AUCs.
+    """Weighted mean of per-domain AUCs.
 
-    ``per_domain`` is a sequence of (auc_or_None, n_rows); degenerate
-    entries (AUC ``None``) are excluded and the remaining weights are
-    renormalized.  All-degenerate input is an error.
+    ``per_domain`` is a sequence of (auc_or_None, weight), the weight a row
+    count or any finite non-negative real; degenerate entries (AUC ``None``)
+    are excluded and the remaining weights are renormalized.  All-degenerate
+    input is an error.
     """
-    entries = [(a, int(n)) for a, n in per_domain]
-    if any(n < 0 for _, n in entries):
-        raise ValueError("row counts must be non-negative")
+    entries = [(a, float(n)) for a, n in per_domain]
+    if not all(np.isfinite(n) and n >= 0 for _, n in entries):
+        raise ValueError("domain weights must be finite and non-negative")
     live = [(a, n) for a, n in entries if a is not None and n > 0]
     if not live:
         raise ValueError("every domain is degenerate; weighted AUC undefined")

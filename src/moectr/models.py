@@ -7,15 +7,17 @@ interaction term computed from the same embeddings.  The probability is
 always sigmoid(sum of logits).
 
 Modes differ only in the tower and head layers: ``plain`` uses bare dense
-layers, ``mlora`` wraps each in per-domain low-rank adapters selected
-one-hot by the input domain, and ``moe`` mixes all adapters of all domains
+layers, ``mlora`` wraps each in per-domain low-rank adapters of which a row
+uses only its own domain's, and ``moe`` mixes all adapters of all domains
 through a learned per-domain gate.  Embeddings, the wide tables, and the
 interaction term always belong to the backbone.
 
 A model owns one ``ParamStore`` plus a static tape per forward view:
 ``backbone`` (base weights only), ``expert:d:k`` (backbone plus exactly one
-adapter, no gate), and ``mixture`` (the mode's full forward).  Training
-phases pick views; prediction uses the mode's natural one.
+adapter, no gate), and ``mixture`` (the softmax-gated forward of ``moe``).
+Training phases pick views; prediction uses ``predict_view(domain)``.  Hard
+routing (``mlora``, or ``moe`` with ``gate_force_one_hot``) predicts domain
+d through ``expert:d:0`` and has no mixture view.
 """
 
 from __future__ import annotations
@@ -152,18 +154,14 @@ class CtrModel:
     def experts_per_domain(self) -> int:
         return self.adapter_cfg.experts_per_domain if self.mode == "moe" else 1
 
-    @property
-    def n_experts_total(self) -> int:
-        return self.schema.n_domains * self.experts_per_domain
-
     def expert_keys(self) -> list[tuple[int, int]]:
         return [(d, k) for d in range(self.schema.n_domains)
                 for k in range(self.experts_per_domain)]
 
-    def _gate_mode(self) -> str:
-        if self.mode == "mlora" or self.adapter_cfg.gate_force_one_hot:
-            return "one_hot"
-        return "softmax"
+    def _hard_routed(self) -> bool:
+        """True when each row uses only its own domain's expert, with no gate."""
+        return self.mode == "mlora" or (
+            self.mode == "moe" and self.adapter_cfg.gate_force_one_hot)
 
     def _make_layer(self, name: str, d_in: int, d_out: int, activation: str):
         base = DenseLayer(self.store, name, d_in, d_out, activation, "backbone", self.seed)
@@ -176,13 +174,13 @@ class CtrModel:
                              cfg.rank, cfg.alpha, f"expert({d},{k},{name})", self.seed)
             experts.append((d, k, ad))
         gate = None
-        if self._gate_mode() == "softmax":
+        if not self._hard_routed():
             n_cols = len(experts) + (1 if cfg.gate_includes_backbone else 0)
             gate = GateNet(self.store, f"{name}.gate", self.schema.n_domains, n_cols,
                            d_in=d_in, input_conditioned=cfg.gate_input_conditioned)
         return MoELayer(base, experts, gate=gate,
                         gate_includes_backbone=cfg.gate_includes_backbone,
-                        gate_mode=self._gate_mode(), n_domains=self.schema.n_domains)
+                        n_domains=self.schema.n_domains)
 
     def _build(self) -> None:
         from .autodiff import rng_for
@@ -213,17 +211,21 @@ class CtrModel:
         if view.startswith("expert:"):
             _, d, k = view.split(":")
             return layer.emit_single_expert(tape, x, int(d), int(k))
-        onehot = tape.input("domain_onehot") if layer.gate_mode == "one_hot" else None
-        return layer.emit(tape, x, tape.input("domain"), onehot)
+        return layer.emit(tape, x, tape.input("domain"))
 
     def tape(self, view: str) -> tuple[Tape, int, int]:
         """(tape, probability node, loss node) for a forward view.
 
         Views: "backbone", "mixture", or "expert:d:k".  Plain models only
         have the backbone view; "mixture" aliases to it for convenience.
+        Hard-routed models have no mixture view.
         """
         if not self._adapted():
             view = "backbone"
+        elif view == "mixture" and self._hard_routed():
+            raise AutodiffError(
+                f"hard-routed {self.mode} model has no mixture view; "
+                "use predict_view(domain)")
         if view in self._tapes:
             return self._tapes[view]
         sch = self.schema
@@ -259,8 +261,16 @@ class CtrModel:
         self._tapes[view] = (tape, p, loss)
         return self._tapes[view]
 
-    def predict_view(self) -> str:
-        return "backbone" if self.mode == "plain" else "mixture"
+    def predict_view(self, domain: int | None = None) -> str:
+        """The view that predicts rows of ``domain``."""
+        if self.mode == "plain":
+            return "backbone"
+        if not self._hard_routed():
+            return "mixture"
+        if domain is None:
+            raise ValueError("a hard-routed model predicts through its domain's expert; "
+                             "pass the domain")
+        return f"expert:{int(domain)}:0"
 
     # ---- inference -------------------------------------------------------
 
@@ -284,10 +294,6 @@ class CtrModel:
             inputs[f"ids.{fname}"] = ids[:, f]
         if self._adapted():
             inputs["domain"] = np.array([domain])
-            if self._gate_mode() == "one_hot":
-                row = np.zeros((1, self.n_experts_total))
-                row[0, domain] = 1.0
-                inputs["domain_onehot"] = row
         if y is not None:
             inputs["y"] = np.asarray(y, dtype=np.float64).reshape(-1, 1)
         return inputs
@@ -297,7 +303,7 @@ class CtrModel:
         if not (0 <= domain < self.schema.n_domains):
             raise ValueError(
                 f"domain index {domain} out of range [0, {self.schema.n_domains})")
-        tape, p_node, _ = self.tape(view or self.predict_view())
+        tape, p_node, _ = self.tape(view or self.predict_view(domain))
         p = tape.forward(self.bind_inputs(ids, domain), output=p_node)
         return p.reshape(-1)
 

@@ -4,24 +4,24 @@ Phase 1 fits the shared backbone on the union of all domains.  Phase 2
 freezes it and fits each domain's low-rank experts on that domain's rows
 alone, through a bypass view where the gate and every other expert are
 absent from the graph, so replicas of one domain differ only by their A-matrix
-init and experts can be trained independently (and in parallel).  Phase 3
+init and experts are trained independently, one after another.  Phase 3
 freezes everything but the gate tables and fits the mixture weights on
 single-domain batches drawn proportionally (or balanced) across domains.
 
 Each phase checksums the groups it is supposed to leave alone before and
-after, and aborts if a frozen byte moved.  Early stopping watches the
-weighted validation AUC with a fixed patience.
+after, and aborts if a frozen byte moved; so does each expert of phase 2,
+over everything but its own tensors.  Early stopping watches the weighted
+validation AUC with a fixed patience.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import ParamStore
+from .autodiff import ParamStore, Tape
 from .data import Dataset, batch_iter, domain_batches, split_dataset
 from .metrics import MetricsReport, auc, evaluate
 from .models import (
@@ -44,10 +44,7 @@ __all__ = [
     "run_phase2",
     "run_phase3",
     "train_pipeline",
-    "thread_count",
 ]
-
-BCE_CLAMP = 1e-7
 
 
 class NumericError(RuntimeError):
@@ -124,18 +121,8 @@ class PipelineResult:
     model: CtrModel
 
 
-def thread_count() -> int:
-    """Worker count for per-expert training, from MOECTR_THREADS (default 1)."""
-    raw = os.environ.get("MOECTR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"MOECTR_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def bce_loss(p, y) -> float:
-    """Mean binary cross-entropy with probabilities clamped to [1e-7, 1-1e-7]."""
+    """Mean binary cross-entropy by the tape's ``bce`` op (clamp ``BCE_EPS``)."""
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if p.shape != y.shape:
@@ -144,8 +131,9 @@ def bce_loss(p, y) -> float:
         raise ValueError("labels must be 0 or 1")
     if not np.isfinite(p).all():
         raise ValueError("predictions must be finite")
-    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return float(-(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)).mean())
+    tape = Tape(ParamStore())
+    loss = tape.bce(tape.input("p"), tape.input("y"))
+    return float(tape.forward({"p": p, "y": y}, output=loss))
 
 
 class AdamState:
@@ -201,16 +189,19 @@ def _frozen_selector(trainable_groups) -> "callable":
     return lambda g: not match(g)
 
 
-def _run_epochs(model: CtrModel, view: str, batches_per_epoch, max_epochs: int,
+def _run_epochs(model: CtrModel, view: str | None, batches_per_epoch, max_epochs: int,
                 val_metric, adam: AdamState, lr: float, cfg: TrainConfig,
                 phase: int) -> tuple[list[float], list[float], bool]:
-    """Shared epoch loop: step over batches, track loss and validation metric."""
-    tape, _, loss_node = model.tape(view)
+    """Shared epoch loop: step over batches, track loss and validation metric.
+
+    ``view=None`` trains each batch through its domain's prediction view.
+    """
     losses: list[float] = []
     waucs: list[float] = []
     for epoch in range(max_epochs):
         total, rows = 0.0, 0
         for domain, batch in batches_per_epoch(epoch):
+            tape, _, loss_node = model.tape(view or model.predict_view(domain))
             inputs = model.bind_inputs(batch.ids, domain, batch.labels)
             loss = float(tape.forward(inputs, output=loss_node))
             if not np.isfinite(loss):
@@ -280,6 +271,8 @@ def _train_one_expert(model: CtrModel, d: int, k: int, train: Dataset,
     view = f"expert:{d}:{k}"
     warnings_list: list[str] = []
     adam = AdamState()
+    others = _frozen_selector(f"expert({d},{k},")
+    before = model.store.group_checksum(others)
 
     def batches(epoch):
         for b in batch_iter(sub, cfg.batch_size,
@@ -297,11 +290,14 @@ def _train_one_expert(model: CtrModel, d: int, k: int, train: Dataset,
     losses, waucs, stopped = _run_epochs(
         model, view, batches, cfg.epochs[1],
         val_metric, adam, cfg.lr, cfg, 2)
+    after = model.store.group_checksum(others)
+    if after != before:
+        raise NumericError(f"training expert({d},{k}) modified other parameters", 2)
     return PhaseReport(
         phase=2, unit=f"expert({d},{k})", epochs_run=len(losses),
         train_loss=losses, val_wauc=[w for w in waucs if w is not None],
-        stopped_early=stopped, frozen_groups="", frozen_checksum_before="",
-        frozen_checksum_after="", warnings=warnings_list)
+        stopped_early=stopped, frozen_groups="", frozen_checksum_before=before,
+        frozen_checksum_after=after, warnings=warnings_list)
 
 
 def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
@@ -309,8 +305,7 @@ def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
     """Fit every (domain, replica) expert on its own domain's rows.
 
     The backbone and gates stay frozen; each expert trains through the
-    bypass view, so experts never see one another and can run on worker
-    threads without changing the result.
+    bypass view, so experts never see one another.
     """
     if model.mode not in ("mlora", "moe"):
         raise ValueError("per-domain expert training needs an adapted model")
@@ -324,13 +319,7 @@ def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
                 f"domain {d}: no training rows, expert({d},{k}) left at initialization")
             continue
         jobs.append((d, k))
-    workers = thread_count()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            children = list(pool.map(
-                lambda dk: _train_one_expert(model, dk[0], dk[1], train, val, cfg), jobs))
-    else:
-        children = [_train_one_expert(model, d, k, train, val, cfg) for d, k in jobs]
+    children = [_train_one_expert(model, d, k, train, val, cfg) for d, k in jobs]
     for c in children:
         warnings_list.extend(c.warnings)
     return finish([], [evaluate(model, val).wauc], False, warnings_list, children)
@@ -338,7 +327,11 @@ def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
 
 def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
                cfg: TrainConfig) -> PhaseReport:
-    """Fit the gate tables through the full mixture; everything else frozen."""
+    """Fit the gate tables through the prediction views; everything else frozen.
+
+    A hard-routed ``moe`` model has no gate tables: its phase 3 steps through
+    the expert views and moves nothing.
+    """
     if model.mode != "moe":
         raise ValueError("gate training applies only to moe models")
     model.store.set_trainable_only("gate")
@@ -352,10 +345,10 @@ def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
             yield d, train.batch(rows)
 
     def val_metric():
-        return evaluate(model, val, view="mixture").wauc
+        return evaluate(model, val).wauc
 
     losses, waucs, stopped = _run_epochs(
-        model, "mixture", batches, cfg.epochs[2], val_metric, adam,
+        model, None, batches, cfg.epochs[2], val_metric, adam,
         cfg.gate_lr, cfg, 3)
     return finish(losses, waucs, stopped, [])
 

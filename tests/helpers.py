@@ -41,7 +41,7 @@ def model_loss_fn(model: CtrModel, ids: np.ndarray, y: np.ndarray, domain: int,
                   view: str | None = None):
     """f(theta) -> (loss, flat grad) over every parameter of the model."""
     layout = param_layout(model)
-    tape, _, loss_node = model.tape(view or model.predict_view())
+    tape, _, loss_node = model.tape(view or model.predict_view(domain))
     inputs = model.bind_inputs(ids, domain, y)
 
     def f(theta):
@@ -61,7 +61,7 @@ def relu_margin(model: CtrModel, ids: np.ndarray, y: np.ndarray, domain: int,
     Finite-difference checks need this margin to dominate the probe step so
     no perturbation crosses a kink.
     """
-    tape, _, loss_node = model.tape(view or model.predict_view())
+    tape, _, loss_node = model.tape(view or model.predict_view(domain))
     tape.forward(model.bind_inputs(ids, domain, y), output=loss_node)
     margin = np.inf
     for nid, node in enumerate(tape.nodes[: loss_node + 1]):

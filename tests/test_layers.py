@@ -76,7 +76,7 @@ def test_input_conditioned_gate_varies_with_input():
     np.testing.assert_allclose(w.sum(axis=1), np.ones(5), atol=1e-12)
 
 
-def _two_expert_layer(gate_mode="softmax", include_backbone=False):
+def _two_expert_layer(include_backbone=False):
     """Two domains, one rank-1 expert each, deltas [1,0] and [0,1] for x=[1]."""
     store = ParamStore()
     base = DenseLayer.from_arrays(store, "l0", np.zeros((2, 1)), np.zeros(2))
@@ -87,12 +87,10 @@ def _two_expert_layer(gate_mode="softmax", include_backbone=False):
         store.set(f"l0.e{d}.A", np.array([[1.0]]))
         store.set(f"l0.e{d}.B", np.array(col).reshape(2, 1))
         ads.append((d, 0, ad))
-    gate = None
-    if gate_mode == "softmax":
-        gate = GateNet(store, "l0.gate", n_domains=2,
-                       n_cols=2 + (1 if include_backbone else 0))
+    gate = GateNet(store, "l0.gate", n_domains=2,
+                   n_cols=2 + (1 if include_backbone else 0))
     return store, MoELayer(base, ads, gate=gate,
-                           gate_includes_backbone=include_backbone, gate_mode=gate_mode)
+                           gate_includes_backbone=include_backbone)
 
 
 def test_moe_uniform_gate_adds_half_of_each_delta():
@@ -143,8 +141,7 @@ def test_moe_one_hot_equals_mlora_bitwise():
                          group=f"expert({d},0,l0)", seed=d)
         store.set(f"l0.e{d}.B", np.random.default_rng(20 + d).normal(size=(3, 2)))
         ads.append(ad)
-    layer = MoELayer(base, [(d, 0, ad) for d, ad in enumerate(ads)],
-                     gate=None, gate_mode="one_hot")
+    layer = MoELayer(base, [(d, 0, ad) for d, ad in enumerate(ads)], gate=None)
     x = np.random.default_rng(5).normal(size=(7, 4))
     for d in range(3):
         np.testing.assert_array_equal(
@@ -186,7 +183,7 @@ def test_layer_construction_errors():
         DenseLayer(store, "l0", 2, 2, activation="tanh")
     base = DenseLayer(store, "l1", 2, 2, seed=0)
     with pytest.raises(AutodiffError, match="expert"):
-        MoELayer(base, [], gate=None, gate_mode="one_hot")
+        MoELayer(base, [], gate=None)
     ad = LoRAAdapter(store, "l1.e0", 2, 2, group="expert(0,0,l1)")
     with pytest.raises(AutodiffError, match="column"):
         MoELayer(base, [(0, 0, ad)], gate=GateNet(store, "g", 1, 5))

@@ -78,6 +78,14 @@ def test_wauc_renormalizes_around_degenerate_domains():
     assert abs(v - 0.8) < 1e-12
 
 
+def test_wauc_keeps_fractional_weights():
+    assert abs(wauc([(0.8, 0.75), (0.6, 0.25)]) - 0.75) < 1e-12
+    assert abs(wauc([(0.9, 1.9), (0.5, 1.0)]) - 2.21 / 2.9) < 1e-12
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-negative"):
+            wauc([(0.8, bad), (0.6, 1.0)])
+
+
 def test_wauc_all_degenerate_raises():
     with pytest.raises(ValueError, match="degenerate"):
         wauc([(None, 10), (None, 5)])
@@ -161,3 +169,12 @@ def test_evaluate_weight_override_uses_train_counts():
     assert abs(rep.wauc - want) < 1e-12
     assert abs(rep.wauc - base.per_domain[0].auc) < 1e-3
     assert rep.wauc != base.wauc
+
+
+def test_evaluate_fractional_weights_match_scaled_counts():
+    model, test = make_eval_pair(2)
+    frac = evaluate(model, test, weight_counts=[0.75, 0.25, 0.5])
+    whole = evaluate(model, test, weight_counts=[3, 1, 2])
+    assert abs(frac.wauc - whole.wauc) < 1e-12
+    for a, b in zip(frac.per_domain, whole.per_domain):
+        assert abs(a.weight - b.weight) < 1e-12

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from moectr.autodiff import ParamStore
+from moectr import training
+from moectr.autodiff import AutodiffError, ParamStore
 from moectr.data import Dataset, SyntheticSpec, generate_synthetic, split_dataset
 from moectr.models import AdapterConfig, FeatureSchema, build_model
 from moectr.training import (
@@ -166,6 +168,37 @@ def test_phase2_trains_experts_only_and_isolates_domains():
         assert np.abs(model.store.get(f"tower.0.e{d}.0.B")).max() > 0
 
 
+def test_phase2_children_carry_real_freeze_checksums():
+    ds = small_synth(seed=3)
+    train, val, _ = split_dataset(ds, seed=3)
+    model = build_model(ds.schema, "mlp", "moe",
+                        AdapterConfig(experts_per_domain=2), seed=3, hidden=(8, 6))
+    run_phase1(model, train, val, FAST)
+    rep = run_phase2(model, train, val, FAST)
+    assert len(rep.children) == 4
+    for child in rep.children:
+        assert re.fullmatch(r"[0-9a-f]{64}", child.frozen_checksum_before)
+        assert child.frozen_checksum_before == child.frozen_checksum_after
+    # Each child hashes the other experts too, so the hashes follow training.
+    assert len({c.frozen_checksum_before for c in rep.children}) == 4
+
+
+def test_phase2_child_aborts_when_another_expert_moves(monkeypatch):
+    ds = small_synth(seed=3)
+    train, val, _ = split_dataset(ds, seed=3)
+    model = build_model(ds.schema, "mlp", "mlora", AdapterConfig(), seed=3, hidden=(8, 6))
+    run_phase1(model, train, val, FAST)
+    step = training.adam_step
+
+    def leaky_step(store, grads, *args, **kwargs):
+        step(store, grads, *args, **kwargs)
+        store.set("head.e1.0.B", store.get("head.e1.0.B") + 1.0)
+
+    monkeypatch.setattr(training, "adam_step", leaky_step)
+    with pytest.raises(NumericError, match=r"expert\(0,0\) modified other"):
+        run_phase2(model, train, val, FAST)
+
+
 def test_phase2_replicas_differ_only_by_init_stream():
     ds = small_synth(seed=3)
     train, val, _ = split_dataset(ds, seed=3)
@@ -261,3 +294,16 @@ def test_moe_one_hot_pipeline_reproduces_mlora_predictions():
         np.testing.assert_array_equal(
             res_m.model.predict(test.ids[rows], d),
             res_f.model.predict(test.ids[rows], d))
+
+
+@pytest.mark.parametrize("adapter", [AdapterConfig(), AdapterConfig(gate_force_one_hot=True)])
+def test_hard_routed_predict_runs_the_domain_expert_view(adapter):
+    ds = small_synth(seed=9, divergence=0.8)
+    mode = "moe" if adapter.gate_force_one_hot else "mlora"
+    res = train_pipeline(FAST, ds, "mlp", mode, adapter, hidden=(8, 6))
+    for d in range(2):
+        rows = ds.ids[ds.domains == d]
+        np.testing.assert_array_equal(res.model.predict(rows, d),
+                                      res.model.predict(rows, d, view=f"expert:{d}:0"))
+    with pytest.raises(AutodiffError, match="mixture"):
+        res.model.tape("mixture")
