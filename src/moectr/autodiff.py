@@ -229,10 +229,13 @@ class Tape:
         """Softmax along the last axis, max-shifted for stability."""
         return self._push("softmax", (a,))
 
-    def concat(self, parts: list[int]) -> int:
+    def concat(self, parts: list[int], axis: int = -1) -> int:
+        """Join along the last axis (axis=-1) or along rows (axis=0)."""
+        if axis not in (0, -1):
+            raise AutodiffError("concat supports axis 0 or -1 only")
         if not parts:
             raise AutodiffError("concat of zero nodes")
-        return self._push("concat", tuple(parts))
+        return self._push("concat", tuple(parts), axis=axis)
 
     def reduce_sum(self, a: int, axis: int | None = None) -> int:
         """Sum to a scalar (axis=None) or over the last axis, keeping dims."""
@@ -322,7 +325,7 @@ class Tape:
             elif op == "concat":
                 parts = [vals[i] for i in node.args]
                 try:
-                    vals[nid] = np.concatenate(parts, axis=-1)
+                    vals[nid] = np.concatenate(parts, axis=node.meta["axis"])
                 except ValueError:
                     self._fail_shape(nid, node, [p.shape for p in parts])
             elif op == "reduce_sum":
@@ -432,10 +435,11 @@ class Tape:
                 gs = g * s
                 acc(a_id, gs - s * gs.sum(axis=-1, keepdims=True))
             elif op == "concat":
+                axis = node.meta["axis"]
                 off = 0
                 for pid in node.args:
-                    w = vals[pid].shape[-1]
-                    acc(pid, g[..., off : off + w])
+                    w = vals[pid].shape[axis]
+                    acc(pid, g[off : off + w] if axis == 0 else g[..., off : off + w])
                     off += w
             elif op == "reduce_sum":
                 # Scalar and keepdims cases both broadcast straight back.

@@ -2,9 +2,12 @@
 
 Every layer registers its parameters in a shared ``ParamStore`` under a
 group tag ("backbone", "gate", or "expert(d,k,layer)") and knows how to emit
-its ops onto a ``Tape``.  A gated layer mixes every expert's delta by its
-softmax weights; a gateless layer is hard-routed, and a row passes through
-the backbone plus its own domain's expert alone (the bypass form).
+its ops onto a ``Tape``.  A gated layer mixes its experts through one
+stacked low-rank product: every expert's ``A`` concatenated along rows,
+scaled per rank block by its softmax weight and ``alpha/rank``, then every
+``B`` concatenated along columns.  A gateless layer is hard-routed, and a
+row passes through the backbone plus its own domain's expert alone (the
+bypass form).
 
 The module-level ``*_forward`` helpers build a throwaway tape around a
 single layer; models assemble the same emit calls into one static tape.
@@ -162,12 +165,6 @@ class GateNet:
         return tape.softmax(row)
 
 
-def _unit_column(tape: Tape, j: int, n: int) -> int:
-    col = np.zeros((n, 1))
-    col[j, 0] = 1.0
-    return tape.const(col)
-
-
 class MoELayer:
     """A dense layer with per-domain low-rank experts mixed by a gate.
 
@@ -219,19 +216,32 @@ class MoELayer:
         return _apply_activation(tape, self.base.activation, tape.add(pre, delta))
 
     def emit_mixture(self, tape: Tape, x: int, weights: int) -> int:
-        """Backbone plus the weight-column-scaled sum of all expert deltas."""
-        n_cols = len(self.experts) + (1 if self.gate_includes_backbone else 0)
+        """Backbone plus the gate-weighted sum of all expert deltas, fused.
+
+        The experts form one bank: their ``A``s stacked along rows and their
+        ``B``s along columns, so that
+        ``delta = ((x @ A_cat.T) * (weights @ S)) @ B_cat.T`` where the
+        constant ``S`` (n_cols, sum of ranks) holds expert j's ``alpha/rank``
+        across its rank block in j's gate row.  Node count does not depend
+        on the number of experts, and ``B = 0`` still gives an exact zero.
+        """
+        off = 1 if self.gate_includes_backbone else 0
+        adapters = [ad for _, _, ad in self.experts]
+        spread = np.zeros((off + len(adapters), sum(ad.rank for ad in adapters)))
+        r0 = 0
+        for j, ad in enumerate(adapters):
+            spread[off + j, r0 : r0 + ad.rank] = ad.scaling
+            r0 += ad.rank
         pre = self.base.emit_affine(tape, x)
         if self.gate_includes_backbone:
-            acc = tape.mul(tape.matmul(weights, _unit_column(tape, 0, n_cols)), pre)
-            off = 1
-        else:
-            acc = pre
-            off = 0
-        for j, (_, _, adapter) in enumerate(self.experts):
-            w_j = tape.matmul(weights, _unit_column(tape, j + off, n_cols))
-            acc = tape.add(acc, tape.mul(w_j, adapter.emit_delta(tape, x)))
-        return _apply_activation(tape, self.base.activation, acc)
+            backbone_col = tape.const(np.eye(len(spread))[:, :1])
+            pre = tape.mul(tape.matmul(weights, backbone_col), pre)
+        a_cat = tape.concat([tape.param(f"{ad.name}.A") for ad in adapters], axis=0)
+        b_cat = tape.concat([tape.param(f"{ad.name}.B") for ad in adapters], axis=-1)
+        h = tape.matmul(x, a_cat, transpose_b=True)
+        h = tape.mul(h, tape.matmul(weights, tape.const(spread)))
+        delta = tape.matmul(h, b_cat, transpose_b=True)
+        return _apply_activation(tape, self.base.activation, tape.add(pre, delta))
 
     def emit(self, tape: Tape, x: int, domain_node: int) -> int:
         """Full gated forward: the domain's softmax weights over the columns."""

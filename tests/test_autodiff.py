@@ -130,6 +130,40 @@ def test_primitive_backward_against_central_differences(seed):
     assert err < 1e-6, err
 
 
+def test_concat_rows_feeding_matmul_against_central_differences():
+    rng = np.random.default_rng(5)
+    shapes = {"P": (2, 3), "Q": (1, 3), "R": (4, 3)}
+    sizes = {k: int(np.prod(s)) for k, s in shapes.items()}
+    x = rng.normal(size=(5, 3))
+
+    def build(store, theta):
+        off = 0
+        for k, s in shapes.items():
+            store.add(k, theta[off : off + sizes[k]].reshape(s), "backbone")
+            off += sizes[k]
+        t = Tape(store)
+        stacked = t.concat([t.param("P"), t.param("Q")], axis=0)
+        h = t.matmul(t.input("x"), stacked, transpose_b=True)
+        other = t.concat([t.param("Q"), t.param("R")], axis=0)
+        out = t.matmul(t.sigmoid(h), t.matmul(stacked, other, transpose_b=True))
+        loss = t.reduce_mean(t.mul(out, out))
+        return t, loss, {"x": x}
+
+    theta0 = rng.normal(size=sum(sizes.values())) * 0.5
+    err = grad_check(make_flat_fn(build, list(shapes.items())), theta0, eps=1e-5)
+    assert err < 1e-6, err
+
+
+def test_concat_axis_out_of_range_rejected():
+    t = Tape(ParamStore())
+    a, b = t.input("a"), t.input("b")
+    with pytest.raises(AutodiffError, match="concat supports axis 0 or -1"):
+        t.concat([a, b], axis=1)
+    rows = t.concat([a, b], axis=0)
+    out = t.forward({"a": np.ones((1, 2)), "b": np.zeros((2, 2))}, output=rows)
+    np.testing.assert_array_equal(out, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+
+
 def test_bce_backward_against_central_differences():
     rng = np.random.default_rng(3)
     y = (rng.random(8) > 0.5).astype(float).reshape(8, 1)

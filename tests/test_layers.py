@@ -161,6 +161,44 @@ def test_zero_init_moe_layer_matches_dense_bitwise():
     np.testing.assert_array_equal(moe_forward(x, 0, layer), dense_forward(x, base))
 
 
+@pytest.mark.parametrize("include_backbone", [False, True])
+@pytest.mark.parametrize("input_conditioned", [False, True])
+def test_moe_forward_matches_per_expert_reference(include_backbone, input_conditioned):
+    rng = np.random.default_rng(31)
+    d_in, d_out = 5, 4
+    store = ParamStore()
+    base = DenseLayer(store, "l0", d_in, d_out, activation="relu", seed=4)
+    store.set("l0.b", rng.normal(size=d_out))
+    experts = []
+    for d in range(3):
+        for k in range(2):
+            ad = LoRAAdapter(store, f"l0.e{d}.{k}", d_in, d_out, rank=1 + (d + k) % 3,
+                             alpha=1.5 + d + 2 * k, group=f"expert({d},{k},l0)", seed=d)
+            store.set(f"{ad.name}.B", rng.normal(size=(d_out, ad.rank)))
+            experts.append((d, k, ad))
+    n_cols = len(experts) + (1 if include_backbone else 0)
+    gate = GateNet(store, "l0.gate", 3, n_cols, d_in=d_in,
+                   input_conditioned=input_conditioned)
+    store.set("l0.gate.logits", rng.normal(size=(3, n_cols)))
+    if input_conditioned:
+        store.set("l0.gate.proj", rng.normal(size=(n_cols, d_in)))
+    layer = MoELayer(base, experts, gate=gate, gate_includes_backbone=include_backbone)
+    x = rng.normal(size=(9, d_in))
+    for domain in range(3):
+        w = gate_weights(domain, gate, x if input_conditioned else None)
+        w = np.broadcast_to(w, (len(x), n_cols))
+        pre = x @ store.get("l0.W").T + store.get("l0.b")
+        if include_backbone:
+            pre = w[:, :1] * pre
+        mixed = pre.copy()
+        for j, (_, _, ad) in enumerate(experts):
+            A, B = store.get(f"{ad.name}.A"), store.get(f"{ad.name}.B")
+            wj = w[:, j + n_cols - len(experts), None]
+            mixed += wj * ad.scaling * (x @ A.T) @ B.T
+        np.testing.assert_allclose(moe_forward(x, domain, layer), np.maximum(mixed, 0.0),
+                                   rtol=0.0, atol=1e-12)
+
+
 def test_param_groups_counts_expert_groups():
     store = ParamStore()
     for li in range(3):

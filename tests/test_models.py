@@ -121,6 +121,14 @@ def test_moe_param_group_counts():
     assert len(gate_params) == 3
 
 
+def test_mixture_tape_size_does_not_grow_with_experts():
+    def op_nodes(experts_per_domain):
+        tape, _, _ = tiny("mlp", "moe", experts_per_domain=experts_per_domain).tape("mixture")
+        return sum(node.op != "param" for node in tape.nodes)
+
+    assert op_nodes(1) == op_nodes(2) == 47
+
+
 def test_build_model_deterministic_by_seed():
     a = tiny("deepfm", "moe", seed=4)
     b = tiny("deepfm", "moe", seed=4)
