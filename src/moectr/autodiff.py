@@ -7,9 +7,12 @@ parameter values and the bound inputs.  All math is float64.
 
 Gradients flow back through the node list in reverse order and accumulate
 additively, so a parameter used in several places receives the sum of its
-contributions.  Only parameters currently flagged trainable are returned by
-``Tape.backward``; everything else is simply absent from the result, which
-is what the phase-wise freeze logic relies on.
+contributions.  Backward work is pruned to what the trainable parameters
+need: a node needs a gradient iff a trainable parameter lies upstream of it,
+and no VJP is computed for an operand that needs none.  So frozen weights,
+embedding tables and the branches that only feed them cost nothing on the
+way back, and only parameters currently flagged trainable are returned by
+``Tape.backward``, which is what the phase-wise freeze logic relies on.
 """
 
 from __future__ import annotations
@@ -106,12 +109,6 @@ class ParamStore:
         """(name, group, trainable) for every parameter, in insertion order."""
         return [(p.name, p.group, p.trainable) for p in self._params.values()]
 
-    def group_tags(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for p in self._params.values():
-            seen.setdefault(p.group, None)
-        return list(seen)
-
     @staticmethod
     def _selector(groups) -> "callable":
         if callable(groups):
@@ -132,9 +129,6 @@ class ParamStore:
             if p.trainable:
                 hit.append(p.name)
         return hit
-
-    def trainable_names(self) -> list[str]:
-        return [p.name for p in self._params.values() if p.trainable]
 
     def group_bytes(self, groups) -> bytes:
         """Canonical serialization of all parameters in the matched groups.
@@ -179,6 +173,8 @@ class Tape:
         self._inputs: dict[str, int] = {}
         self._param_nodes: dict[str, int] = {}
         self._values: list[np.ndarray] | None = None
+        self._need_key: tuple | None = None
+        self._need: list[bool] = []
 
     # ---- graph construction -------------------------------------------
 
@@ -369,12 +365,38 @@ class Tape:
                 grad = grad.sum(axis=ax, keepdims=True)
         return grad.reshape(shape)
 
+    def _needs_grad(self) -> list[bool]:
+        """Per node, whether a trainable parameter lies upstream of it.
+
+        Params need a gradient iff trainable, inputs and consts never, and
+        any other node iff one of its operands does.  The mask is cached
+        under the trainable flags of the tape's params (read afresh on every
+        call, since they are set directly), so it is rebuilt only when they
+        or the graph change.
+        """
+        store = self.store
+        key = (len(self.nodes), tuple([store[n].trainable for n in self._param_nodes]))
+        if key != self._need_key:
+            need = [False] * len(self.nodes)
+            for nid, node in enumerate(self.nodes):
+                if node.op == "param":
+                    need[nid] = store[node.meta["name"]].trainable
+                else:
+                    need[nid] = any(need[a] for a in node.args)
+            self._need_key, self._need = key, need
+        return self._need
+
     def backward(self, loss: int | None = None, seed: float = 1.0) -> dict[str, np.ndarray]:
         """Accumulate gradients from a scalar loss node.
 
         Returns gradients for the store's trainable parameters that are
         reachable from the loss; frozen or unreachable parameters are absent.
-        Must follow a ``forward`` that covered the loss node.
+        Work that only feeds frozen tensors is skipped: a VJP runs only for
+        operands with a trainable parameter upstream, and with none the
+        result is ``{}`` at once.  Pruning must not reorder how a returned
+        gradient accumulates, so it matches a backward with every tensor
+        trainable bit for bit.  Must follow a ``forward`` that covered the
+        loss node.
         """
         if self._values is None:
             raise AutodiffError("backward before forward")
@@ -385,6 +407,9 @@ class Tape:
         vals = self._values
         if np.asarray(vals[loss]).shape != ():
             raise AutodiffError(f"loss node {loss} is not scalar")
+        need = self._needs_grad()
+        if not need[loss]:
+            return {}
         grads: list = [None] * (loss + 1)
         grads[loss] = np.asarray(seed, dtype=np.float64)
 
@@ -395,6 +420,11 @@ class Tape:
             else:
                 grads[nid] = grads[nid] + g
 
+        # Only operands on the mask ever receive a gradient, so a node with
+        # none is off the mask or unreachable from the loss.  A unary node on
+        # the mask has its operand on it too, and so has a gather, whose
+        # integer indices never need a gradient; the other VJPs are guarded
+        # per operand.
         for nid in range(loss, -1, -1):
             g = grads[nid]
             if g is None:
@@ -409,20 +439,28 @@ class Tape:
                 b_id = node.args[1]
                 b = vals[b_id]
                 if node.meta["tb"]:
-                    acc(a_id, g @ b)
-                    acc(b_id, g.T @ a)
+                    if need[a_id]:
+                        acc(a_id, g @ b)
+                    if need[b_id]:
+                        acc(b_id, g.T @ a)
                 else:
-                    acc(a_id, g @ b.T)
-                    acc(b_id, a.T @ g)
+                    if need[a_id]:
+                        acc(a_id, g @ b.T)
+                    if need[b_id]:
+                        acc(b_id, a.T @ g)
             elif op == "add":
                 b_id = node.args[1]
-                acc(a_id, self._unbroadcast(g, a.shape))
-                acc(b_id, self._unbroadcast(g, vals[b_id].shape))
+                if need[a_id]:
+                    acc(a_id, self._unbroadcast(g, a.shape))
+                if need[b_id]:
+                    acc(b_id, self._unbroadcast(g, vals[b_id].shape))
             elif op == "mul":
                 b_id = node.args[1]
                 b = vals[b_id]
-                acc(a_id, self._unbroadcast(g * b, a.shape))
-                acc(b_id, self._unbroadcast(g * a, b.shape))
+                if need[a_id]:
+                    acc(a_id, self._unbroadcast(g * b, a.shape))
+                if need[b_id]:
+                    acc(b_id, self._unbroadcast(g * a, b.shape))
             elif op == "scale":
                 acc(a_id, g * node.meta["c"])
             elif op == "relu":
@@ -439,7 +477,8 @@ class Tape:
                 off = 0
                 for pid in node.args:
                     w = vals[pid].shape[axis]
-                    acc(pid, g[off : off + w] if axis == 0 else g[..., off : off + w])
+                    if need[pid]:
+                        acc(pid, g[off : off + w] if axis == 0 else g[..., off : off + w])
                     off += w
             elif op == "reduce_sum":
                 # Scalar and keepdims cases both broadcast straight back.
@@ -451,7 +490,8 @@ class Tape:
                 gt = np.zeros_like(a)
                 np.add.at(gt, idx, g)
                 acc(a_id, gt)
-            elif op == "bce":
+            elif op == "bce" and need[a_id]:
+                # Labels are treated as constants.
                 y = vals[node.args[1]]
                 p = np.clip(a, BCE_EPS, 1.0 - BCE_EPS)
                 inside = (a > BCE_EPS) & (a < 1.0 - BCE_EPS)
@@ -460,7 +500,7 @@ class Tape:
 
         out: dict[str, np.ndarray] = {}
         for name, nid in self._param_nodes.items():
-            if nid <= loss and grads[nid] is not None and self.store[name].trainable:
+            if nid <= loss and grads[nid] is not None:
                 out[name] = np.asarray(grads[nid])
         return out
 

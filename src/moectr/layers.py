@@ -33,7 +33,7 @@ __all__ = [
     "param_groups",
 ]
 
-ACTIVATIONS = ("relu", "sigmoid", "identity")
+ACTIVATIONS = ("relu", "identity")
 
 # Std-dev of the Gaussian init for adapter A matrices; B starts at zero so
 # every adapter's delta is exactly zero until trained.
@@ -43,8 +43,6 @@ ADAPTER_INIT_STD = 0.02
 def _apply_activation(tape: Tape, name: str, node: int) -> int:
     if name == "relu":
         return tape.relu(node)
-    if name == "sigmoid":
-        return tape.sigmoid(node)
     return node
 
 

@@ -142,17 +142,6 @@ class MetricsReport:
             for rec in self.to_records():
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    def __str__(self) -> str:
-        lines = []
-        for m in self.per_domain:
-            shown = "degenerate" if m.auc is None else f"{m.auc:.6f}"
-            lines.append(
-                f"domain {m.domain}: rows={m.n_rows} auc={shown} weight={m.weight:.4f}")
-        lines.append(f"weighted auc: {self.wauc:.6f}  sparsity: {self.sparsity_overall:.4f}")
-        for w in self.warnings:
-            lines.append(f"warning: {w}")
-        return "\n".join(lines)
-
 
 def evaluate(model: CtrModel, ds: Dataset, weight_counts=None,
              view: str | None = None) -> MetricsReport:

@@ -148,16 +148,17 @@ class AdamState:
 def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update over the trainable parameters.
+    """One bias-corrected Adam update over the supplied gradients.
 
     Parameters without a gradient entry stay put; frozen parameters never
-    move even if a gradient is supplied.
+    move even if a gradient is supplied.  Each tensor's update depends on
+    its own gradient and moments alone, so the loop runs over ``grads``
+    rather than over every trainable name.
     """
     state.t += 1
     t = state.t
-    for name in store.trainable_names():
-        g = grads.get(name)
-        if g is None:
+    for name, g in grads.items():
+        if not store[name].trainable:
             continue
         g = np.asarray(g, dtype=np.float64)
         if not np.isfinite(g).all():

@@ -253,6 +253,70 @@ def test_shape_mismatch_names_node():
         t.forward({"a": np.ones((2, 3)), "b": np.ones((2, 3))}, output=bad)
 
 
+@pytest.mark.parametrize("op", ["add", "mul", "concat", "bce"])
+def test_operand_shape_mismatch_names_node(op):
+    t = Tape(ParamStore())
+    a, b = t.input("a"), t.input("b")
+    bad = t.concat([a, b]) if op == "concat" else getattr(t, op)(a, b)
+    with pytest.raises(ShapeError, match=rf"node {bad} \({op}\)"):
+        t.forward({"a": np.ones((2, 3)), "b": np.ones((3, 2))}, output=bad)
+
+
+def _count_unbroadcasts(monkeypatch) -> list:
+    calls = []
+    inner = Tape._unbroadcast
+
+    def counted(grad, shape):
+        calls.append(shape)
+        return inner(grad, shape)
+
+    monkeypatch.setattr(Tape, "_unbroadcast", staticmethod(counted))
+    return calls
+
+
+def test_backward_skips_vjps_of_frozen_operands(monkeypatch):
+    store = ParamStore()
+    store.add("W", np.ones((2, 3)), "backbone")
+    store.add("b", np.zeros(2), "gate")
+    store.add("T", np.ones((4, 3)), "backbone")
+    store.set_trainable_only("gate")
+    t = Tape(store)
+    x = t.gather(t.param("T"), t.input("idx"))
+    loss = t.reduce_sum(t.add(t.matmul(x, t.param("W"), transpose_b=True), t.param("b")))
+    t.forward({"idx": np.array([0, 3, 3])}, output=loss)
+    calls = _count_unbroadcasts(monkeypatch)
+    grads = t.backward(loss)
+    assert list(grads) == ["b"] and calls == [(2,)]
+    np.testing.assert_array_equal(grads["b"], [3.0, 3.0])
+
+
+def test_bce_gets_no_vjp_through_labels_alone():
+    store = ParamStore()
+    store.add("P", np.full((3, 1), 0.25), "backbone")
+    store.add("c", np.zeros((3, 1)), "gate")
+    store.set_trainable_only("gate")
+    t = Tape(store)
+    # Labels are constants to bce, so a trainable label branch yields nothing,
+    # and the frozen probabilities are not differentiated.
+    loss = t.bce(t.param("P"), t.sigmoid(t.param("c")))
+    t.forward({}, output=loss)
+    assert t.backward(loss) == {}
+
+
+def test_backward_with_nothing_trainable_returns_empty_at_once(monkeypatch):
+    store = ParamStore()
+    store.add("W", np.ones((1, 2)), "backbone")
+    store.set_trainable_only("gate")
+    t = Tape(store)
+    loss = t.reduce_sum(t.add(t.matmul(t.input("x"), t.param("W"), transpose_b=True),
+                               t.input("z")))
+    t.forward({"x": np.ones((3, 2)), "z": np.ones((3, 1))}, output=loss)
+    calls = _count_unbroadcasts(monkeypatch)
+    assert t.backward(loss) == {} and calls == []
+    store["W"].trainable = True  # a flag set directly reaches the next backward
+    assert list(t.backward(loss)) == ["W"] and calls
+
+
 def test_unbound_input_rejected_by_name():
     t = Tape(ParamStore())
     y = t.relu(t.input("missing"))

@@ -184,3 +184,45 @@ def test_small_model_gradients(mode):
     f = model_loss_fn(m, ids, y, domain=1)
     theta0 = np.concatenate([m.store.get(n).reshape(-1) for n in m.store.names()])
     assert grad_check(f, theta0, eps=1e-5) < 1e-5
+
+
+def _randomized(model, seed=0):
+    """Move every tensor off its init so no gradient is trivially zero."""
+    rng = np.random.default_rng(seed)
+    for name in model.store.names():
+        model.store.set(name, rng.normal(size=model.store.get(name).shape) * 0.5)
+    return model
+
+
+def _backward_as(model, view, trainable, ids, y, domain):
+    model.store.set_trainable_only(trainable)
+    tape, _, loss = model.tape(view)
+    tape.forward(model.bind_inputs(ids, domain, y), output=loss)
+    return tape.backward(loss)
+
+
+def _assert_pruned_equals_full(model, view, trainable, domain):
+    ids = rand_ids(40, seed=6)
+    y = (np.random.default_rng(7).random(40) > 0.5).astype(float)
+    full = _backward_as(model, view, lambda g: True, ids, y, domain)
+    pruned = _backward_as(model, view, trainable, ids, y, domain)
+    expected = {n for n, _, trainable in model.store.param_groups() if trainable} & set(full)
+    assert expected and set(pruned) == expected
+    for name in expected:
+        assert np.array_equal(pruned[name], full[name]), name
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+@pytest.mark.parametrize("with_backbone", [False, True])
+@pytest.mark.parametrize("arch", ["mlp", "wdl", "deepfm"])
+def test_gate_only_backward_bit_identical_to_full_backward(arch, with_backbone, conditioned):
+    m = _randomized(tiny(arch, "moe", seed=2, experts_per_domain=2,
+                         gate_includes_backbone=with_backbone,
+                         gate_input_conditioned=conditioned))
+    _assert_pruned_equals_full(m, "mixture", "gate", domain=1)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "wdl", "deepfm"])
+def test_one_expert_backward_bit_identical_to_full_backward(arch):
+    m = _randomized(tiny(arch, "moe", seed=4, experts_per_domain=2), seed=1)
+    _assert_pruned_equals_full(m, "expert:1:1", "expert(1,1,", domain=1)

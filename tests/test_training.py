@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from moectr import training
-from moectr.autodiff import AutodiffError, ParamStore
-from moectr.data import Dataset, SyntheticSpec, generate_synthetic, split_dataset
+from moectr.autodiff import AutodiffError, ParamStore, Tape
+from moectr.data import (
+    Dataset,
+    SyntheticSpec,
+    domain_batches,
+    generate_synthetic,
+    split_dataset,
+)
+from moectr.metrics import evaluate
 from moectr.models import AdapterConfig, FeatureSchema, build_model
 from moectr.training import (
     AdamState,
@@ -199,6 +206,24 @@ def test_phase2_child_aborts_when_another_expert_moves(monkeypatch):
         run_phase2(model, train, val, FAST)
 
 
+def test_phase3_aborts_when_a_frozen_tensor_moves(monkeypatch):
+    ds = small_synth(seed=3)
+    train, val, _ = split_dataset(ds, seed=3)
+    model = build_model(ds.schema, "mlp", "moe", AdapterConfig(), seed=3, hidden=(8, 6))
+    run_phase1(model, train, val, FAST)
+    run_phase2(model, train, val, FAST)
+    step = training.adam_step
+
+    def leaky_step(store, grads, *args, **kwargs):
+        step(store, grads, *args, **kwargs)
+        store.set("tower.0.W", store.get("tower.0.W") + 1.0)
+
+    monkeypatch.setattr(training, "adam_step", leaky_step)
+    with pytest.raises(NumericError, match="phase 3 modified frozen parameters") as err:
+        run_phase3(model, train, val, FAST)
+    assert err.value.phase == 3
+
+
 def test_phase2_replicas_differ_only_by_init_stream():
     ds = small_synth(seed=3)
     train, val, _ = split_dataset(ds, seed=3)
@@ -307,3 +332,40 @@ def test_hard_routed_predict_runs_the_domain_expert_view(adapter):
                                       res.model.predict(rows, d, view=f"expert:{d}:0"))
     with pytest.raises(AutodiffError, match="mixture"):
         res.model.tape("mixture")
+
+
+def test_hard_routed_phase3_backward_is_empty_and_records_forward_values(monkeypatch):
+    ds = small_synth(seed=9, divergence=0.8)
+    train, val, _ = split_dataset(ds, seed=FAST.seed)
+    model = build_model(ds.schema, "mlp", "moe", AdapterConfig(gate_force_one_hot=True),
+                        seed=FAST.seed, hidden=(8, 6))
+    run_phase1(model, train, val, FAST)
+    run_phase2(model, train, val, FAST)
+    weights = model.store.group_bytes(lambda g: True)
+    returned = []
+    backward = Tape.backward
+
+    def spy(self, *args, **kwargs):
+        returned.append(backward(self, *args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(Tape, "backward", spy)
+    rep = run_phase3(model, train, val, FAST)
+    assert returned and all(g == {} for g in returned)
+    assert model.store.group_bytes(lambda g: True) == weights
+    # Nothing moves, so the record holds forward-only values: each epoch's
+    # loss over its batches, and one validation wAUC repeated.
+    losses = []
+    for epoch in range(FAST.epochs[2]):
+        total = 0.0
+        for d, rows in domain_batches(train, FAST.batch_size, seed=FAST.seed * 1000 + 3,
+                                      epoch=epoch):
+            batch = train.batch(rows)
+            tape, _, loss = model.tape(model.predict_view(d))
+            n = batch.labels.size
+            total += float(tape.forward(model.bind_inputs(batch.ids, d, batch.labels),
+                                        output=loss)) * n
+        losses.append(total / train.labels.size)
+    assert rep.train_loss == losses
+    assert rep.val_wauc == [evaluate(model, val).wauc] * FAST.epochs[2]
+    assert rep.frozen_checksum_before == rep.frozen_checksum_after
