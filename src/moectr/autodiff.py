@@ -5,19 +5,31 @@ primitive ops once, at model-build time, and is then re-executed for every
 batch.  Nothing is traced per step, so a run is fully determined by the
 parameter values and the bound inputs.  All math is float64.
 
-Gradients flow back through the node list in reverse order and accumulate
-additively, so a parameter used in several places receives the sum of its
-contributions.  Backward work is pruned to what the trainable parameters
-need: a node needs a gradient iff a trainable parameter lies upstream of it,
-and no VJP is computed for an operand that needs none.  So frozen weights,
-embedding tables and the branches that only feed them cost nothing on the
-way back, and only parameters currently flagged trainable are returned by
-``Tape.backward``, which is what the phase-wise freeze logic relies on.
+Each output node is compiled once into a plan: one bound kernel per node it
+depends on, with its operand slots.  A forward to a scalar loss is a
+training forward.  It writes every value into the tape's arena, one reused
+buffer per node grown to the largest row count seen (a smaller batch uses
+leading-row views), and keeps them for ``backward``, whose plan writes each
+VJP into the arena as well.  Any other forward is forward-only: a value is
+dropped, or its buffer reused in place, after its last reader, and nothing
+is kept once the call returns.  Whatever a call hands out (outputs, losses,
+gradients) is its own array, never a view into the arena.
+
+Gradients flow back in reverse node order and accumulate additively, so a
+parameter used in several places receives the sum of its contributions.
+Backward work is pruned to what the trainable parameters need: a node needs
+a gradient iff a trainable parameter lies upstream of it, and the backward
+plan, compiled per set of trainable flags, holds no VJP for an operand that
+needs none.  So frozen weights, embedding tables and the branches that only
+feed them cost nothing on the way back, and only parameters currently
+flagged trainable are returned by ``Tape.backward``, which is what the
+phase-wise freeze logic relies on.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -156,6 +168,197 @@ class _Node:
     op: str
     args: tuple[int, ...]
     meta: dict = field(default_factory=dict)
+    # True when the value is 0-d by construction; a forward to such a node
+    # is a training forward (see ``Tape.forward``).
+    scalar: bool = False
+
+
+_F8 = np.dtype(np.float64)
+_LEAVES = ("input", "param", "const")
+# Ops whose output has the broadcast shape of their operands: scalar when
+# they are, and a forward-only call may write their output into the buffer
+# of an operand it reads last.
+_ELEMENTWISE = ("add", "mul", "scale", "relu", "sigmoid", "softmax")
+
+
+# ---- forward kernels: one per node ----------------------------------------
+#
+# ``_forward_kernel(nid, node)`` gives ``run(vals, out) -> value``.  ``out``
+# is an arena view of the node's shape, the buffer of an operand read for
+# the last time, or None (numpy allocates).  Each computes the expression
+# in its comment with the same numpy calls in the same order however it is
+# called, so all three give the same bits.
+
+
+def _forward_kernel(nid: int, node: _Node):
+    op, args, m = node.op, node.args, node.meta
+    a, b = args[0], args[-1]
+    if op == "matmul":  # a @ (b.T if tb else b)
+        tb = m["tb"]
+
+        def matmul(v, out):
+            x, w = v[a], v[b]
+            if x.ndim != 2 or w.ndim != 2:
+                raise ValueError("matmul needs 2-d operands")
+            return np.matmul(x, w.T if tb else w, out=out)
+        return matmul
+    if op == "add":
+        return lambda v, out: np.add(v[a], v[b], out=out)
+    if op == "mul":
+        return lambda v, out: np.multiply(v[a], v[b], out=out)
+    if op == "scale":
+        c = m["c"]
+        return lambda v, out: np.multiply(v[a], c, out=out)
+    if op == "relu":
+        return lambda v, out: np.maximum(v[a], 0.0, out=out)
+    if op == "sigmoid":
+        return lambda v, out: expit(v[a], out=out)
+    if op == "softmax":  # e = exp(a - max(a)); e / sum(e), along the last axis
+        def softmax(v, out):
+            x = v[a]
+            out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+            np.exp(out, out=out)
+            return np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
+        return softmax
+    if op == "concat":
+        axis = m["axis"]
+        return lambda v, out: np.concatenate([v[p] for p in args], axis=axis, out=out)
+    if op == "reduce_sum":
+        if m["axis"] is None:
+            return lambda v, out: (np.asarray(v[a].sum()) if out is None
+                                   else np.sum(v[a], out=out))
+        return lambda v, out: np.sum(v[a], axis=-1, keepdims=True, out=out)
+    if op == "gather":  # table[idx]
+        def gather(v, out):
+            table, idx = v[a], v[b]
+            if idx.dtype.kind not in "iu":
+                raise AutodiffError(f"node {nid} (gather): index array must be integer")
+            idx = idx.reshape(-1)
+            if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+                raise AutodiffError(
+                    f"node {nid} (gather): index out of range for table of {table.shape[0]} rows")
+            # The range is checked above; "clip" lets take write straight
+            # into ``out`` instead of through a buffer of its own.
+            return np.take(table, idx, axis=0, out=out, mode="clip")
+        return gather
+    if op == "bce":  # mean of -(y log p + (1 - y) log(1 - p)), p clamped
+        def bce(v, out):
+            y = v[b]
+            p = np.clip(v[a], BCE_EPS, 1.0 - BCE_EPS)
+            if p.shape != y.shape:
+                raise ValueError("probabilities and labels differ in shape")
+            loss = -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean()
+            if out is None:
+                return np.asarray(loss, dtype=_F8)
+            out[()] = loss
+            return out
+        return bce
+    raise AutodiffError(f"unknown op {op!r}")  # pragma: no cover - guarded by construction
+
+
+# ---- VJP kernels: one per (node, operand) edge ----------------------------
+#
+# ``_vjp(nid, node, k)`` gives ``(fn, specs)`` for the gradient that node
+# ``nid`` sends to its k-th operand, or None when that operand gets none
+# (gather indices, bce labels).  ``fn(g, vals, bufs)`` returns the
+# contribution; ``specs`` lists the buffers it writes, each as (node whose
+# value has the buffer's shape, dtype).  Contributions may be views of ``g``
+# or of their own buffers, which nothing overwrites until the next backward.
+
+
+def _vjp(nid: int, node: _Node, k: int):
+    op, args, m = node.op, node.args, node.meta
+    x = args[k]
+    if op == "matmul":
+        a, b = args
+        if m["tb"]:
+            if k == 0:
+                return (lambda g, v, o: np.matmul(g, v[b], out=o[0])), ((a, _F8),)
+            return (lambda g, v, o: np.matmul(g.T, v[a], out=o[0])), ((b, _F8),)
+        if k == 0:
+            return (lambda g, v, o: np.matmul(g, v[b].T, out=o[0])), ((a, _F8),)
+        return (lambda g, v, o: np.matmul(v[a].T, g, out=o[0])), ((b, _F8),)
+    if op == "add":
+        return (lambda g, v, o: Tape._unbroadcast(g, v[x].shape)), ()
+    if op == "mul":
+        other = args[1 - k]
+        return (lambda g, v, o: Tape._unbroadcast(np.multiply(g, v[other], out=o[0]),
+                                                  v[x].shape)), ((nid, _F8),)
+    if op == "scale":
+        c = m["c"]
+        return (lambda g, v, o: np.multiply(g, c, out=o[0])), ((nid, _F8),)
+    if op == "relu":  # g * (a > 0)
+        return (lambda g, v, o: np.multiply(g, np.greater(v[x], 0.0, out=o[0]), out=o[1]),
+                ((nid, np.dtype(bool)), (nid, _F8)))
+    if op == "sigmoid":  # g * s * (1 - s)
+        def sigmoid(g, v, o):
+            gs = np.multiply(g, v[nid], out=o[0])
+            return np.multiply(gs, np.subtract(1.0, v[nid], out=o[1]), out=o[0])
+        return sigmoid, ((nid, _F8), (nid, _F8))
+    if op == "softmax":  # g*s - s * sum(g*s)
+        def softmax(g, v, o):
+            s = v[nid]
+            gs = np.multiply(g, s, out=o[0])
+            return np.subtract(gs, np.multiply(s, gs.sum(axis=-1, keepdims=True), out=o[1]),
+                               out=o[1])
+        return softmax, ((nid, _F8), (nid, _F8))
+    if op == "concat":
+        axis = m["axis"]
+
+        def concat(g, v, o):
+            off = sum(v[p].shape[axis] for p in args[:k])
+            end = off + v[x].shape[axis]
+            return g[off:end] if axis == 0 else g[..., off:end]
+        return concat, ()
+    if op == "reduce_sum":  # scalar and keepdims cases both broadcast back
+        return (lambda g, v, o: np.broadcast_to(g, v[x].shape)), ()
+    if op == "gather":
+        if k == 1:
+            return None
+        idx = args[1]
+
+        def gather(g, v, o):  # scatter-add into a zeroed table
+            o[0].fill(0.0)
+            np.add.at(o[0], v[idx].reshape(-1), g)
+            return o[0]
+        return gather, ((x, _F8),)
+    if op == "bce":
+        if k == 1:  # labels are treated as constants
+            return None
+        y = args[1]
+
+        def bce(g, v, o):
+            a = v[x]
+            p = np.clip(a, BCE_EPS, 1.0 - BCE_EPS)
+            inside = (a > BCE_EPS) & (a < 1.0 - BCE_EPS)
+            dp = (p - v[y]) / (p * (1.0 - p)) / a.size
+            return g * dp * inside
+        return bce, ()
+    raise AutodiffError(f"unknown op {op!r}")  # pragma: no cover - guarded by construction
+
+
+@dataclass
+class _ForwardPlan:
+    """Everything ``output`` depends on, in node order."""
+
+    output: int
+    inputs: list[tuple[int, str]]
+    params: list[tuple[int, Param]]
+    consts: list[tuple[int, np.ndarray]]
+    steps: list[tuple[int, object]]  # (node, run)
+    # Forward-only liveness, per step: the values it reads last (dropped
+    # after it), and those of them whose buffer it may write into.
+    frees: list[tuple[int, ...]]
+    reuse: list[tuple[int, ...]]
+
+
+@dataclass
+class _BackwardPlan:
+    """VJP edges on the needs-grad mask, in reverse node order."""
+
+    # (node, operand position, operand, fn, specs, first contribution?)
+    edges: list[tuple[int, int, int, object, tuple, bool]]
+    params: list[tuple[str, int]]
 
 
 class Tape:
@@ -163,8 +366,10 @@ class Tape:
 
     Build the graph once with the op methods (each returns an integer node
     id), then call ``forward`` with a dict of input arrays and ``backward``
-    from a scalar loss node.  A tape instance keeps the values of its last
-    forward pass and is not safe to share across threads.
+    from a scalar loss node.  A tape keeps the values of its last training
+    forward, in its arena, until the next forward of any kind; a
+    forward-only call keeps nothing.  A tape is not safe to share across
+    threads.
     """
 
     def __init__(self, store: ParamStore):
@@ -172,9 +377,16 @@ class Tape:
         self.nodes: list[_Node] = []
         self._inputs: dict[str, int] = {}
         self._param_nodes: dict[str, int] = {}
-        self._values: list[np.ndarray] | None = None
         self._need_key: tuple | None = None
         self._need: list[bool] = []
+        self._forward_plans: dict[int, _ForwardPlan] = {}
+        self._backward_plans: dict[tuple, _BackwardPlan] = {}
+        # Training state: flat buffers by (slot, dtype), the arena views
+        # bound per (plan, input shapes), and the last training forward's
+        # (plan, values, input shapes).
+        self._arena: dict[tuple, np.ndarray] = {}
+        self._bound: dict[tuple, list] = {}
+        self._train: tuple | None = None
 
     # ---- graph construction -------------------------------------------
 
@@ -182,7 +394,15 @@ class Tape:
         for a in args:
             if not (0 <= a < len(self.nodes)):
                 raise AutodiffError(f"op {op!r} references unknown node {a}")
-        self.nodes.append(_Node(op, args, meta))
+        if op == "param":
+            scalar = self.store.get(meta["name"]).ndim == 0
+        elif op == "const":
+            scalar = meta["value"].ndim == 0
+        elif op in _ELEMENTWISE:
+            scalar = all(self.nodes[a].scalar for a in args)
+        else:
+            scalar = op == "bce" or (op == "reduce_sum" and meta["axis"] is None)
+        self.nodes.append(_Node(op, args, meta, scalar))
         return len(self.nodes) - 1
 
     def input(self, name: str) -> int:
@@ -239,9 +459,6 @@ class Tape:
             raise AutodiffError("reduce_sum supports axis None or -1 only")
         return self._push("reduce_sum", (a,), axis=axis)
 
-    def reduce_mean(self, a: int) -> int:
-        return self._push("reduce_mean", (a,))
-
     def gather(self, table: int, idx: int) -> int:
         """Rows of ``table`` selected by an integer index array."""
         return self._push("gather", (table, idx))
@@ -257,103 +474,130 @@ class Tape:
 
     # ---- execution ------------------------------------------------------
 
-    def _fail_shape(self, nid: int, node: _Node, shapes) -> None:
-        raise ShapeError(f"node {nid} ({node.op}): incompatible shapes {shapes}")
+    def _forward_plan(self, output: int) -> _ForwardPlan:
+        """Compile, once per output node, the nodes it depends on."""
+        plan = self._forward_plans.get(output)
+        if plan is not None:
+            return plan
+        live = [False] * (output + 1)
+        live[output] = True
+        for nid in range(output, -1, -1):
+            if live[nid]:
+                for a in self.nodes[nid].args:
+                    live[a] = True
+        plan = _ForwardPlan(output, [], [], [], [], [], [])
+        last: dict[int, int] = {}  # value -> index of the step that reads it last
+        for nid in range(output + 1):
+            node = self.nodes[nid]
+            if not live[nid]:
+                continue
+            if node.op == "input":
+                plan.inputs.append((nid, node.meta["name"]))
+            elif node.op == "param":
+                plan.params.append((nid, self.store[node.meta["name"]]))
+            elif node.op == "const":
+                plan.consts.append((nid, node.meta["value"]))
+            else:
+                for a in node.args:
+                    last[a] = len(plan.steps)
+                plan.steps.append((nid, _forward_kernel(nid, node)))
+        for i, (nid, _) in enumerate(plan.steps):
+            node = self.nodes[nid]
+            # Leaves belong to the caller or the store: never freed or reused.
+            dying = tuple(dict.fromkeys(
+                a for a in node.args if last[a] == i and self.nodes[a].op not in _LEAVES))
+            plan.frees.append(dying)
+            plan.reuse.append(dying if node.op in _ELEMENTWISE else ())
+        self._forward_plans[output] = plan
+        return plan
+
+    def _shape_error(self, nid: int, vals: list) -> ShapeError:
+        node = self.nodes[nid]
+        shapes = [np.shape(vals[a]) for a in node.args]
+        return ShapeError(f"node {nid} ({node.op}): incompatible shapes {shapes}")
+
+    def _views(self, specs) -> list[np.ndarray]:
+        """Arena views for (slot, shape, dtype) specs, growing slots as needed.
+
+        A slot is one flat buffer, so every shape it serves is a view of its
+        leading elements: a batch with fewer rows uses the leading rows.
+        """
+        views = []
+        for slot, shape, dtype in specs:
+            size = math.prod(shape)
+            flat = self._arena.get((slot, dtype))
+            if flat is None or flat.size < size:
+                if flat is not None:
+                    self._bound.clear()  # views of the smaller buffer are stale
+                flat = self._arena[(slot, dtype)] = np.empty(size, dtype)
+            views.append(flat[:size].reshape(shape))
+        return views
 
     def forward(self, inputs: dict[str, np.ndarray], output: int | None = None) -> np.ndarray:
-        """Execute nodes 0..output and return the output value.
+        """Execute the nodes ``output`` depends on and return its value.
 
-        Inputs for nodes beyond ``output`` need not be bound.
+        A forward to a scalar node (a loss: ``bce``, a full ``reduce_sum``,
+        or elementwise ops of scalars) is a training forward: values are
+        written into the arena and kept for ``backward``.  Any other forward
+        is forward-only and keeps nothing: each value is dropped, or its
+        buffer reused, after its last reader.  Either kind ends the values
+        of an earlier training forward.  The result is the caller's own
+        array.  Inputs that ``output`` does not depend on need not be bound.
         """
         if output is None:
             output = len(self.nodes) - 1
         if not (0 <= output < len(self.nodes)):
             raise AutodiffError(f"output node {output} out of range")
+        plan = self._forward_plan(output)
+        self._train = None
         vals: list = [None] * (output + 1)
-        dt = np.float64
-        for nid in range(output + 1):
-            node = self.nodes[nid]
-            op = node.op
-            if op == "input":
-                name = node.meta["name"]
-                if name not in inputs:
-                    raise AutodiffError(f"input {name!r} not bound")
-                arr = np.asarray(inputs[name])
-                if not np.issubdtype(arr.dtype, np.integer):
-                    arr = arr.astype(dt, copy=False)
-                vals[nid] = arr
-                continue
-            if op == "param":
-                vals[nid] = self.store.get(node.meta["name"])
-                continue
-            if op == "const":
-                vals[nid] = node.meta["value"]
-                continue
-            a = vals[node.args[0]]
-            if op == "matmul":
-                b = vals[node.args[1]]
-                bm = b.T if node.meta["tb"] else b
-                if a.ndim != 2 or bm.ndim != 2 or a.shape[1] != bm.shape[0]:
-                    self._fail_shape(nid, node, (a.shape, b.shape))
-                vals[nid] = a @ bm
-            elif op == "add":
-                b = vals[node.args[1]]
-                try:
-                    vals[nid] = a + b
-                except ValueError:
-                    self._fail_shape(nid, node, (a.shape, b.shape))
-            elif op == "mul":
-                b = vals[node.args[1]]
-                try:
-                    vals[nid] = a * b
-                except ValueError:
-                    self._fail_shape(nid, node, (a.shape, b.shape))
-            elif op == "scale":
-                vals[nid] = a * node.meta["c"]
-            elif op == "relu":
-                vals[nid] = np.maximum(a, 0.0)
-            elif op == "sigmoid":
-                vals[nid] = expit(a)
-            elif op == "softmax":
-                shifted = a - a.max(axis=-1, keepdims=True)
-                e = np.exp(shifted)
-                vals[nid] = e / e.sum(axis=-1, keepdims=True)
-            elif op == "concat":
-                parts = [vals[i] for i in node.args]
-                try:
-                    vals[nid] = np.concatenate(parts, axis=node.meta["axis"])
-                except ValueError:
-                    self._fail_shape(nid, node, [p.shape for p in parts])
-            elif op == "reduce_sum":
-                if node.meta["axis"] is None:
-                    vals[nid] = np.asarray(a.sum(), dtype=dt)
-                else:
-                    vals[nid] = a.sum(axis=-1, keepdims=True)
-            elif op == "reduce_mean":
-                vals[nid] = np.asarray(a.mean(), dtype=dt)
-            elif op == "gather":
-                idx = vals[node.args[1]]
-                if not np.issubdtype(np.asarray(idx).dtype, np.integer):
-                    raise AutodiffError(f"node {nid} (gather): index array must be integer")
-                idx = np.asarray(idx).reshape(-1)
-                if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-                    raise AutodiffError(
-                        f"node {nid} (gather): index out of range for table of {a.shape[0]} rows"
-                    )
-                vals[nid] = a[idx]
-            elif op == "bce":
-                y = vals[node.args[1]]
-                p = np.clip(a, BCE_EPS, 1.0 - BCE_EPS)
-                if p.shape != np.asarray(y).shape:
-                    self._fail_shape(nid, node, (a.shape, np.asarray(y).shape))
-                vals[nid] = np.asarray(
-                    -(y * np.log(p) + (1.0 - y) * np.log1p(-p)).mean(), dtype=dt
-                )
-            else:  # pragma: no cover - guarded by construction
-                raise AutodiffError(f"unknown op {op!r}")
-        self._values = vals
-        self._output = output
-        return vals[output]
+        for nid, name in plan.inputs:
+            if name not in inputs:
+                raise AutodiffError(f"input {name!r} not bound")
+            arr = np.asarray(inputs[name])
+            vals[nid] = arr if arr.dtype.kind in "iu" else arr.astype(_F8, copy=False)
+        for nid, p in plan.params:
+            vals[nid] = p.value  # read at every call: updates replace the array
+        for nid, c in plan.consts:
+            vals[nid] = c
+        if not self.nodes[output].scalar:
+            return self._forward_only(plan, vals)
+        # Output shapes follow from the input shapes, so views are bound per
+        # input signature; the first call of a signature allocates and
+        # learns the shapes.
+        sig = tuple((vals[nid].shape, vals[nid].dtype.char) for nid, _ in plan.inputs)
+        key = ("forward", output, sig)
+        views = self._bound.get(key)
+        try:
+            for (nid, run), out in zip(plan.steps, views or [None] * len(plan.steps)):
+                vals[nid] = run(vals, out)
+        except AutodiffError:
+            raise
+        except ValueError as e:
+            raise self._shape_error(nid, vals) from e
+        if views is None:
+            self._bound[key] = self._views(
+                [(("value", nid), vals[nid].shape, vals[nid].dtype) for nid, _ in plan.steps])
+        self._train = (plan, vals, sig)
+        return vals[output].copy()
+
+    def _forward_only(self, plan: _ForwardPlan, vals: list) -> np.ndarray:
+        try:
+            for (nid, run), frees, reuse in zip(plan.steps, plan.frees, plan.reuse):
+                out = None
+                if reuse:
+                    shape = np.broadcast_shapes(*(vals[a].shape for a in self.nodes[nid].args))
+                    out = next((vals[a] for a in reuse
+                                if vals[a].shape == shape and vals[a].dtype == _F8), None)
+                vals[nid] = run(vals, out)
+                for a in frees:
+                    vals[a] = None
+        except AutodiffError:
+            raise
+        except ValueError as e:
+            raise self._shape_error(nid, vals) from e
+        out = vals[plan.output]
+        return out.copy() if self.nodes[plan.output].op in _LEAVES else out
 
     @staticmethod
     def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -386,6 +630,34 @@ class Tape:
             self._need_key, self._need = key, need
         return self._need
 
+    def _backward_plan(self, loss: int, need: list[bool]) -> _BackwardPlan:
+        """Compile, once per loss and mask, the VJP edges the loss reaches.
+
+        Only operands on the mask ever receive a gradient, so an edge into
+        an operand off the mask is left out, and a node that receives no
+        gradient sends none.  An operand's first contribution is kept as it
+        is; later ones are added into its accumulator in this same order.
+        """
+        key = (loss, self._need_key)
+        plan = self._backward_plans.get(key)
+        if plan is None:
+            reached = [False] * (loss + 1)
+            reached[loss] = True
+            edges = []
+            for nid in range(loss, -1, -1):
+                node = self.nodes[nid]
+                if not reached[nid] or node.op in _LEAVES:
+                    continue
+                for k, x in enumerate(node.args):
+                    vjp = _vjp(nid, node, k) if need[x] else None
+                    if vjp is not None:
+                        edges.append((nid, k, x, *vjp, not reached[x]))
+                        reached[x] = True
+            params = [(name, nid) for name, nid in self._param_nodes.items()
+                      if nid <= loss and reached[nid]]
+            plan = self._backward_plans[key] = _BackwardPlan(edges, params)
+        return plan
+
     def backward(self, loss: int | None = None, seed: float = 1.0) -> dict[str, np.ndarray]:
         """Accumulate gradients from a scalar loss node.
 
@@ -395,114 +667,41 @@ class Tape:
         operands with a trainable parameter upstream, and with none the
         result is ``{}`` at once.  Pruning must not reorder how a returned
         gradient accumulates, so it matches a backward with every tensor
-        trainable bit for bit.  Must follow a ``forward`` that covered the
-        loss node.
+        trainable bit for bit.  Must follow the training forward that
+        computed the loss, with no other forward in between; the gradients
+        returned are the caller's own arrays.
         """
-        if self._values is None:
-            raise AutodiffError("backward before forward")
-        if loss is None:
-            loss = self._output
-        if loss > self._output:
-            raise AutodiffError("loss node was not computed by the last forward")
-        vals = self._values
-        if np.asarray(vals[loss]).shape != ():
+        if loss is not None and not (0 <= loss < len(self.nodes) and self.nodes[loss].scalar):
             raise AutodiffError(f"loss node {loss} is not scalar")
+        if self._train is None:
+            raise AutodiffError(
+                "backward needs the values of a training forward (a forward to a "
+                "scalar loss node) and the last forward kept none")
+        plan, vals, sig = self._train
+        if loss is None:
+            loss = plan.output
+        if loss > plan.output or vals[loss] is None:
+            raise AutodiffError("loss node was not computed by the last forward")
         need = self._needs_grad()
         if not need[loss]:
             return {}
+        bplan = self._backward_plan(loss, need)
+        key = ("backward", loss, self._need_key, sig)
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = []
+            for nid, k, x, _, bufs, first in bplan.edges:
+                views = self._views([(("vjp", nid, k, j), vals[ref].shape, dtype)
+                                     for j, (ref, dtype) in enumerate(bufs)])
+                acc = None if first else self._views([(("acc", x), vals[x].shape, _F8)])[0]
+                bound.append((views, acc))
+            self._bound[key] = bound
         grads: list = [None] * (loss + 1)
-        grads[loss] = np.asarray(seed, dtype=np.float64)
-
-        def acc(nid: int, g: np.ndarray) -> None:
-            # Gradients are never mutated in place, so views are safe to keep.
-            if grads[nid] is None:
-                grads[nid] = g
-            else:
-                grads[nid] = grads[nid] + g
-
-        # Only operands on the mask ever receive a gradient, so a node with
-        # none is off the mask or unreachable from the loss.  A unary node on
-        # the mask has its operand on it too, and so has a gather, whose
-        # integer indices never need a gradient; the other VJPs are guarded
-        # per operand.
-        for nid in range(loss, -1, -1):
-            g = grads[nid]
-            if g is None:
-                continue
-            node = self.nodes[nid]
-            op = node.op
-            if op in ("input", "param", "const"):
-                continue
-            a_id = node.args[0]
-            a = vals[a_id]
-            if op == "matmul":
-                b_id = node.args[1]
-                b = vals[b_id]
-                if node.meta["tb"]:
-                    if need[a_id]:
-                        acc(a_id, g @ b)
-                    if need[b_id]:
-                        acc(b_id, g.T @ a)
-                else:
-                    if need[a_id]:
-                        acc(a_id, g @ b.T)
-                    if need[b_id]:
-                        acc(b_id, a.T @ g)
-            elif op == "add":
-                b_id = node.args[1]
-                if need[a_id]:
-                    acc(a_id, self._unbroadcast(g, a.shape))
-                if need[b_id]:
-                    acc(b_id, self._unbroadcast(g, vals[b_id].shape))
-            elif op == "mul":
-                b_id = node.args[1]
-                b = vals[b_id]
-                if need[a_id]:
-                    acc(a_id, self._unbroadcast(g * b, a.shape))
-                if need[b_id]:
-                    acc(b_id, self._unbroadcast(g * a, b.shape))
-            elif op == "scale":
-                acc(a_id, g * node.meta["c"])
-            elif op == "relu":
-                acc(a_id, g * (a > 0.0))
-            elif op == "sigmoid":
-                s = vals[nid]
-                acc(a_id, g * s * (1.0 - s))
-            elif op == "softmax":
-                s = vals[nid]
-                gs = g * s
-                acc(a_id, gs - s * gs.sum(axis=-1, keepdims=True))
-            elif op == "concat":
-                axis = node.meta["axis"]
-                off = 0
-                for pid in node.args:
-                    w = vals[pid].shape[axis]
-                    if need[pid]:
-                        acc(pid, g[off : off + w] if axis == 0 else g[..., off : off + w])
-                    off += w
-            elif op == "reduce_sum":
-                # Scalar and keepdims cases both broadcast straight back.
-                acc(a_id, np.broadcast_to(g, a.shape))
-            elif op == "reduce_mean":
-                acc(a_id, np.broadcast_to(g / a.size, a.shape))
-            elif op == "gather":
-                idx = np.asarray(vals[node.args[1]]).reshape(-1)
-                gt = np.zeros_like(a)
-                np.add.at(gt, idx, g)
-                acc(a_id, gt)
-            elif op == "bce" and need[a_id]:
-                # Labels are treated as constants.
-                y = vals[node.args[1]]
-                p = np.clip(a, BCE_EPS, 1.0 - BCE_EPS)
-                inside = (a > BCE_EPS) & (a < 1.0 - BCE_EPS)
-                dp = (p - y) / (p * (1.0 - p)) / a.size
-                acc(a_id, g * dp * inside)
-
-        out: dict[str, np.ndarray] = {}
-        for name, nid in self._param_nodes.items():
-            if nid <= loss and grads[nid] is not None:
-                out[name] = np.asarray(grads[nid])
-        return out
+        grads[loss] = np.asarray(seed, dtype=_F8)
+        for (nid, _, x, fn, _, first), (bufs, acc) in zip(bplan.edges, bound):
+            c = fn(grads[nid], vals, bufs)
+            grads[x] = c if first else np.add(grads[x], c, out=acc)
+        return {name: np.array(grads[nid]) for name, nid in bplan.params}
 
 
 def grad_check(f, theta: np.ndarray, eps: float = 1e-5) -> float:

@@ -62,11 +62,11 @@ def relu_margin(model: CtrModel, ids: np.ndarray, y: np.ndarray, domain: int,
     no perturbation crosses a kink.
     """
     tape, _, loss_node = model.tape(view or model.predict_view(domain))
-    tape.forward(model.bind_inputs(ids, domain, y), output=loss_node)
+    inputs = model.bind_inputs(ids, domain, y)
     margin = np.inf
-    for nid, node in enumerate(tape.nodes[: loss_node + 1]):
+    for node in tape.nodes[: loss_node + 1]:
         if node.op == "relu":
-            pre = tape._values[node.args[0]]
+            pre = tape.forward(inputs, output=node.args[0])
             if pre.size:
                 margin = min(margin, float(np.abs(pre).min()))
     return margin

@@ -120,7 +120,7 @@ def test_primitive_backward_against_central_differences(seed):
         mix = t.mul(w, t.scale(t.add(g, h), 0.7))
         row = t.reduce_sum(mix, axis=-1)
         prods = t.matmul(row, t.param("V"), transpose_b=False)
-        loss = t.reduce_mean(t.mul(prods, prods))
+        loss = t.scale(t.reduce_sum(t.mul(prods, prods)), 1.0 / 20)  # mean of (5, 4)
         return t, loss, {"x": x, "idx": idx}
 
     rng2const = rng.normal(size=(12, 4))
@@ -146,7 +146,7 @@ def test_concat_rows_feeding_matmul_against_central_differences():
         h = t.matmul(t.input("x"), stacked, transpose_b=True)
         other = t.concat([t.param("Q"), t.param("R")], axis=0)
         out = t.matmul(t.sigmoid(h), t.matmul(stacked, other, transpose_b=True))
-        loss = t.reduce_mean(t.mul(out, out))
+        loss = t.scale(t.reduce_sum(t.mul(out, out)), 1.0 / 25)  # mean of (5, 5)
         return t, loss, {"x": x}
 
     theta0 = rng.normal(size=sum(sizes.values())) * 0.5
@@ -192,7 +192,7 @@ def test_backward_linearity_exact_doubling():
     store.add("W", np.arange(6.0).reshape(2, 3) / 7.0, "backbone")
     t = Tape(store)
     h = t.matmul(t.input("x"), t.param("W"), transpose_b=True)
-    loss = t.reduce_mean(t.sigmoid(h))
+    loss = t.scale(t.reduce_sum(t.sigmoid(h)), 1.0 / 8)  # mean of (4, 2)
     x = np.random.default_rng(1).normal(size=(4, 3))
     t.forward({"x": x}, output=loss)
     g1 = t.backward(loss, seed=1.0)["W"]
@@ -343,6 +343,37 @@ def test_tape_reexecution_two_batches():
     np.testing.assert_array_equal(out2, [[-5.0], [0.0]])
 
 
+def test_forward_only_reuses_a_buffer_only_after_its_last_reader():
+    store = ParamStore()
+    store.add("W", np.array([[1.0, -2.0], [0.5, 3.0]]), "backbone")
+    t = Tape(store)
+    h = t.relu(t.matmul(t.input("x"), t.param("W"), transpose_b=True))
+    sq = t.mul(h, h)  # reads h, which scale and add read again later
+    out = t.add(t.softmax(t.add(sq, t.scale(h, 2.0))), t.sigmoid(h))
+    x = np.random.default_rng(0).normal(size=(5, 2))
+    hv = np.maximum(x @ store.get("W").T, 0.0)
+    z = hv * hv + hv * 2.0
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    expect = e / e.sum(axis=-1, keepdims=True) + 1.0 / (1.0 + np.exp(-hv))
+    np.testing.assert_allclose(t.forward({"x": x}, output=out), expect, rtol=1e-15, atol=0)
+
+
+def test_backward_without_a_training_forward_raises():
+    store = ParamStore()
+    store.add("W", np.ones((1, 2)), "backbone")
+    t = Tape(store)
+    y = t.matmul(t.input("x"), t.param("W"), transpose_b=True)
+    loss = t.reduce_sum(t.mul(y, y))
+    with pytest.raises(AutodiffError, match="training forward"):
+        t.backward(loss)
+    x = np.ones((3, 2))
+    t.forward({"x": x}, output=loss)
+    np.testing.assert_array_equal(t.backward(loss)["W"], [[12.0, 12.0]])
+    t.forward({"x": 2.0 * x}, output=y)  # forward-only: keeps nothing
+    with pytest.raises(AutodiffError, match="training forward"):
+        t.backward(loss)
+
+
 def test_determinism_bit_identical():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(6, 4))
@@ -352,7 +383,7 @@ def test_determinism_bit_identical():
         store.add("W", rng_for(11, "W").normal(size=(3, 4)), "backbone")
         t = Tape(store)
         h = t.softmax(t.matmul(t.input("x"), t.param("W"), transpose_b=True))
-        loss = t.reduce_mean(h)
+        loss = t.scale(t.reduce_sum(h), 1.0 / 18)  # mean of (6, 3)
         v = t.forward({"x": x}, output=loss)
         return np.asarray(v).tobytes() + t.backward(loss)["W"].tobytes()
 

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import model_loss_fn, sample_inputs
-from moectr.autodiff import grad_check
+from moectr.autodiff import AutodiffError, grad_check
 from moectr.models import (
     AdapterConfig,
     CtrModel,
@@ -14,6 +16,7 @@ from moectr.models import (
     save_checkpoint,
     wide_logit,
 )
+from moectr.training import AdamState, adam_step
 
 SCHEMA = FeatureSchema(fields=(("user_id", 13), ("item_id", 11)),
                        embedding_dim=4, n_domains=2)
@@ -226,3 +229,74 @@ def test_gate_only_backward_bit_identical_to_full_backward(arch, with_backbone, 
 def test_one_expert_backward_bit_identical_to_full_backward(arch):
     m = _randomized(tiny(arch, "moe", seed=4, experts_per_domain=2), seed=1)
     _assert_pruned_equals_full(m, "expert:1:1", "expert(1,1,", domain=1)
+
+
+def _step(model, view, ids, y, domain):
+    """One training forward and backward through ``view``: (loss, grads)."""
+    tape, _, loss = model.tape(view)
+    value = tape.forward(model.bind_inputs(ids, domain, y), output=loss)
+    return value, tape.backward(loss)
+
+
+def _bits(value, grads):
+    return [value.tobytes()] + [(name, g.tobytes()) for name, g in grads.items()]
+
+
+@pytest.mark.parametrize("view", ["mixture", "expert:1:0", "backbone"])
+def test_tail_then_full_batch_matches_fresh_tapes(view):
+    """A grown arena, and leading-row views of it, give a fresh tape's bits."""
+    def build():
+        m = _randomized(tiny("deepfm", "moe", seed=5, gate_input_conditioned=True), seed=2)
+        m.store.set_trainable_only(lambda g: True)
+        return m
+
+    ids = rand_ids(40, seed=3)
+    y = (np.random.default_rng(4).random(40) > 0.5).astype(float)
+    used = build()
+    seen = [_bits(*_step(used, view, ids[:n], y[:n], 1)) for n in (7, 40, 7)]
+    assert seen[0] == seen[2]
+    for n, bits in ((7, seen[0]), (40, seen[1])):
+        assert _bits(*_step(build(), view, ids[:n], y[:n], 1)) == bits
+
+
+def test_handed_out_arrays_survive_later_calls_at_the_same_row_count():
+    m = _randomized(tiny("mlp", "moe", seed=6, gate_includes_backbone=True))
+    m.store.set_trainable_only(lambda g: True)
+    ids_a, ids_b = rand_ids(30, seed=1), rand_ids(30, seed=2)
+    y = (np.random.default_rng(3).random(30) > 0.5).astype(float)
+    tape, p_node, _ = m.tape("mixture")
+    p = m.predict(ids_a, 0)
+    out = tape.forward(m.bind_inputs(ids_a, 0), output=p_node)
+    loss, grads = _step(m, "mixture", ids_a, y, 0)
+    kept = [p.tobytes(), out.tobytes()] + _bits(loss, grads)
+    # The next training step, at the same row count, then forward-only calls.
+    adam = AdamState()
+    adam_step(m.store, grads, adam, 1e-2)
+    adam_step(m.store, _step(m, "mixture", ids_b, 1.0 - y, 0)[1], adam, 1e-2)
+    m.predict(ids_b, 0)
+    tape.forward(m.bind_inputs(ids_b, 0), output=p_node)
+    assert [p.tobytes(), out.tobytes()] + _bits(loss, grads) == kept
+
+
+def test_predict_keeps_no_values_and_backward_needs_a_training_forward():
+    m = tiny("mlp", "moe", seed=7)
+    tape, _, loss = m.tape("mixture")
+    with pytest.raises(AutodiffError, match="training forward"):
+        tape.backward(loss)
+    ids = rand_ids(4000, seed=8)
+    y = (np.random.default_rng(9).random(50) > 0.5).astype(float)
+    tape.forward(m.bind_inputs(ids[:50], 0, y), output=loss)
+    m.predict(ids[:1], 0)  # compiles the plan
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        p = m.predict(ids, 0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # One (4000, 6) tower value alone is 192 KiB: neither the call's values
+    # nor a training arena grown to its rows may outlive it.
+    assert held < p.nbytes + 64 * 1024
+    # The forward-only call ended the training forward's values.
+    with pytest.raises(AutodiffError, match="training forward"):
+        tape.backward(loss)

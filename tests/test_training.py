@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,6 +253,54 @@ def test_phase2_requires_adapted_model_and_warns_on_empty_domain():
     assert any("no training rows" in w for w in rep.warnings)
     np.testing.assert_array_equal(model.store.get("tower.0.e2.0.B"),
                                   np.zeros_like(model.store.get("tower.0.e2.0.B")))
+
+
+def _with_domain(ds, keep_per_label):
+    """``ds`` plus a third domain made of ``keep_per_label`` rows per label,
+    relabelled from domain 0's rows (0 gives an empty domain)."""
+    rows = np.concatenate([np.flatnonzero((ds.domains == 0) & (ds.labels == lab))[:keep_per_label]
+                           for lab in (0, 1)])
+    schema3 = FeatureSchema(ds.schema.fields, ds.schema.embedding_dim, 3)
+    return Dataset(schema3, np.concatenate([ds.ids, ds.ids[rows]]),
+                   np.concatenate([ds.labels, ds.labels[rows]]),
+                   np.concatenate([ds.domains, np.full(rows.size, 2)]))
+
+
+def test_pipeline_domain_without_validation_rows_trains_every_epoch():
+    # Two rows per (domain, label) cell all land in the training split.
+    ds = _with_domain(small_synth(seed=10), keep_per_label=2)
+    cfg = replace(FAST, epochs=(2, 6, 2), patience=1)
+    res = train_pipeline(cfg, ds, "mlp", "moe", AdapterConfig(), hidden=(8, 6))
+    phase2 = res.phases[1]
+    assert "domain 2: no validation rows, no early stopping" in phase2.warnings
+    child = next(c for c in phase2.children if c.unit == "expert(2,0)")
+    assert child.val_wauc == [] and not child.stopped_early
+    assert child.epochs_run == cfg.epochs[1] and np.isfinite(child.train_loss).all()
+    assert np.abs(res.model.store.get("tower.0.e2.0.B")).max() > 0
+    assert res.metrics.per_domain[2].n_rows == 0 and res.metrics.per_domain[2].weight == 0.0
+    assert "domain 2: no rows in evaluation split" in res.metrics.warnings
+    assert np.isfinite(res.metrics.wauc) and 0.0 < res.metrics.wauc < 1.0
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_pipeline_phase3_skips_a_domain_with_no_rows(balanced):
+    ds = _with_domain(small_synth(seed=11), keep_per_label=0)
+    cfg = replace(FAST, balanced_phase3=balanced)
+    train, _, _ = split_dataset(ds, seed=cfg.seed)
+    batches = domain_batches(train, cfg.batch_size, seed=cfg.seed * 1000 + 3,
+                             balanced=balanced)
+    assert {d for d, _ in batches} == {0, 1} and all(rows.size for _, rows in batches)
+    res = train_pipeline(cfg, ds, "mlp", "moe", AdapterConfig(), hidden=(8, 6))
+    assert "domain 2: no training rows, expert(2,0) left at initialization" in res.phases[1].warnings
+    assert res.phases[2].epochs_run == cfg.epochs[2]
+    assert np.isfinite(res.phases[2].train_loss).all()
+    # Phase 3 stepped no batch of domain 2, so its gate rows never moved,
+    # while the other domains' did.
+    for layer in ("tower.0", "tower.1", "head"):
+        logits = res.model.store.get(f"{layer}.gate.logits")
+        np.testing.assert_array_equal(logits[2], np.zeros(3))
+        assert np.abs(logits[:2]).max() > 0
+    assert np.isfinite(res.metrics.wauc) and 0.0 < res.metrics.wauc < 1.0
 
 
 def test_phase3_moves_gates_only_and_rejects_other_modes():
