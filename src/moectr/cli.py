@@ -46,6 +46,37 @@ def _check_keys(section: dict, allowed, where: str) -> None:
             f"allowed: {', '.join(sorted(allowed))}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _typed_section(parent: dict, key: str, defaults: dict, where: str) -> dict:
+    """``parent[key]``: a JSON object whose keys are known and typed as their defaults."""
+    section = parent.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {json.dumps(section)}")
+    _check_keys(section, defaults, where)
+    for name, value in section.items():
+        default = defaults[name]
+        if isinstance(default, bool):
+            ok, kind = isinstance(value, bool), "true or false"
+        elif isinstance(default, int):
+            ok, kind = _is_int(value), "an integer"
+        elif isinstance(default, float):
+            ok, kind = _is_number(value), "a number"
+        else:  # a tuple of counts, such as train.epochs
+            ok = isinstance(value, list) and all(_is_int(v) for v in value)
+            kind = "a list of integers"
+        if not ok:
+            raise ConfigError(f"{where}.{name} must be {kind}, got {json.dumps(value)}")
+    return dict(section)
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -77,8 +108,8 @@ def resolve_config(cfg: dict, command: str) -> dict:
     if "csv" in data and "synthetic" in data:
         raise ConfigError("data: give either csv or synthetic, not both")
     if "synthetic" in data:
-        synth = dict(data["synthetic"])
-        _check_keys(synth, set(SYNTH_DEFAULTS) | {"seed"}, "data.synthetic")
+        synth = _typed_section(data, "synthetic", {**SYNTH_DEFAULTS, "seed": 0},
+                               "data.synthetic")
         pinned = "seed" in synth
         merged = {**SYNTH_DEFAULTS, **synth}
         out["data"] = {"synthetic": merged, "seed_pinned": pinned}
@@ -102,38 +133,42 @@ def resolve_config(cfg: dict, command: str) -> dict:
 
     hidden = cfg.get("hidden", list(DEFAULT_HIDDEN))
     if not isinstance(hidden, list) or not hidden or any(
-            not isinstance(h, int) or h < 1 for h in hidden):
-        raise ConfigError("hidden must be a list of positive layer widths")
+            not _is_int(h) or h < 1 for h in hidden):
+        raise ConfigError(
+            f"hidden must be a list of positive integer widths, got {json.dumps(hidden)}")
     out["hidden"] = hidden
 
     emb = cfg.get("embedding_dim")
-    if emb is not None and (not isinstance(emb, int) or emb < 1):
-        raise ConfigError("embedding_dim must be a positive integer or null")
+    if emb is not None and (not _is_int(emb) or emb < 1):
+        raise ConfigError(
+            f"embedding_dim must be a positive integer or null, got {json.dumps(emb)}")
     out["embedding_dim"] = emb
 
-    adapter = dict(cfg.get("adapter", {}))
-    _check_keys(adapter, set(ADAPTER_DEFAULTS), "adapter")
+    adapter = _typed_section(cfg, "adapter", ADAPTER_DEFAULTS, "adapter")
     out["adapter"] = {**ADAPTER_DEFAULTS, **adapter}
 
-    train = dict(cfg.get("train", {}))
-    _check_keys(train, set(TRAIN_DEFAULTS), "train")
+    train = _typed_section(cfg, "train", TRAIN_DEFAULTS, "train")
     out["train"] = {**TRAIN_DEFAULTS, **train}
 
     ratios = cfg.get("ratios", [0.8, 0.1, 0.1])
-    if not isinstance(ratios, list) or len(ratios) != 3:
-        raise ConfigError("ratios must be [train, val, test]")
+    if not isinstance(ratios, list) or len(ratios) != 3 or not all(
+            _is_number(r) for r in ratios):
+        raise ConfigError(
+            f"ratios must be three numbers [train, val, test], got {json.dumps(ratios)}")
     out["ratios"] = ratios
 
     seeds = cfg.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or any(
-            not isinstance(s, int) or s < 0 for s in seeds):
-        raise ConfigError("seeds must be a non-empty list of non-negative integers")
+            not _is_int(s) or s < 0 for s in seeds):
+        raise ConfigError(
+            f"seeds must be a non-empty list of non-negative integers, got {json.dumps(seeds)}")
     out["seeds"] = seeds
 
     counts = cfg.get("expert_counts", [2, 4, 6, 8])
     if not isinstance(counts, list) or not counts or any(
-            not isinstance(c, int) or c < 1 for c in counts):
-        raise ConfigError("expert_counts must be a non-empty list of positive integers")
+            not _is_int(c) or c < 1 for c in counts):
+        raise ConfigError("expert_counts must be a non-empty list of positive integers, "
+                          f"got {json.dumps(counts)}")
     out["expert_counts"] = counts
     return out
 

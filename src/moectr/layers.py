@@ -2,12 +2,16 @@
 
 Every layer registers its parameters in a shared ``ParamStore`` under a
 group tag ("backbone", "gate", or "expert(d,k,layer)") and knows how to emit
-its ops onto a ``Tape``.  A gated layer mixes its experts through one
-stacked low-rank product: every expert's ``A`` concatenated along rows,
-scaled per rank block by its softmax weight and ``alpha/rank``, then every
-``B`` concatenated along columns.  A gateless layer is hard-routed, and a
-row passes through the backbone plus its own domain's expert alone (the
-bypass form).
+its ops onto a ``Tape``.  An adapted layer whose weights are the same for
+every row of a batch runs as one affine map, ``x @ (W + M @ A).T + b``:
+its low-rank experts are folded into the weight once per batch (LoRA's
+weight merge), so the batch rows meet a single matmul.  That holds for the
+bypass form of a hard-routed row (the backbone plus its own domain's expert
+alone, ``M = (alpha/rank) * B``) and for a per-domain gate, whose one
+softmax row scales every expert's ``B`` per rank block
+(``M = B_cat * (weights @ S)``, ``A`` = every expert's ``A`` stacked along
+rows).  Only an input-conditioned gate, whose weights differ per row, runs
+the factored stacked product ``((x @ A_cat.T) * (weights @ S)) @ B_cat.T``.
 
 The module-level ``*_forward`` helpers build a throwaway tape around a
 single layer; models assemble the same emit calls into one static tape.
@@ -50,6 +54,17 @@ def _check_activation(activation: str) -> str:
     if activation not in ACTIVATIONS:
         raise AutodiffError(f"unknown activation {activation!r}; use one of {ACTIVATIONS}")
     return activation
+
+
+def _emit_merged_affine(tape: Tape, x: int, w: int, b: int, m: int, a: int) -> int:
+    """``x @ (w + m @ a).T + b``: a low-rank delta folded into the weight.
+
+    ``m @ a`` and the merged weight are (d_out, d_in), so only one matmul
+    reads the batch rows.  ``m = 0`` makes ``m @ a`` an exact zero, and the
+    result then has the bits of the bare affine map.
+    """
+    w_eff = tape.add(w, tape.matmul(m, a))
+    return tape.add(tape.matmul(x, w_eff, transpose_b=True), b)
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -208,20 +223,34 @@ class MoELayer:
         return self.base.emit(tape, x)
 
     def emit_single_expert(self, tape: Tape, x: int, domain: int, replica: int) -> int:
-        """Bypass form: backbone plus one expert's delta, no gate at all."""
-        pre = self.base.emit_affine(tape, x)
-        delta = self.expert_of(domain, replica).emit_delta(tape, x)
-        return _apply_activation(tape, self.base.activation, tape.add(pre, delta))
+        """Bypass form: backbone plus one expert's delta, no gate at all.
+
+        The expert is merged into the weight, ``W + (alpha/rank) * B @ A``,
+        so a batch runs one matmul through the layer.
+        """
+        ad = self.expert_of(domain, replica)
+        base = self.base.name
+        pre = _emit_merged_affine(
+            tape, x, tape.param(f"{base}.W"), tape.param(f"{base}.b"),
+            tape.scale(tape.param(f"{ad.name}.B"), ad.scaling), tape.param(f"{ad.name}.A"))
+        return _apply_activation(tape, self.base.activation, pre)
 
     def emit_mixture(self, tape: Tape, x: int, weights: int) -> int:
         """Backbone plus the gate-weighted sum of all expert deltas, fused.
 
-        The experts form one bank: their ``A``s stacked along rows and their
-        ``B``s along columns, so that
-        ``delta = ((x @ A_cat.T) * (weights @ S)) @ B_cat.T`` where the
-        constant ``S`` (n_cols, sum of ranks) holds expert j's ``alpha/rank``
-        across its rank block in j's gate row.  Node count does not depend
-        on the number of experts, and ``B = 0`` still gives an exact zero.
+        The experts form one bank: their ``A``s stacked along rows into
+        ``A_cat`` and their ``B``s along columns into ``B_cat``.  The
+        constant ``S`` (n_cols, sum of ranks) holds expert j's
+        ``alpha/rank`` across its rank block in j's gate row, so
+        ``weights @ S`` scales every rank.  A per-domain gate gives one
+        weight row per batch (the domain input holds one index), and the
+        bank is merged into the weight: ``M = B_cat * (weights @ S)`` and
+        ``pre = x @ (W + M @ A_cat).T + b``, with ``W`` and ``b`` first
+        scaled by the backbone column's weight when the gate has one.  An
+        input-conditioned gate gives a row per example and keeps the
+        factored form ``delta = ((x @ A_cat.T) * (weights @ S)) @ B_cat.T``.
+        Node count does not depend on the number of experts, and ``B = 0``
+        still gives an exact zero delta.
         """
         off = 1 if self.gate_includes_backbone else 0
         adapters = [ad for _, _, ad in self.experts]
@@ -230,19 +259,32 @@ class MoELayer:
         for j, ad in enumerate(adapters):
             spread[off + j, r0 : r0 + ad.rank] = ad.scaling
             r0 += ad.rank
-        pre = self.base.emit_affine(tape, x)
-        if self.gate_includes_backbone:
-            backbone_col = tape.const(np.eye(len(spread))[:, :1])
-            pre = tape.mul(tape.matmul(weights, backbone_col), pre)
         a_cat = tape.concat([tape.param(f"{ad.name}.A") for ad in adapters], axis=0)
         b_cat = tape.concat([tape.param(f"{ad.name}.B") for ad in adapters], axis=-1)
-        h = tape.matmul(x, a_cat, transpose_b=True)
-        h = tape.mul(h, tape.matmul(weights, tape.const(spread)))
-        delta = tape.matmul(h, b_cat, transpose_b=True)
-        return _apply_activation(tape, self.base.activation, tape.add(pre, delta))
+        rank_weights = tape.matmul(weights, tape.const(spread))
+        backbone_weight = None
+        if self.gate_includes_backbone:
+            backbone_weight = tape.matmul(weights, tape.const(np.eye(len(spread))[:, :1]))
+        if self.gate.input_conditioned:
+            pre = self.base.emit_affine(tape, x)
+            if backbone_weight is not None:
+                pre = tape.mul(backbone_weight, pre)
+            h = tape.mul(tape.matmul(x, a_cat, transpose_b=True), rank_weights)
+            pre = tape.add(pre, tape.matmul(h, b_cat, transpose_b=True))
+        else:
+            w = tape.param(f"{self.base.name}.W")
+            b = tape.param(f"{self.base.name}.b")
+            if backbone_weight is not None:
+                w, b = tape.mul(backbone_weight, w), tape.mul(backbone_weight, b)
+            pre = _emit_merged_affine(tape, x, w, b, tape.mul(b_cat, rank_weights), a_cat)
+        return _apply_activation(tape, self.base.activation, pre)
 
     def emit(self, tape: Tape, x: int, domain_node: int) -> int:
-        """Full gated forward: the domain's softmax weights over the columns."""
+        """Full gated forward: the domain's softmax weights over the columns.
+
+        ``domain_node`` holds one domain index, shape (1,): a batch is of
+        one domain, and the merged form relies on its single weight row.
+        """
         if self.gate is None:
             raise AutodiffError(
                 f"layer {self.base.name!r} is hard-routed; emit its domain's expert")

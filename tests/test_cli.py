@@ -153,6 +153,31 @@ def test_unknown_key_message_names_the_key(tmp_path):
         resolve_config({}, "train")
 
 
+@pytest.mark.parametrize("body,named", [
+    ({"ratios": ["a", 0.1, 0.1]}, "ratios"),
+    ({"train": {"lr": "x"}}, "train.lr"),
+    ({"train": {"epochs": [2, "1", 1]}}, "train.epochs"),
+    ({"train": {"balanced_phase3": 1}}, "train.balanced_phase3"),
+    ({"train": []}, "train must be a JSON object"),
+    ({"adapter": {"rank": 2.5}}, "adapter.rank"),
+    ({"adapter": {"alpha": True}}, "adapter.alpha"),
+    ({"data": {"synthetic": {**TINY_SYNTH, "n_users": "60"}}}, "data.synthetic.n_users"),
+    ({"data": {"synthetic": {**TINY_SYNTH, "seed": True}}}, "data.synthetic.seed"),
+    ({"hidden": [True]}, "hidden"),
+    ({"embedding_dim": True}, "embedding_dim"),
+    ({"seeds": [False]}, "seeds"),
+    ({"expert_counts": [True, 2]}, "expert_counts"),
+])
+def test_wrongly_typed_values_are_named_config_errors(tmp_path, capsys, body, named):
+    cfg = {"data": {"synthetic": TINY_SYNTH}, **body}
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        resolve_config(cfg, "train")
+    code, _, err = run(["train", "--config", write_cfg(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and named in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exit_3_on_numeric_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {

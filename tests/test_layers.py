@@ -161,6 +161,40 @@ def test_zero_init_moe_layer_matches_dense_bitwise():
     np.testing.assert_array_equal(moe_forward(x, 0, layer), dense_forward(x, base))
 
 
+def _hard_routed_layer(rng):
+    """A relu layer with one rank-2 expert per domain for 2 domains, no gate."""
+    store = ParamStore()
+    base = DenseLayer(store, "l0", 5, 4, activation="relu", seed=2)
+    store.set("l0.b", rng.normal(size=4))
+    experts = [(d, 0, LoRAAdapter(store, f"l0.e{d}", 5, 4, rank=2, alpha=3.0,
+                                  group=f"expert({d},0,l0)", seed=d)) for d in range(2)]
+    return store, base, MoELayer(base, experts, gate=None)
+
+
+def test_bypass_forward_matches_numpy_reference():
+    rng = np.random.default_rng(41)
+    store, _, layer = _hard_routed_layer(rng)
+    for _, _, ad in layer.experts:
+        store.set(f"{ad.name}.B", rng.normal(size=(4, 2)))
+    x = rng.normal(size=(9, 5))
+    W, b = store.get("l0.W"), store.get("l0.b")
+    for d in range(2):
+        ad = layer.expert_of(d, 0)
+        A, B = store.get(f"{ad.name}.A"), store.get(f"{ad.name}.B")
+        expect = np.maximum(x @ W.T + b + ad.scaling * (x @ A.T) @ B.T, 0.0)
+        np.testing.assert_allclose(moe_forward(x, d, layer), expect, rtol=0.0, atol=1e-12)
+
+
+def test_zero_init_bypass_matches_dense_bitwise():
+    # The gated merged path has the same check in
+    # test_zero_init_moe_layer_matches_dense_bitwise.
+    rng = np.random.default_rng(43)
+    _, base, layer = _hard_routed_layer(rng)
+    x = rng.normal(size=(11, 5))
+    for d in range(2):
+        np.testing.assert_array_equal(moe_forward(x, d, layer), dense_forward(x, base))
+
+
 @pytest.mark.parametrize("include_backbone", [False, True])
 @pytest.mark.parametrize("input_conditioned", [False, True])
 def test_moe_forward_matches_per_expert_reference(include_backbone, input_conditioned):

@@ -129,7 +129,55 @@ def test_mixture_tape_size_does_not_grow_with_experts():
         tape, _, _ = tiny("mlp", "moe", experts_per_domain=experts_per_domain).tape("mixture")
         return sum(node.op != "param" for node in tape.nodes)
 
-    assert op_nodes(1) == op_nodes(2) == 47
+    assert op_nodes(1) == op_nodes(2) == 44
+
+
+def _batch_row_matmuls(tape) -> list[int]:
+    """Matmul nodes with an operand that depends on the batch rows.
+
+    Every input but the domain index carries one row per example.
+    """
+    rows = []
+    for node in tape.nodes:
+        if node.op == "input":
+            rows.append(node.meta["name"] != "domain")
+        else:
+            rows.append(any(rows[a] for a in node.args))
+    return [nid for nid, node in enumerate(tape.nodes)
+            if node.op == "matmul" and any(rows[a] for a in node.args)]
+
+
+@pytest.mark.parametrize("view,cfg", [
+    ("expert:1:0", {}),
+    ("mixture", {}),
+    ("mixture", {"experts_per_domain": 2, "gate_includes_backbone": True}),
+])
+def test_each_merged_layer_runs_one_batch_row_matmul(view, cfg):
+    tape, _, _ = tiny("mlp", "moe", **cfg).tape(view)
+    # tower.0, tower.1 and head: one x @ W_eff.T each.
+    assert len(_batch_row_matmuls(tape)) == 3
+
+
+def test_input_conditioned_gate_keeps_the_per_row_bank():
+    tape, _, _ = tiny("mlp", "moe", gate_input_conditioned=True).tape("mixture")
+    bank = [nid for nid in _batch_row_matmuls(tape)
+            if tape.nodes[tape.nodes[nid].args[1]].op == "concat"]
+    # x @ A_cat.T and h @ B_cat.T on each of the three adapted layers.
+    assert len(bank) == 6
+
+
+def test_domain_gate_with_backbone_column_gradients():
+    m = tiny("mlp", "moe", seed=21, experts_per_domain=2, gate_includes_backbone=True)
+    rng = np.random.default_rng(1)
+    for name in m.store.names():
+        if name.endswith(".B") or name.endswith("gate.logits"):
+            m.store.set(name, rng.normal(size=m.store.get(name).shape) * 0.3)
+    # The backbone column scales W and b by its weight and so shrinks the
+    # relu margins; 2e-4 still dwarfs the 1e-5 probe.
+    ids, y = sample_inputs(m, batch=5, seed=17, domain=1, min_margin=2e-4)
+    f = model_loss_fn(m, ids, y, domain=1)
+    theta0 = np.concatenate([m.store.get(n).reshape(-1) for n in m.store.names()])
+    assert grad_check(f, theta0, eps=1e-5) < 1e-5
 
 
 def test_build_model_deterministic_by_seed():
