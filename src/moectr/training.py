@@ -12,6 +12,12 @@ Each phase checksums the groups it is supposed to leave alone before and
 after, and aborts if a frozen byte moved; so does each expert of phase 2,
 over everything but its own tensors.  Early stopping watches the weighted
 validation AUC with a fixed patience.
+
+Every batch takes one fused Adam step: the trainable gradients are
+concatenated into one flat buffer and the moments live in flat buffers
+laid out once per phase, so a step is one fixed sequence of in-place numpy
+calls however many tensors it updates.  The step is atomic: a non-finite
+gradient is caught before any parameter, moment or step count moves.
 """
 
 from __future__ import annotations
@@ -136,45 +142,94 @@ def bce_loss(p, y) -> float:
     return float(tape.forward({"p": p, "y": y}, output=loss))
 
 
+class _FlatLayout:
+    """Flat Adam buffers for one ordered tuple of trainable names.
+
+    ``rows`` is a (4, total) block: the flat gradient, ``m``, ``v`` and
+    the update.  Each name owns one slice of every row, in order; ``m``,
+    ``v`` and ``updates`` hold its views, in its gradient's shape.  A new
+    layout copies in the moments ``state`` already holds and starts the
+    rest at zero; ``state`` sees none of it until a step succeeds.
+    """
+
+    def __init__(self, names: tuple[str, ...], grads: dict, state: "AdamState"):
+        shapes = [np.shape(grads[n]) for n in names]
+        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+        self.names = names
+        self.rows = tuple(np.zeros((4, int(ends[-1]))))
+        _, m, v, update = self.rows
+        self.m, self.v, self.updates = {}, {}, []
+        for n, shape, lo, hi in zip(names, shapes, ends[:-1], ends[1:]):
+            self.m[n] = m[lo:hi].reshape(shape)
+            self.v[n] = v[lo:hi].reshape(shape)
+            if n in state.m:
+                self.m[n][...] = state.m[n]
+                self.v[n][...] = state.v[n]
+            self.updates.append((n, update[lo:hi].reshape(shape)))
+
+
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """First/second moment estimates plus the shared step counter.
+
+    The moments live in the flat buffers of the layout built for the last
+    step's trainable names; ``m[name]`` and ``v[name]`` are reshaped views
+    into them.  A name that drops out of a step keeps its views, and its
+    values, into the block it was last stepped in.
+    """
 
     def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._layout: _FlatLayout | None = None
 
 
 def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update over the supplied gradients.
+    """One bias-corrected Adam update over the supplied gradients, fused.
 
     Parameters without a gradient entry stay put; frozen parameters never
-    move even if a gradient is supplied.  Each tensor's update depends on
-    its own gradient and moments alone, so the loop runs over ``grads``
-    rather than over every trainable name.
+    move even if a gradient is supplied.  Adam is elementwise, so the
+    trainable gradients are concatenated in ``grads`` order and the whole
+    update runs as one fixed sequence of in-place numpy calls over flat
+    buffers, with each tensor's bits as a per-tensor update would give.
+    The layout is rebuilt only when the trainable names differ from the
+    last step's.  A non-finite gradient raises ``NumericError`` naming the
+    first bad tensor before anything is written: no parameter, moment or
+    step count moves.
     """
+    names = tuple(n for n in grads if store[n].trainable)
+    layout = state._layout
+    if layout is None or layout.names != names:
+        layout = _FlatLayout(names, grads, state)
+    g, m, v, u = layout.rows
+    if names:
+        np.concatenate([np.ravel(grads[n]) for n in names], out=g)
+    if not np.isfinite(g).all():
+        bad = next(n for n in names if not np.isfinite(grads[n]).all())
+        raise NumericError(f"non-finite gradient for parameter {bad!r}")
     state.t += 1
     t = state.t
-    for name, g in grads.items():
-        if not store[name].trainable:
-            continue
-        g = np.asarray(g, dtype=np.float64)
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        store.set(name, store.get(name) - lr * m_hat / (np.sqrt(v_hat) + eps))
+    if layout is not state._layout:
+        state._layout = layout
+        state.m.update(layout.m)
+        state.v.update(layout.v)
+    # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
+    np.multiply(m, beta1, out=m)
+    np.add(m, np.multiply(g, 1.0 - beta1, out=u), out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(g, g, out=u)
+    np.add(v, np.multiply(u, 1.0 - beta2, out=u), out=v)
+    # u = lr * m_hat / (sqrt(v_hat) + eps); g is free to hold the denominator
+    np.divide(m, 1.0 - beta1 ** t, out=u)
+    np.multiply(u, lr, out=u)
+    np.divide(v, 1.0 - beta2 ** t, out=g)
+    np.sqrt(g, out=g)
+    np.add(g, eps, out=g)
+    np.divide(u, g, out=u)
+    for name, update in layout.updates:
+        store.set(name, store.get(name) - update)
 
 
 def _stop_early(history: list[float], patience: int) -> bool:

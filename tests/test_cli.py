@@ -146,6 +146,29 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,body,extra,named", [
+    ("train", [1, 2], [], "config must be a JSON object"),
+    ("generate", {"data": {"csv": "x.csv"}}, [], "generate needs data.synthetic"),
+    ("train", {"data": {"csv": "x.csv", "synthetic": TINY_SYNTH}}, [],
+     "either csv or synthetic"),
+    ("train", {"data": {"synthetic": TINY_SYNTH}, "mode": "mmoe"}, [], "mode must be one of"),
+    ("compare", {"data": {"synthetic": TINY_SYNTH}, "modes": ["plain", "x"]}, [],
+     "modes must be a non-empty subset"),
+    ("train", {"data": {"synthetic": TINY_SYNTH}}, ["--seed=-1"], "non-negative integers"),
+    # Not ConfigErrors: main's ValueError and OSError handler maps them to exit 2.
+    ("train", {"data": {"synthetic": TINY_SYNTH}, "train": {"lr": 0.0}}, [],
+     "learning rates must be positive"),
+    ("train", {"data": {"csv": "no-such-dir/missing.csv"}}, [], "No such file"),
+])
+def test_each_config_problem_exits_2_with_its_message(tmp_path, capsys, command, body,
+                                                       extra, named):
+    cfg = write_cfg(tmp_path, body)
+    code, _, err = run([command, "--config", cfg, "--out", str(tmp_path / "out"), *extra],
+                       capsys)
+    assert code == 2
+    assert named in err
+
+
 def test_unknown_key_message_names_the_key(tmp_path):
     with pytest.raises(ConfigError, match="gate_lr2"):
         resolve_config({"data": {"csv": "x.csv"}, "train": {"gate_lr2": 1.0}}, "train")

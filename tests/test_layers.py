@@ -259,6 +259,31 @@ def test_layer_construction_errors():
     ad = LoRAAdapter(store, "l1.e0", 2, 2, group="expert(0,0,l1)")
     with pytest.raises(AutodiffError, match="column"):
         MoELayer(base, [(0, 0, ad)], gate=GateNet(store, "g", 1, 5))
+    with pytest.raises(AutodiffError, match="at least one column"):
+        GateNet(store, "g0", n_domains=1, n_cols=0)
+    with pytest.raises(AutodiffError, match="input width"):
+        GateNet(store, "g1", n_domains=1, n_cols=1, input_conditioned=True)
+    with pytest.raises(AutodiffError, match="backbone outside"):
+        MoELayer(base, [(0, 0, ad)], gate=None, gate_includes_backbone=True)
+    with pytest.raises(AutodiffError, match="one expert per domain"):
+        MoELayer(base, [(0, 1, ad)], gate=None)
+
+
+def test_layer_misuse_errors():
+    store = ParamStore()
+    base = DenseLayer(store, "l0", 2, 2, seed=0)
+    ad = LoRAAdapter(store, "l0.e0", 2, 2, group="expert(0,0,l0)")
+    hard = MoELayer(base, [(0, 0, ad)], gate=None)
+    tape = Tape(store)
+    with pytest.raises(AutodiffError, match=r"no expert \(0,1\) on layer 'l0'"):
+        hard.expert_of(0, 1)
+    with pytest.raises(AutodiffError, match="hard-routed"):
+        hard.emit(tape, tape.input("x"), tape.input("domain"))
+    gate = GateNet(store, "g0", n_domains=1, n_cols=1, d_in=2, input_conditioned=True)
+    with pytest.raises(AutodiffError, match="without input node"):
+        gate.emit_weights(tape, tape.input("domain"))
+    with pytest.raises(AutodiffError, match=r"shape \(1, 1, 2\)"):
+        dense_forward(np.ones((1, 1, 2)), base)
 
 
 def test_moe_mixture_gradients_match_central_differences():

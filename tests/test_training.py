@@ -47,6 +47,8 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="betas"):
+        TrainConfig(beta1=1.0)
 
 
 def test_bce_loss_values_and_validation():
@@ -56,6 +58,8 @@ def test_bce_loss_values_and_validation():
         bce_loss([0.5], [0.7])
     with pytest.raises(ValueError, match="finite"):
         bce_loss([np.nan], [1.0])
+    with pytest.raises(ValueError, match="same shape"):
+        bce_loss([0.5, 0.5], [1.0])
 
 
 def test_adam_single_step_matches_hand_recurrence():
@@ -107,6 +111,149 @@ def test_adam_rejects_non_finite_gradient():
     store.add("w", np.array([1.0]), "backbone")
     with pytest.raises(NumericError, match="'w'"):
         adam_step(store, {"w": np.array([np.inf])}, AdamState(), 0.1)
+
+
+def reference_adam_step(store, grads, ref, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-tensor Adam loop the fused step replaced; ``ref`` holds t, m, v."""
+    ref["t"] += 1
+    t = ref["t"]
+    for name, g in grads.items():
+        if not store[name].trainable:
+            continue
+        g = np.asarray(g, dtype=np.float64)
+        m = ref["m"].get(name, np.zeros_like(g))
+        v = ref["v"].get(name, np.zeros_like(g))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        ref["m"][name] = m
+        ref["v"][name] = v
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        store.set(name, store.get(name) - lr * m_hat / (np.sqrt(v_hat) + eps))
+
+
+def twin_stores(shapes, frozen=()):
+    rng = np.random.default_rng(5)
+    stores = (ParamStore(), ParamStore())
+    for name, shape in shapes.items():
+        value = rng.normal(size=shape)
+        for store in stores:
+            store.add(name, value, "gate" if name in frozen else "backbone")
+    for store in stores:
+        store.set_trainable_only("backbone")
+    return stores
+
+
+def assert_matches_reference(store, state, ref_store, ref):
+    assert state.t == ref["t"]
+    for name in ref_store.names():
+        np.testing.assert_array_equal(store.get(name), ref_store.get(name))
+    assert set(state.m) == set(ref["m"])
+    for name in ref["m"]:
+        np.testing.assert_array_equal(state.m[name], ref["m"][name])
+        np.testing.assert_array_equal(state.v[name], ref["v"][name])
+
+
+def test_fused_adam_matches_per_tensor_loop_bitwise():
+    shapes = {"emb": (7, 3), "w": (4, 5), "b": (4,), "s": (), "frozen": (2, 2)}
+    store, ref_store = twin_stores(shapes, frozen=("frozen",))
+    state, ref = AdamState(), {"t": 0, "m": {}, "v": {}}
+    rng = np.random.default_rng(6)
+    for step in range(7):
+        grads = {n: rng.normal(scale=10.0 ** (step % 3 - 1), size=s)
+                 for n, s in shapes.items()}
+        adam_step(store, grads, state, 3e-3, 0.8, 0.99, 1e-7)
+        reference_adam_step(ref_store, grads, ref, 3e-3, 0.8, 0.99, 1e-7)
+        assert_matches_reference(store, state, ref_store, ref)
+    assert "frozen" not in state.m
+    assert state.m["s"].shape == ()
+
+
+def test_adam_name_that_drops_out_keeps_its_moments():
+    shapes = {"a": (3,), "b": (2, 2), "c": (4,)}
+    store, ref_store = twin_stores(shapes)
+    state, ref = AdamState(), {"t": 0, "m": {}, "v": {}}
+    rng = np.random.default_rng(7)
+    b_moments = None
+    for names in (("a", "b"), ("a", "b"), ("a",), ("a",), ("b", "a", "c"), ("c", "b", "a")):
+        grads = {n: rng.normal(size=shapes[n]) for n in names}
+        adam_step(store, grads, state, 1e-2)
+        reference_adam_step(ref_store, grads, ref, 1e-2)
+        assert_matches_reference(store, state, ref_store, ref)
+        if names == ("a", "b"):
+            b_moments = (state.m["b"].copy(), state.v["b"].copy())
+        elif names == ("a",):
+            # Neither reset nor decayed while absent.
+            np.testing.assert_array_equal(state.m["b"], b_moments[0])
+            np.testing.assert_array_equal(state.v["b"], b_moments[1])
+            assert "c" not in state.m
+        elif names[-1] == "c":
+            # A new name starts from zero moments.
+            np.testing.assert_array_equal(state.m["c"], (1.0 - 0.9) * grads["c"])
+    assert state.t == 6
+
+
+def test_adam_failed_step_moves_nothing():
+    store = ParamStore()
+    store.add("a", np.array([1.0, 2.0]), "backbone")
+    store.add("b", np.array([[3.0]]), "backbone")
+    store.add("c", np.array(4.0), "backbone")
+    state = AdamState()
+    adam_step(store, {"a": np.array([0.5, -0.5]), "b": np.array([[1.0]])}, state, 0.1)
+    params = {n: store.get(n).copy() for n in store.names()}
+    moments = {n: (state.m[n].copy(), state.v[n].copy()) for n in state.m}
+    bad_steps = [
+        {"a": np.array([0.1, 0.2]), "b": np.array([[np.nan]])},
+        {"a": np.array([0.1, 0.2]), "c": np.array(np.inf), "b": np.array([[-np.inf]])},
+    ]
+    for grads, named in zip(bad_steps, ("'b'", "'c'")):
+        with pytest.raises(NumericError, match=named):
+            adam_step(store, grads, state, 0.1)
+        assert state.t == 1
+        assert set(state.m) == set(state.v) == {"a", "b"}
+        for n, value in params.items():
+            np.testing.assert_array_equal(store.get(n), value)
+        for n, (m, v) in moments.items():
+            np.testing.assert_array_equal(state.m[n], m)
+            np.testing.assert_array_equal(state.v[n], v)
+
+
+def test_phase1_builds_the_adam_layout_once(monkeypatch):
+    ds = small_synth()
+    train, val, _ = split_dataset(ds, seed=1)
+    model = build_model(ds.schema, "mlp", "plain", seed=1, hidden=(8, 6))
+    bases = []
+    step = training.adam_step
+
+    def recording_step(store, grads, state, *args, **kwargs):
+        step(store, grads, state, *args, **kwargs)
+        bases.extend(state.m[n].base for n in grads)
+        bases.extend(state.v[n].base for n in grads)
+
+    monkeypatch.setattr(training, "adam_step", recording_step)
+    run_phase1(model, train, val, FAST)
+    assert len(bases) > 100
+    assert isinstance(bases[0], np.ndarray)
+    assert all(b is bases[0] for b in bases)
+
+
+def test_non_finite_gradient_in_training_names_tensor_and_phase(monkeypatch):
+    ds = small_synth()
+    train, val, _ = split_dataset(ds, seed=1)
+    model = build_model(ds.schema, "mlp", "plain", seed=1, hidden=(8, 6))
+    backward = Tape.backward
+
+    def poisoned(self, *args, **kwargs):
+        grads = backward(self, *args, **kwargs)
+        grads["head.b"][...] = np.nan
+        return grads
+
+    monkeypatch.setattr(Tape, "backward", poisoned)
+    before = model.store.group_bytes("backbone")
+    with pytest.raises(NumericError, match=r"'head.b' in phase 1") as err:
+        run_phase1(model, train, val, FAST)
+    assert err.value.phase == 1
+    assert model.store.group_bytes("backbone") == before
 
 
 def test_stop_early_patience_semantics():
