@@ -55,7 +55,7 @@ class AutodiffError(ValueError):
 
 
 class ShapeError(AutodiffError):
-    """Raised when an op receives operands of incompatible shapes."""
+    """Raised for incompatible shapes: of op operands, a parameter or a gradient."""
 
 
 def rng_for(seed: int, name: str) -> np.random.Generator:
@@ -92,7 +92,7 @@ class ParamStore:
             raise AutodiffError(f"duplicate parameter name {name!r}")
         if not group:
             raise AutodiffError(f"parameter {name!r} has no group tag")
-        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
+        arr = np.require(value, np.float64, "C")  # keeps a 0-d value 0-d
         self._params[name] = Param(name, arr, group)
         return name
 
@@ -110,7 +110,7 @@ class ParamStore:
 
     def set(self, name: str, value: np.ndarray) -> None:
         p = self._params[name]
-        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
+        arr = np.require(value, np.float64, "C")
         if arr.shape != p.value.shape:
             raise ShapeError(
                 f"parameter {name!r} has shape {p.value.shape}, got {arr.shape}"
@@ -154,7 +154,7 @@ class ParamStore:
             p = self._params[name]
             if not match(p.group):
                 continue
-            arr = np.ascontiguousarray(p.value, dtype="<f8")
+            arr = np.require(p.value, "<f8", "C")
             head = f"{name}|{p.group}|{arr.shape}|".encode("utf-8")
             chunks.append(head + arr.tobytes())
         return b"".join(chunks)

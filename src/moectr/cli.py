@@ -199,30 +199,16 @@ def _prepare_out(path: str, force: bool) -> str:
     return path
 
 
+def _synthetic_spec(resolved: dict, seed: int) -> SyntheticSpec:
+    """The synthetic spec for a run seed; a seed pinned in the config wins."""
+    return SyntheticSpec(**{"seed": seed, **resolved["data"]["synthetic"]})
+
+
 def _dataset_for_seed(resolved: dict, seed: int):
     data = resolved["data"]
     if "csv" in data:
         return load_csv(data["csv"])
-    synth = dict(data["synthetic"])
-    if not data.get("seed_pinned"):
-        synth["seed"] = seed
-    return generate_synthetic(SyntheticSpec(**synth))
-
-
-def _train_config(resolved: dict, seed: int) -> TrainConfig:
-    t = resolved["train"]
-    return TrainConfig(
-        lr=t["lr"], gate_lr=t["gate_lr"], batch_size=t["batch_size"],
-        epochs=tuple(t["epochs"]), beta1=t["beta1"], beta2=t["beta2"],
-        adam_eps=t["adam_eps"], seed=seed, patience=t["patience"],
-        balanced_phase3=t["balanced_phase3"])
-
-
-def _adapter_config(resolved: dict, experts_per_domain: int | None = None) -> AdapterConfig:
-    a = dict(resolved["adapter"])
-    if experts_per_domain is not None:
-        a["experts_per_domain"] = experts_per_domain
-    return AdapterConfig(**a)
+    return generate_synthetic(_synthetic_spec(resolved, seed))
 
 
 def _emit(record: dict) -> None:
@@ -238,8 +224,12 @@ def _write_resolved(resolved: dict, out: str) -> None:
 def _run_one(resolved: dict, mode: str, seed: int, out_dir: str | None,
              experts_per_domain: int | None = None):
     ds = _dataset_for_seed(resolved, seed)
-    cfg = _train_config(resolved, seed)
-    adapter = _adapter_config(resolved, experts_per_domain)
+    t = resolved["train"]
+    cfg = TrainConfig(**{**t, "epochs": tuple(t["epochs"])}, seed=seed)
+    a = resolved["adapter"]
+    if experts_per_domain is not None:
+        a = {**a, "experts_per_domain": experts_per_domain}
+    adapter = AdapterConfig(**a)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     result = train_pipeline(cfg, ds, resolved["arch"], mode, adapter,
@@ -270,10 +260,7 @@ def cmd_generate(args) -> int:
     _write_resolved(resolved, out)
     chash = config_hash(resolved)
     for seed in seeds:
-        synth = dict(resolved["data"]["synthetic"])
-        if not resolved["data"].get("seed_pinned"):
-            synth["seed"] = seed
-        spec = SyntheticSpec(**synth)
+        spec = _synthetic_spec(resolved, seed)
         path = os.path.join(out, f"data_seed{seed}.csv")
         ds = write_synthetic(spec, path)
         sp = sparsity(ds)

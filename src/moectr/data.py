@@ -49,14 +49,24 @@ class Batch:
     domains: np.ndarray  # (n,) int64
 
 
+def _whole(values, column: str) -> np.ndarray:
+    """``values`` as int64; a fractional or non-finite float is an error, not truncated."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        bad = ~np.isfinite(arr) | (arr != np.trunc(arr))
+        if bad.any():
+            raise ValueError(f"{column} holds {arr[bad][0]}, which is not a whole number")
+    return arr.astype(np.int64, copy=False)
+
+
 class Dataset:
     """Rows of (feature ids, label, domain) under a fixed schema."""
 
     def __init__(self, schema: FeatureSchema, ids: np.ndarray,
                  labels: np.ndarray, domains: np.ndarray):
-        ids = np.asarray(ids, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
-        domains = np.asarray(domains, dtype=np.int64)
+        ids = np.asarray(ids)
+        labels = _whole(labels, "label")
+        domains = _whole(domains, "domain")
         if ids.ndim != 2 or ids.shape[1] != len(schema.fields):
             raise ValueError(
                 f"ids must be (n, {len(schema.fields)}), got {ids.shape}")
@@ -66,9 +76,10 @@ class Dataset:
         if labels.shape != (n,) or domains.shape != (n,):
             raise ValueError("ids, labels and domains must have matching length")
         for f, (fname, card) in enumerate(schema.fields):
-            col = ids[:, f]
+            col = _whole(ids[:, f], f"field {fname!r}")
             if col.min() < 0 or col.max() >= card:
                 raise ValueError(f"field {fname!r} has ids outside [0, {card})")
+        ids = ids.astype(np.int64, copy=False)
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
         if domains.min() < 0 or domains.max() >= schema.n_domains:

@@ -99,6 +99,8 @@ class AdapterConfig:
             raise ValueError("one-hot gating requires exactly one expert per domain")
         if self.gate_force_one_hot and self.gate_includes_backbone:
             raise ValueError("one-hot gating keeps the backbone outside the mixture")
+        if self.gate_force_one_hot and self.gate_input_conditioned:
+            raise ValueError("one-hot gating builds no gate to condition on the input")
 
 
 def fm_pairwise(vectors) -> float:

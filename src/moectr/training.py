@@ -1,4 +1,4 @@
-"""Three-phase training: backbone first, experts per domain, then gates.
+"""Unit-by-unit training: the backbone, then each expert, then the gates.
 
 Phase 1 fits the shared backbone on the union of all domains.  Phase 2
 freezes it and fits each domain's low-rank experts on that domain's rows
@@ -7,15 +7,19 @@ absent from the graph, so replicas of one domain differ only by their A-matrix
 init and experts are trained independently, one after another.  Phase 3
 freezes everything but the gate tables and fits the mixture weights on
 single-domain batches drawn proportionally (or balanced) across domains.
+Hard routing (``mlora``, or ``moe`` with a forced one-hot gate) builds no
+gate tables, so it stops after phase 2: a one-hot ``moe`` runs the
+``mlora`` pipeline.
 
-Each phase checksums the groups it is supposed to leave alone before and
-after, and aborts if a frozen byte moved; so does each expert of phase 2,
-over everything but its own tensors.  Early stopping watches the weighted
-validation AUC with a fixed patience.
+The backbone, each expert and the gates are units, and one trainer runs
+them all.  It hashes every tensor outside the unit's own groups before and
+after, and aborts if a byte moved; each phase does the same around the
+groups it froze.  Each unit gets its own Adam state and one tape, and early
+stopping watches the weighted validation AUC with a fixed patience.
 
 Every batch takes one fused Adam step: the trainable gradients are
 concatenated into one flat buffer and the moments live in flat buffers
-laid out once per phase, so a step is one fixed sequence of in-place numpy
+laid out once per unit, so a step is one fixed sequence of in-place numpy
 calls however many tensors it updates.  The step is atomic: a non-finite
 gradient is caught before any parameter, moment or step count moves.
 """
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import ParamStore, Tape
+from .autodiff import ParamStore, ShapeError, Tape
 from .data import Dataset, batch_iter, domain_batches, split_dataset
 from .metrics import MetricsReport, auc, evaluate
 from .models import (
@@ -102,21 +106,10 @@ class PhaseReport:
     children: list["PhaseReport"] = field(default_factory=list)
 
     def to_record(self) -> dict:
-        rec = {
-            "record": "phase",
-            "phase": self.phase,
-            "unit": self.unit,
-            "epochs_run": self.epochs_run,
-            "train_loss": self.train_loss,
-            "val_wauc": self.val_wauc,
-            "stopped_early": self.stopped_early,
-            "frozen_groups": self.frozen_groups,
-            "frozen_checksum_before": self.frozen_checksum_before,
-            "frozen_checksum_after": self.frozen_checksum_after,
-            "warnings": self.warnings,
-        }
-        if self.children:
-            rec["children"] = [c.to_record() for c in self.children]
+        rec = {"record": "phase", **vars(self)}
+        children = rec.pop("children")
+        if children:
+            rec["children"] = [c.to_record() for c in children]
         return rec
 
 
@@ -147,13 +140,19 @@ class _FlatLayout:
 
     ``rows`` is a (4, total) block: the flat gradient, ``m``, ``v`` and
     the update.  Each name owns one slice of every row, in order; ``m``,
-    ``v`` and ``updates`` hold its views, in its gradient's shape.  A new
-    layout copies in the moments ``state`` already holds and starts the
-    rest at zero; ``state`` sees none of it until a step succeeds.
+    ``v`` and ``updates`` hold its views, in its parameter's shape, which
+    each gradient must have (``ShapeError`` otherwise).  A new layout
+    copies in the moments ``state`` already holds and starts the rest at
+    zero; ``state`` sees none of it until a step succeeds.
     """
 
-    def __init__(self, names: tuple[str, ...], grads: dict, state: "AdamState"):
-        shapes = [np.shape(grads[n]) for n in names]
+    def __init__(self, names: tuple[str, ...], store: ParamStore, grads: dict,
+                 state: "AdamState"):
+        shapes = [store.get(n).shape for n in names]
+        for n, shape in zip(names, shapes):
+            if np.shape(grads[n]) != shape:
+                raise ShapeError(f"gradient for {n!r} has shape {np.shape(grads[n])}, "
+                                 f"its parameter {shape}")
         ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
         self.names = names
         self.rows = tuple(np.zeros((4, int(ends[-1]))))
@@ -195,14 +194,15 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
     update runs as one fixed sequence of in-place numpy calls over flat
     buffers, with each tensor's bits as a per-tensor update would give.
     The layout is rebuilt only when the trainable names differ from the
-    last step's.  A non-finite gradient raises ``NumericError`` naming the
-    first bad tensor before anything is written: no parameter, moment or
-    step count moves.
+    last step's; a new layout checks that each gradient has its
+    parameter's shape, or raises ``ShapeError`` naming the tensor.  A
+    non-finite gradient raises ``NumericError`` naming the first bad tensor
+    before anything is written: no parameter, moment or step count moves.
     """
     names = tuple(n for n in grads if store[n].trainable)
     layout = state._layout
     if layout is None or layout.names != names:
-        layout = _FlatLayout(names, grads, state)
+        layout = _FlatLayout(names, store, grads, state)
     g, m, v, u = layout.rows
     if names:
         np.concatenate([np.ravel(grads[n]) for n in names], out=g)
@@ -240,95 +240,86 @@ def _stop_early(history: list[float], patience: int) -> bool:
     return all(v <= best_before for v in history[-patience:])
 
 
-def _frozen_selector(trainable_groups) -> "callable":
-    match = ParamStore._selector(trainable_groups)
-    return lambda g: not match(g)
+def _freeze_all_but(model: CtrModel, groups: str) -> str:
+    """Make only ``groups`` trainable; returns the frozen group tags, comma-joined."""
+    model.store.set_trainable_only(groups)
+    return ",".join(sorted({g for _, g, t in model.store.param_groups() if not t}))
 
 
-def _run_epochs(model: CtrModel, view: str | None, batches_per_epoch, max_epochs: int,
-                val_metric, adam: AdamState, lr: float, cfg: TrainConfig,
-                phase: int) -> tuple[list[float], list[float], bool]:
-    """Shared epoch loop: step over batches, track loss and validation metric.
+def _has_gates(model: CtrModel) -> bool:
+    """True for a softmax-gated ``moe``; hard routing builds no gate tables."""
+    return any(g == "gate" for _, g, _ in model.store.param_groups())
 
-    ``view=None`` trains each batch through its domain's prediction view.
+
+def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: str,
+                view: str, batches, val_metric, frozen_groups: str = "") -> PhaseReport:
+    """Train one unit, the tensors whose group tag starts with ``own``.
+
+    Every tensor outside ``own`` is hashed before and after, and a moved
+    byte aborts with ``NumericError``.  The unit gets its own ``AdamState``
+    and steps once per ``(domain, batch)`` of ``batches(epoch)`` through the
+    one tape of ``view``, for at most the phase's epoch count; early
+    stopping watches ``val_metric()``, which gives None when the unit has
+    no validation rows to score.  ``frozen_groups`` goes to the report: a
+    phase names the groups it froze, an expert of phase 2 leaves it empty.
     """
+    store = model.store
+    outside = lambda g: not g.startswith(own)  # noqa: E731
+    before = store.group_checksum(outside)
+    tape, _, loss_node = model.tape(view)
+    adam = AdamState()
+    lr = cfg.gate_lr if phase == 3 else cfg.lr
     losses: list[float] = []
     waucs: list[float] = []
-    for epoch in range(max_epochs):
+    stopped = False
+    for epoch in range(cfg.epochs[phase - 1]):
         total, rows = 0.0, 0
-        for domain, batch in batches_per_epoch(epoch):
-            tape, _, loss_node = model.tape(view or model.predict_view(domain))
+        for domain, batch in batches(epoch):
             inputs = model.bind_inputs(batch.ids, domain, batch.labels)
             loss = float(tape.forward(inputs, output=loss_node))
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss in phase {phase}", phase)
-            grads = tape.backward(loss_node)
             try:
-                adam_step(model.store, grads, adam, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                adam_step(store, tape.backward(loss_node), adam, lr,
+                          cfg.beta1, cfg.beta2, cfg.adam_eps)
             except NumericError as e:
                 raise NumericError(f"{e} in phase {phase}", phase)
-            n = batch.labels.size
-            total += loss * n
-            rows += n
+            total += loss * batch.labels.size
+            rows += batch.labels.size
         losses.append(total / max(rows, 1))
         score = val_metric()
         if score is not None:
             waucs.append(score)
-            if _stop_early(waucs, cfg.patience):
-                return losses, waucs, True
-    return losses, waucs, False
-
-
-def _checksummed(model: CtrModel, trainable_groups, phase: int, unit: str):
-    frozen = _frozen_selector(trainable_groups)
-    before = model.store.group_checksum(frozen)
-
-    def finish(losses, waucs, stopped, warnings_list, children=None) -> PhaseReport:
-        after = model.store.group_checksum(frozen)
-        if after != before:
-            raise NumericError(
-                f"phase {phase} modified frozen parameters", phase)
-        frozen_tags = sorted({g for _, g, t in model.store.param_groups() if not t})
-        return PhaseReport(
-            phase=phase, unit=unit, epochs_run=len(losses),
-            train_loss=losses, val_wauc=waucs, stopped_early=stopped,
-            frozen_groups=",".join(sorted(set(frozen_tags))),
-            frozen_checksum_before=before, frozen_checksum_after=after,
-            warnings=warnings_list, children=children or [])
-
-    return finish
+            stopped = _stop_early(waucs, cfg.patience)
+            if stopped:
+                break
+    after = store.group_checksum(outside)
+    if after != before:
+        raise NumericError(f"phase {phase} modified frozen parameters: "
+                           f"training {unit} modified other parameters", phase)
+    return PhaseReport(phase, unit, len(losses), losses, waucs, stopped,
+                       frozen_groups, before, after)
 
 
 def run_phase1(model: CtrModel, train: Dataset, val: Dataset,
                cfg: TrainConfig) -> PhaseReport:
     """Fit the backbone on all domains pooled; adapters and gates untouched."""
-    model.store.set_trainable_only("backbone")
-    finish = _checksummed(model, "backbone", 1, "backbone")
-    adam = AdamState()
+    frozen = _freeze_all_but(model, "backbone")
 
     def batches(epoch):
         for b in batch_iter(train, cfg.batch_size, seed=cfg.seed * 1000 + 1,
                             shuffle=True, epoch=epoch):
             yield 0, b  # backbone view ignores the domain
 
-    def val_metric():
-        return evaluate(model, val, view="backbone").wauc
-
-    losses, waucs, stopped = _run_epochs(
-        model, "backbone", batches, cfg.epochs[0], val_metric, adam, cfg.lr, cfg, 1)
-    return finish(losses, waucs, stopped, [])
+    return _train_unit(model, cfg, 1, "backbone", "backbone", "backbone", batches,
+                       lambda: evaluate(model, val, view="backbone").wauc, frozen)
 
 
 def _train_one_expert(model: CtrModel, d: int, k: int, train: Dataset,
                       val: Dataset, cfg: TrainConfig) -> PhaseReport:
-    rows = train.rows_of_domain(d)
-    sub = train.subset(rows)
+    sub = train.subset(train.rows_of_domain(d))
     val_rows = val.rows_of_domain(d)
     view = f"expert:{d}:{k}"
-    warnings_list: list[str] = []
-    adam = AdamState()
-    others = _frozen_selector(f"expert({d},{k},")
-    before = model.store.group_checksum(others)
 
     def batches(epoch):
         for b in batch_iter(sub, cfg.batch_size,
@@ -336,24 +327,14 @@ def _train_one_expert(model: CtrModel, d: int, k: int, train: Dataset,
             yield d, b
 
     def val_metric():
-        if val_rows.size == 0:
-            return None
-        probs = model.predict(val.ids[val_rows], d, view=view)
-        return auc(val.labels[val_rows], probs)
+        if val_rows.size:
+            return auc(val.labels[val_rows], model.predict(val.ids[val_rows], d, view=view))
 
+    rep = _train_unit(model, cfg, 2, f"expert({d},{k})", f"expert({d},{k},", view,
+                      batches, val_metric)
     if val_rows.size == 0:
-        warnings_list.append(f"domain {d}: no validation rows, no early stopping")
-    losses, waucs, stopped = _run_epochs(
-        model, view, batches, cfg.epochs[1],
-        val_metric, adam, cfg.lr, cfg, 2)
-    after = model.store.group_checksum(others)
-    if after != before:
-        raise NumericError(f"training expert({d},{k}) modified other parameters", 2)
-    return PhaseReport(
-        phase=2, unit=f"expert({d},{k})", epochs_run=len(losses),
-        train_loss=losses, val_wauc=[w for w in waucs if w is not None],
-        stopped_early=stopped, frozen_groups="", frozen_checksum_before=before,
-        frozen_checksum_after=after, warnings=warnings_list)
+        rep.warnings.append(f"domain {d}: no validation rows, no early stopping")
+    return rep
 
 
 def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
@@ -365,34 +346,32 @@ def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
     """
     if model.mode not in ("mlora", "moe"):
         raise ValueError("per-domain expert training needs an adapted model")
-    model.store.set_trainable_only("expert(")
-    finish = _checksummed(model, "expert(", 2, "experts")
-    warnings_list: list[str] = []
-    jobs = []
-    for d, k in model.expert_keys():
-        if train.rows_of_domain(d).size == 0:
-            warnings_list.append(
-                f"domain {d}: no training rows, expert({d},{k}) left at initialization")
-            continue
-        jobs.append((d, k))
-    children = [_train_one_expert(model, d, k, train, val, cfg) for d, k in jobs]
-    for c in children:
-        warnings_list.extend(c.warnings)
-    return finish([], [evaluate(model, val).wauc], False, warnings_list, children)
+    frozen = _freeze_all_but(model, "expert(")
+    outside = lambda g: not g.startswith("expert(")  # noqa: E731
+    before = model.store.group_checksum(outside)
+    empty = [(d, k) for d, k in model.expert_keys() if train.rows_of_domain(d).size == 0]
+    children = [_train_one_expert(model, d, k, train, val, cfg)
+                for d, k in model.expert_keys() if (d, k) not in empty]
+    warnings_list = [f"domain {d}: no training rows, expert({d},{k}) left at initialization"
+                     for d, k in empty] + [w for c in children for w in c.warnings]
+    after = model.store.group_checksum(outside)
+    if after != before:
+        raise NumericError("phase 2 modified frozen parameters", 2)
+    return PhaseReport(2, "experts", 0, [], [evaluate(model, val).wauc], False,
+                       frozen, before, after, warnings_list, children)
 
 
 def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
                cfg: TrainConfig) -> PhaseReport:
-    """Fit the gate tables through the prediction views; everything else frozen.
+    """Fit the gate tables through the mixture view; everything else frozen.
 
-    A hard-routed ``moe`` model has no gate tables: its phase 3 steps through
-    the expert views and moves nothing.
+    Only a softmax-gated ``moe`` has gate tables: ``mlora`` and a one-hot
+    ``moe`` route by domain and are refused.
     """
-    if model.mode != "moe":
-        raise ValueError("gate training applies only to moe models")
-    model.store.set_trainable_only("gate")
-    finish = _checksummed(model, "gate", 3, "gates")
-    adam = AdamState()
+    if not _has_gates(model):
+        raise ValueError("gate training applies only to moe models with a softmax gate; "
+                         f"this {model.mode} model has no gate tables")
+    frozen = _freeze_all_but(model, "gate")
 
     def batches(epoch):
         for d, rows in domain_batches(train, cfg.batch_size,
@@ -400,13 +379,8 @@ def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
                                       balanced=cfg.balanced_phase3):
             yield d, train.batch(rows)
 
-    def val_metric():
-        return evaluate(model, val).wauc
-
-    losses, waucs, stopped = _run_epochs(
-        model, None, batches, cfg.epochs[2], val_metric, adam,
-        cfg.gate_lr, cfg, 3)
-    return finish(losses, waucs, stopped, [])
+    return _train_unit(model, cfg, 3, "gates", "gate", "mixture", batches,
+                       lambda: evaluate(model, val).wauc, frozen)
 
 
 def train_pipeline(cfg: TrainConfig, dataset: Dataset, arch: str, mode: str,
@@ -416,10 +390,11 @@ def train_pipeline(cfg: TrainConfig, dataset: Dataset, arch: str, mode: str,
                    out_dir=None, embedding_dim: int | None = None) -> PipelineResult:
     """Split, build, run the mode's phases, and score the test split.
 
-    plain runs phase 1 only; mlora adds per-domain expert fitting; moe runs
-    all three phases.  Checkpoints land in ``out_dir`` when given.
-    ``embedding_dim`` overrides the schema's width, same backbone for
-    every mode at a given seed.
+    plain runs phase 1 only; mlora and a one-hot moe add per-domain expert
+    fitting and are the same pipeline; a softmax-gated moe also fits its
+    gates.  Checkpoints land in ``out_dir`` when given.  ``embedding_dim``
+    overrides the schema's width, same backbone for every mode at a given
+    seed.
     """
     schema = dataset.schema
     if embedding_dim is not None:
@@ -430,7 +405,7 @@ def train_pipeline(cfg: TrainConfig, dataset: Dataset, arch: str, mode: str,
     runners = [run_phase1]
     if mode in ("mlora", "moe"):
         runners.append(run_phase2)
-    if mode == "moe":
+    if _has_gates(model):
         runners.append(run_phase3)
     phases: list[PhaseReport] = []
     for i, runner in enumerate(runners, start=1):

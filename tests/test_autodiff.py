@@ -419,3 +419,13 @@ def test_param_store_rejects_duplicates_and_untagged():
         store.add("W", np.ones(1), "backbone")
     with pytest.raises(AutodiffError):
         store.add("X", np.ones(1), "")
+
+
+def test_param_store_keeps_a_0d_value_0d():
+    store = ParamStore()
+    store.add("c", np.array(4.0), "backbone")
+    assert store.get("c").shape == ()
+    store.set("c", np.array(5.0))
+    assert store.get("c").shape == () and store.get("c") == 5.0
+    with pytest.raises(ShapeError, match="'c'"):
+        store.set("c", np.array([5.0]))

@@ -107,6 +107,22 @@ def test_train_stamps_hash_in_files_and_stdout(tmp_path, capsys):
     assert all(json.loads(ln)["config_hash"] == expected for ln in lines)
 
 
+def test_train_one_hot_moe_is_the_mlora_pipeline(tmp_path, capsys):
+    body = {"data": {"synthetic": TINY_SYNTH}, "train": FAST_TRAIN, "hidden": [8, 6],
+            "adapter": {"gate_force_one_hot": True}}
+    runs = {}
+    for mode in ("moe", "mlora"):
+        cfg = write_cfg(tmp_path, {**body, "mode": mode}, f"{mode}.json")
+        code, _, _ = run(["train", "--config", cfg, "--out", str(tmp_path / mode)], capsys)
+        assert code == 0
+        runs[mode] = tmp_path / mode / "seed0"
+    # No gate tables, so no phase 3: the run is mlora's, record for record.
+    assert sorted(p.name for p in runs["moe"].glob("phase*.npz")) == [
+        "phase1.npz", "phase2.npz"]
+    assert (runs["moe"] / "phases.jsonl").read_bytes() == (
+        runs["mlora"] / "phases.jsonl").read_bytes()
+
+
 def test_config_hash_changes_with_content():
     base = {"data": {"synthetic": TINY_SYNTH}}
     tweaked = {"data": {"synthetic": TINY_SYNTH}, "train": {"lr": 5e-4}}

@@ -109,6 +109,31 @@ def test_duplicate_rows_permitted():
     assert len(ds) == 3
 
 
+@pytest.mark.parametrize("ids,labels,domains,named", [
+    ([[1.9, 2.2]], [0], [0], "'user_id'"),
+    ([[1, 2.5]], [0], [0], "'item_id'"),
+    ([[np.nan, 2]], [0], [0], "'user_id'"),
+    ([[1, 2]], [0.7], [0], "label"),
+    ([[1, 2]], [np.inf], [0], "label"),
+    ([[1, 2]], [1], [1.5], "domain"),
+])
+def test_fractional_or_non_finite_values_are_named_not_truncated(ids, labels, domains,
+                                                                 named):
+    schema = FeatureSchema((("user_id", 5), ("item_id", 5)), n_domains=2)
+    with pytest.raises(ValueError, match=f"{named} holds .*not a whole number"):
+        Dataset(schema, np.array(ids), np.array(labels), np.array(domains))
+
+
+def test_integral_floats_and_bools_are_accepted():
+    schema = FeatureSchema((("user_id", 5), ("item_id", 5)), n_domains=2)
+    ds = Dataset(schema, np.array([[1.0, 2.0], [3.0, 0.0]]), np.array([True, False]),
+                 np.array([1.0, 0.0]))
+    assert ds.ids.dtype == ds.labels.dtype == ds.domains.dtype == np.int64
+    np.testing.assert_array_equal(ds.ids, [[1, 2], [3, 0]])
+    np.testing.assert_array_equal(ds.labels, [1, 0])
+    np.testing.assert_array_equal(ds.domains, [1, 0])
+
+
 def test_malformed_rows_cite_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     rows = ["user_id,item_id,domain_id,label", "1,1,0,1", "2,1,0,0", "3,1,0,1",

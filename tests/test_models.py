@@ -180,6 +180,13 @@ def test_domain_gate_with_backbone_column_gradients():
     assert grad_check(f, theta0, eps=1e-5) < 1e-5
 
 
+@pytest.mark.parametrize("option", ["gate_includes_backbone", "gate_input_conditioned"])
+def test_one_hot_gate_rejects_gate_options(option):
+    # A one-hot gate builds no gate tables, so a gate option would be dropped.
+    with pytest.raises(ValueError, match="one-hot"):
+        AdapterConfig(gate_force_one_hot=True, **{option: True})
+
+
 def test_build_model_deterministic_by_seed():
     a = tiny("deepfm", "moe", seed=4)
     b = tiny("deepfm", "moe", seed=4)
