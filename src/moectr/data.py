@@ -31,7 +31,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "split_dataset",
-    "domain_proportions",
     "generate_synthetic",
     "write_synthetic",
     "rule_agreement",
@@ -185,12 +184,6 @@ def load_csv(path, schema: FeatureSchema | None = None) -> Dataset:
             raise ValueError(
                 f"{path}: domain id {bad} outside schema range [0, {schema.n_domains})")
     return Dataset(schema, np.column_stack(cols), np.asarray(labels), np.asarray(domains))
-
-
-def domain_proportions(ds: Dataset) -> np.ndarray:
-    """Row share of each domain; sums to 1."""
-    counts = ds.domain_counts()
-    return counts / counts.sum()
 
 
 def _allocate(n: int, ratios: tuple[float, ...]) -> list[int]:

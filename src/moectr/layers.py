@@ -12,9 +12,6 @@ softmax row scales every expert's ``B`` per rank block
 (``M = B_cat * (weights @ S)``, ``A`` = every expert's ``A`` stacked along
 rows).  Only an input-conditioned gate, whose weights differ per row, runs
 the factored stacked product ``((x @ A_cat.T) * (weights @ S)) @ B_cat.T``.
-
-The module-level ``*_forward`` helpers build a throwaway tape around a
-single layer; models assemble the same emit calls into one static tape.
 """
 
 from __future__ import annotations
@@ -29,12 +26,6 @@ __all__ = [
     "LoRAAdapter",
     "GateNet",
     "MoELayer",
-    "dense_forward",
-    "lora_delta",
-    "mlora_forward",
-    "gate_weights",
-    "moe_forward",
-    "param_groups",
 ]
 
 ACTIVATIONS = ("relu", "identity")
@@ -67,24 +58,12 @@ def _emit_merged_affine(tape: Tape, x: int, w: int, b: int, m: int, a: int) -> i
     return tape.add(tape.matmul(x, w_eff, transpose_b=True), b)
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise AutodiffError(f"expected a vector or a batch of vectors, got shape {x.shape}")
-
-
 class DenseLayer:
     """Affine map plus activation; W is (d_out, d_in), b is (d_out,)."""
 
     def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int,
                  activation: str = "relu", group: str = "backbone", seed: int = 0):
-        self.store = store
         self.name = name
-        self.d_in = int(d_in)
-        self.d_out = int(d_out)
         self.activation = _check_activation(activation)
         std = np.sqrt(2.0 / (d_in + d_out))
         w = rng_for(seed, f"{name}.W").normal(0.0, std, size=(d_out, d_in))
@@ -95,13 +74,9 @@ class DenseLayer:
     def from_arrays(cls, store: ParamStore, name: str, W, b,
                     activation: str = "identity", group: str = "backbone") -> "DenseLayer":
         layer = cls.__new__(cls)
-        W = np.asarray(W, dtype=np.float64)
-        layer.store = store
         layer.name = name
-        layer.d_in = W.shape[1]
-        layer.d_out = W.shape[0]
         layer.activation = _check_activation(activation)
-        store.add(f"{name}.W", W, group)
+        store.add(f"{name}.W", np.asarray(W, dtype=np.float64), group)
         store.add(f"{name}.b", np.asarray(b, dtype=np.float64), group)
         return layer
 
@@ -124,10 +99,7 @@ class LoRAAdapter:
                  rank: int = 4, alpha: float = 4.0, group: str = "expert", seed: int = 0):
         if rank < 1:
             raise AutodiffError(f"adapter rank must be >= 1, got {rank}")
-        self.store = store
         self.name = name
-        self.d_in = int(d_in)
-        self.d_out = int(d_out)
         self.rank = int(rank)
         self.alpha = float(alpha)
         a = rng_for(seed, f"{name}.A").normal(0.0, ADAPTER_INIT_STD, size=(rank, d_in))
@@ -137,11 +109,6 @@ class LoRAAdapter:
     @property
     def scaling(self) -> float:
         return self.alpha / self.rank
-
-    def emit_delta(self, tape: Tape, x: int) -> int:
-        h = tape.matmul(x, tape.param(f"{self.name}.A"), transpose_b=True)
-        d = tape.matmul(h, tape.param(f"{self.name}.B"), transpose_b=True)
-        return tape.scale(d, self.scaling)
 
 
 class GateNet:
@@ -160,9 +127,7 @@ class GateNet:
             raise AutodiffError("gate needs at least one column")
         if input_conditioned and d_in is None:
             raise AutodiffError("input-conditioned gate needs the layer input width")
-        self.store = store
         self.name = name
-        self.n_domains = int(n_domains)
         self.n_cols = int(n_cols)
         self.input_conditioned = bool(input_conditioned)
         store.add(f"{name}.logits", np.zeros((n_domains, n_cols)), group)
@@ -209,18 +174,11 @@ class MoELayer:
                     f"gate has {gate.n_cols} columns, layer needs {n_cols}"
                 )
 
-    @property
-    def store(self) -> ParamStore:
-        return self.base.store
-
     def expert_of(self, domain: int, replica: int) -> LoRAAdapter:
         for d, k, ad in self.experts:
             if d == domain and k == replica:
                 return ad
         raise AutodiffError(f"no expert ({domain},{replica}) on layer {self.base.name!r}")
-
-    def emit_backbone(self, tape: Tape, x: int) -> int:
-        return self.base.emit(tape, x)
 
     def emit_single_expert(self, tape: Tape, x: int, domain: int, replica: int) -> int:
         """Bypass form: backbone plus one expert's delta, no gate at all.
@@ -292,63 +250,3 @@ class MoELayer:
             tape, domain_node, x if self.gate.input_conditioned else None
         )
         return self.emit_mixture(tape, x, weights)
-
-
-# ---- one-off functional forms ------------------------------------------
-
-
-def _forward_one(x, store: ParamStore, emit, **inputs) -> np.ndarray:
-    """Run ``emit(tape, x_node)`` on a throwaway tape for a vector or a batch."""
-    xb, squeeze = _as_batch(x)
-    tape = Tape(store)
-    y = tape.forward({"x": xb, **inputs}, output=emit(tape, tape.input("x")))
-    return y[0] if squeeze else y
-
-
-def dense_forward(x, layer: DenseLayer) -> np.ndarray:
-    return _forward_one(x, layer.store, layer.emit)
-
-
-def lora_delta(x, adapter: LoRAAdapter) -> np.ndarray:
-    return _forward_one(x, adapter.store, adapter.emit_delta)
-
-
-def mlora_forward(x, domain: int, base: DenseLayer, adapters: list[LoRAAdapter]) -> np.ndarray:
-    """Adapted forward where only the addressed domain's adapter contributes.
-
-    ``adapters[d]`` is domain d's adapter; all must share ``base``'s store.
-    """
-    layer = MoELayer(base, [(d, 0, ad) for d, ad in enumerate(adapters)])
-    return moe_forward(x, domain, layer)
-
-
-def gate_weights(domain: int, gate: GateNet, x=None) -> np.ndarray:
-    if not (0 <= domain < gate.n_domains):
-        raise AutodiffError(f"domain index {domain} out of range for {gate.n_domains} domains")
-    tape = Tape(gate.store)
-    xn = None
-    inputs = {"domain": np.array([domain])}
-    squeeze = True
-    if gate.input_conditioned:
-        xb, squeeze = _as_batch(x)
-        xn = tape.input("x")
-        inputs["x"] = xb
-    out = gate.emit_weights(tape, tape.input("domain"), xn)
-    w = tape.forward(inputs, output=out)
-    return w[0] if squeeze else w
-
-
-def moe_forward(x, domain: int, layer: MoELayer) -> np.ndarray:
-    if not (0 <= domain < layer.n_domains):
-        raise AutodiffError(f"domain index {domain} out of range for {layer.n_domains} domains")
-    if layer.gate is None:
-        return _forward_one(
-            x, layer.store, lambda tape, xn: layer.emit_single_expert(tape, xn, domain, 0))
-    return _forward_one(x, layer.store,
-                        lambda tape, xn: layer.emit(tape, xn, tape.input("domain")),
-                        domain=np.array([domain]))
-
-
-def param_groups(store: ParamStore) -> list[tuple[str, str, bool]]:
-    """(name, group tag, trainable) for every registered parameter."""
-    return store.param_groups()

@@ -37,9 +37,6 @@ __all__ = [
     "AdapterConfig",
     "CtrModel",
     "build_model",
-    "predict_ctr",
-    "fm_pairwise",
-    "wide_logit",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -101,29 +98,6 @@ class AdapterConfig:
             raise ValueError("one-hot gating keeps the backbone outside the mixture")
         if self.gate_force_one_hot and self.gate_input_conditioned:
             raise ValueError("one-hot gating builds no gate to condition on the input")
-
-
-def fm_pairwise(vectors) -> float:
-    """Sum of dot products over all unordered pairs of equal-length vectors.
-
-    Computed with the half-of-square-minus-squares identity, the same
-    arrangement the model tape uses.
-    """
-    vs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if len(vs) < 2:
-        return 0.0
-    total = np.sum(vs, axis=0)
-    sq_sum = np.sum([v * v for v in vs], axis=0)
-    return float(0.5 * (total * total - sq_sum).sum())
-
-
-def wide_logit(ids: np.ndarray, tables: list[np.ndarray], bias: float) -> np.ndarray:
-    """Linear memorization term: one learned scalar per (field, id), plus bias."""
-    ids = np.asarray(ids)
-    out = np.full(ids.shape[0], float(bias))
-    for f, table in enumerate(tables):
-        out += np.asarray(table).reshape(-1)[ids[:, f]]
-    return out
 
 
 class CtrModel:
@@ -209,7 +183,7 @@ class CtrModel:
         if not self._adapted():
             return layer.emit(tape, x)
         if view == "backbone":
-            return layer.emit_backbone(tape, x)
+            return layer.base.emit(tape, x)
         if view.startswith("expert:"):
             _, d, k = view.split(":")
             return layer.emit_single_expert(tape, x, int(d), int(k))
@@ -315,11 +289,6 @@ def build_model(schema: FeatureSchema, arch: str, mode: str,
                 hidden: tuple[int, ...] = DEFAULT_HIDDEN) -> CtrModel:
     """Deterministically construct a CTR model; same seed, same weights."""
     return CtrModel(schema, arch, mode, adapter_cfg or AdapterConfig(), hidden, seed)
-
-
-def predict_ctr(model: CtrModel, ids: np.ndarray, domain: int) -> np.ndarray:
-    """Probabilities in (0,1) for a batch of id rows, all of one domain."""
-    return model.predict(ids, domain)
 
 
 # ---- checkpoints ----------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import ParamStore, ShapeError, Tape
+from .autodiff import ParamStore, ShapeError
 from .data import Dataset, batch_iter, domain_batches, split_dataset
 from .metrics import MetricsReport, auc, evaluate
 from .models import (
@@ -47,7 +47,6 @@ __all__ = [
     "PhaseReport",
     "PipelineResult",
     "NumericError",
-    "bce_loss",
     "AdamState",
     "adam_step",
     "run_phase1",
@@ -118,21 +117,6 @@ class PipelineResult:
     metrics: MetricsReport
     phases: list[PhaseReport]
     model: CtrModel
-
-
-def bce_loss(p, y) -> float:
-    """Mean binary cross-entropy by the tape's ``bce`` op (clamp ``BCE_EPS``)."""
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError("predictions and labels must have the same shape")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be 0 or 1")
-    if not np.isfinite(p).all():
-        raise ValueError("predictions must be finite")
-    tape = Tape(ParamStore())
-    loss = tape.bce(tape.input("p"), tape.input("y"))
-    return float(tape.forward({"p": p, "y": y}, output=loss))
 
 
 class _FlatLayout:

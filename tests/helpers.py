@@ -1,8 +1,55 @@
-"""Shared test utilities: FD harness for whole models, brute-force AUC."""
+"""Shared test utilities: FD harness for whole models, brute-force AUC,
+numpy oracles for the model terms, and a one-layer forward on a fresh tape."""
 
 import numpy as np
 
+from moectr.autodiff import ParamStore, Tape
 from moectr.models import CtrModel
+
+
+def layer_forward(store: ParamStore, emit, x=None, domain: int | None = None) -> np.ndarray:
+    """Emit one layer onto a fresh ``Tape`` over ``store`` and run its forward.
+
+    ``emit(tape, x_node)`` returns the output node.  ``x``, a (batch, d_in)
+    array, feeds the ``"x"`` input; ``domain`` feeds the (1,) ``"domain"``
+    input that an emit reads with ``tape.input("domain")``.  An input the
+    output does not read may be left out.
+    """
+    tape = Tape(store)
+    inputs = {}
+    if x is not None:
+        inputs["x"] = np.asarray(x, dtype=np.float64)
+    if domain is not None:
+        inputs["domain"] = np.array([domain])
+    return tape.forward(inputs, output=emit(tape, tape.input("x")))
+
+
+def lora_delta(x, A, B, scaling: float) -> np.ndarray:
+    """A low-rank adapter's delta on a batch: ``scaling * (x @ A.T) @ B.T``."""
+    return scaling * (np.asarray(x) @ A.T) @ B.T
+
+
+def fm_pairwise(vectors) -> float:
+    """Sum of dot products over all unordered pairs of equal-length vectors.
+
+    Computed with the half-of-square-minus-squares identity, the same
+    arrangement the model tape uses.
+    """
+    vs = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if len(vs) < 2:
+        return 0.0
+    total = np.sum(vs, axis=0)
+    sq_sum = np.sum([v * v for v in vs], axis=0)
+    return float(0.5 * (total * total - sq_sum).sum())
+
+
+def wide_logit(ids: np.ndarray, tables: list[np.ndarray], bias: float) -> np.ndarray:
+    """Linear memorization term: one learned scalar per (field, id), plus bias."""
+    ids = np.asarray(ids)
+    out = np.full(ids.shape[0], float(bias))
+    for f, table in enumerate(tables):
+        out += np.asarray(table).reshape(-1)[ids[:, f]]
+    return out
 
 
 def auc_bruteforce(labels, scores):

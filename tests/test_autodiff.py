@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moectr.autodiff import (
+    BCE_EPS,
     AutodiffError,
     ParamStore,
     ShapeError,
@@ -185,6 +186,15 @@ def test_bce_value_half():
     loss = t.bce(t.input("p"), t.input("y"))
     v = t.forward({"p": np.array([0.5]), "y": np.array([1.0])}, output=loss)
     np.testing.assert_allclose(v, np.log(2.0), atol=1e-15)
+
+
+def test_bce_clamp_keeps_a_certain_wrong_prediction_finite():
+    t = Tape(ParamStore())
+    loss = t.bce(t.input("p"), t.input("y"))
+    v = t.forward({"p": np.array([0.0, 1.0]), "y": np.array([1.0, 0.0])}, output=loss)
+    # Both terms are clamped to BCE_EPS away from the wrong label.
+    assert np.isfinite(v)
+    np.testing.assert_allclose(v, -np.log(BCE_EPS), rtol=1e-9)
 
 
 def test_backward_linearity_exact_doubling():

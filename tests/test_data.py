@@ -6,7 +6,6 @@ from moectr.data import (
     SyntheticSpec,
     batch_iter,
     domain_batches,
-    domain_proportions,
     generate_synthetic,
     load_csv,
     rule_agreement,
@@ -162,13 +161,6 @@ def test_empty_csv_rejected(tmp_path):
     path.write_text("user_id,item_id,domain_id,label\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(path)
-
-
-def test_domain_proportions_sum_to_one():
-    ds = small_ds(40, n_domains=3, seed=2)
-    w = domain_proportions(ds)
-    assert w.shape == (3,)
-    assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_generator_hits_positive_rate():

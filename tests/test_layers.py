@@ -1,51 +1,69 @@
 import numpy as np
 import pytest
 
+from helpers import layer_forward, lora_delta
 from moectr.autodiff import AutodiffError, ParamStore, Tape, grad_check
-from moectr.layers import (
-    DenseLayer,
-    GateNet,
-    LoRAAdapter,
-    MoELayer,
-    dense_forward,
-    gate_weights,
-    lora_delta,
-    mlora_forward,
-    moe_forward,
-    param_groups,
-)
+from moectr.layers import DenseLayer, GateNet, LoRAAdapter, MoELayer
+
+
+def mixture(store, layer, x, domain):
+    """The gated layer's forward for rows of ``domain``."""
+    return layer_forward(store, lambda t, xn: layer.emit(t, xn, t.input("domain")), x,
+                         domain=domain)
+
+
+def bypass(store, layer, x, domain, replica=0):
+    """The layer with only expert (domain, replica) added to the backbone."""
+    return layer_forward(
+        store, lambda t, xn: layer.emit_single_expert(t, xn, domain, replica), x)
+
+
+def weights(store, gate, domain, x=None):
+    """The gate's softmax weights: one row, or one per row of ``x``."""
+    w = layer_forward(store, lambda t, xn: gate.emit_weights(t, t.input("domain"), xn), x,
+                      domain=domain)
+    return w[0] if x is None else w
 
 
 def test_dense_identity_forward():
     store = ParamStore()
     layer = DenseLayer.from_arrays(store, "l0", np.eye(2), np.zeros(2), activation="relu")
-    np.testing.assert_array_equal(dense_forward([1.0, 2.0], layer), [1.0, 2.0])
+    np.testing.assert_array_equal(layer_forward(store, layer.emit, [[1.0, 2.0]]),
+                                  [[1.0, 2.0]])
+
+
+def _one_adapter_layer():
+    """An identity layer with one rank-4 adapter, alpha 4, for one domain."""
+    store = ParamStore()
+    base = DenseLayer(store, "l0", 8, 16, activation="identity", seed=1)
+    ad = LoRAAdapter(store, "a0", d_in=8, d_out=16, rank=4, alpha=4.0,
+                     group="expert(0,0,l0)", seed=3)
+    return store, base, ad, MoELayer(base, [(0, 0, ad)], gate=None)
 
 
 def test_zero_init_adapter_delta_is_exactly_zero():
-    store = ParamStore()
-    ad = LoRAAdapter(store, "a0", d_in=8, d_out=16, rank=4, alpha=4.0, seed=3)
+    store, base, _, layer = _one_adapter_layer()
     x = np.random.default_rng(0).normal(size=(32, 8))
-    np.testing.assert_array_equal(lora_delta(x, ad), np.zeros((32, 16)))
+    np.testing.assert_array_equal(store.get("a0.B"), np.zeros((16, 4)))
+    delta = bypass(store, layer, x, 0) - layer_forward(store, base.emit, x)
+    np.testing.assert_array_equal(delta, np.zeros((32, 16)))
 
 
 def test_lora_delta_shape_and_scaling():
-    store = ParamStore()
-    ad = LoRAAdapter(store, "a0", d_in=8, d_out=16, rank=4, alpha=4.0, seed=3)
+    store, base, ad, layer = _one_adapter_layer()
     assert ad.scaling == 1.0
     store.set("a0.B", np.random.default_rng(1).normal(size=(16, 4)))
     x = np.random.default_rng(2).normal(size=(32, 8))
-    d = lora_delta(x, ad)
+    d = bypass(store, layer, x, 0) - layer_forward(store, base.emit, x)
     assert d.shape == (32, 16)
-    A = store.get("a0.A")
-    B = store.get("a0.B")
-    np.testing.assert_allclose(d, (x @ A.T) @ B.T * ad.scaling, atol=1e-12)
+    np.testing.assert_allclose(
+        d, lora_delta(x, store.get("a0.A"), store.get("a0.B"), ad.scaling), atol=1e-12)
 
 
 def test_gate_uniform_at_init():
     store = ParamStore()
     gate = GateNet(store, "g0", n_domains=2, n_cols=3)
-    np.testing.assert_allclose(gate_weights(0, gate), np.full(3, 1.0 / 3.0), atol=1e-15)
+    np.testing.assert_allclose(weights(store, gate, 0), np.full(3, 1.0 / 3.0), atol=1e-15)
 
 
 def test_gate_weights_simplex_for_random_logits():
@@ -53,7 +71,7 @@ def test_gate_weights_simplex_for_random_logits():
     gate = GateNet(store, "g0", n_domains=4, n_cols=5)
     store.set("g0.logits", np.random.default_rng(0).normal(size=(4, 5)) * 8.0)
     for d in range(4):
-        w = gate_weights(d, gate)
+        w = weights(store, gate, d)
         assert w.min() >= 0.0
         assert abs(w.sum() - 1.0) < 1e-12
 
@@ -61,8 +79,8 @@ def test_gate_weights_simplex_for_random_logits():
 def test_gate_domain_out_of_range():
     store = ParamStore()
     gate = GateNet(store, "g0", n_domains=2, n_cols=2)
-    with pytest.raises(AutodiffError, match="domain"):
-        gate_weights(5, gate)
+    with pytest.raises(AutodiffError, match="index out of range for table of 2 rows"):
+        weights(store, gate, 5)
 
 
 def test_input_conditioned_gate_varies_with_input():
@@ -70,7 +88,7 @@ def test_input_conditioned_gate_varies_with_input():
     gate = GateNet(store, "g0", n_domains=2, n_cols=3, d_in=4, input_conditioned=True)
     store.set("g0.proj", np.random.default_rng(0).normal(size=(3, 4)))
     x = np.random.default_rng(1).normal(size=(5, 4))
-    w = gate_weights(0, gate, x)
+    w = weights(store, gate, 0, x)
     assert w.shape == (5, 3)
     assert np.abs(np.diff(w, axis=0)).max() > 1e-6
     np.testing.assert_allclose(w.sum(axis=1), np.ones(5), atol=1e-12)
@@ -94,16 +112,16 @@ def _two_expert_layer(include_backbone=False):
 
 
 def test_moe_uniform_gate_adds_half_of_each_delta():
-    _, layer = _two_expert_layer()
-    np.testing.assert_allclose(moe_forward([1.0], 0, layer), [0.5, 0.5], atol=1e-15)
+    store, layer = _two_expert_layer()
+    np.testing.assert_allclose(mixture(store, layer, [[1.0]], 0), [[0.5, 0.5]], atol=1e-15)
 
 
 def test_moe_backbone_in_mixture_weighs_preactivation():
     store, layer = _two_expert_layer(include_backbone=True)
     store.set("l0.b", np.array([3.0, 3.0]))
     # Uniform over {backbone, e0, e1}: (1/3)*[3,3] + (1/3)*[1,0] + (1/3)*[0,1]
-    np.testing.assert_allclose(moe_forward([1.0], 1, layer),
-                               [4.0 / 3.0, 4.0 / 3.0], atol=1e-12)
+    np.testing.assert_allclose(mixture(store, layer, [[1.0]], 1),
+                               [[4.0 / 3.0, 4.0 / 3.0]], atol=1e-12)
 
 
 def test_mlora_only_addressed_adapter_contributes():
@@ -114,22 +132,23 @@ def test_mlora_only_addressed_adapter_contributes():
         ad = LoRAAdapter(store, f"l0.e{d}", 3, 2, rank=2, alpha=2.0,
                          group=f"expert({d},0,l0)", seed=d)
         store.set(f"l0.e{d}.B", np.random.default_rng(10 + d).normal(size=(2, 2)))
-        ads.append(ad)
-    x = np.array([0.3, -1.2, 0.7])
-    before = mlora_forward(x, 1, base, ads)
+        ads.append((d, 0, ad))
+    layer = MoELayer(base, ads, gate=None)
+    x = np.array([[0.3, -1.2, 0.7]])
+    before = bypass(store, layer, x, 1)
     # Perturb the two other domains' adapters; domain 1 must be untouched.
     store.set("l0.e0.B", np.full((2, 2), 123.0))
     store.set("l0.e2.A", np.full((2, 3), -55.0))
-    after = mlora_forward(x, 1, base, ads)
+    after = bypass(store, layer, x, 1)
     np.testing.assert_array_equal(before, after)
 
 
 def test_mlora_domain_out_of_range():
     store = ParamStore()
     base = DenseLayer(store, "l0", 2, 2, seed=0)
-    ads = [LoRAAdapter(store, "l0.e0", 2, 2, group="expert(0,0,l0)")]
-    with pytest.raises(AutodiffError, match="domain"):
-        mlora_forward(np.ones(2), 1, base, ads)
+    layer = MoELayer(base, [(0, 0, LoRAAdapter(store, "l0.e0", 2, 2, group="expert(0,0,l0)"))])
+    with pytest.raises(AutodiffError, match=r"no expert \(1,0\) on layer 'l0'"):
+        bypass(store, layer, np.ones((1, 2)), 1)
 
 
 def test_moe_one_hot_equals_mlora_bitwise():
@@ -141,12 +160,14 @@ def test_moe_one_hot_equals_mlora_bitwise():
                          group=f"expert({d},0,l0)", seed=d)
         store.set(f"l0.e{d}.B", np.random.default_rng(20 + d).normal(size=(3, 2)))
         ads.append(ad)
-    layer = MoELayer(base, [(d, 0, ad) for d, ad in enumerate(ads)], gate=None)
+    experts = [(d, 0, ad) for d, ad in enumerate(ads)]
+    one_hot = MoELayer(base, experts, gate=None)
+    # Each domain's adapter alone on the backbone, as in a per-domain model.
+    alone = [MoELayer(base, [(0, 0, ad)], gate=None) for ad in ads]
     x = np.random.default_rng(5).normal(size=(7, 4))
     for d in range(3):
         np.testing.assert_array_equal(
-            moe_forward(x, d, layer), mlora_forward(x, d, base, ads)
-        )
+            bypass(store, one_hot, x, d), bypass(store, alone[d], x, 0))
 
 
 def test_zero_init_moe_layer_matches_dense_bitwise():
@@ -158,7 +179,8 @@ def test_zero_init_moe_layer_matches_dense_bitwise():
     gate = GateNet(store, "l0.gate", n_domains=2, n_cols=4)
     layer = MoELayer(base, ads, gate=gate)
     x = np.random.default_rng(3).normal(size=(11, 5))
-    np.testing.assert_array_equal(moe_forward(x, 0, layer), dense_forward(x, base))
+    np.testing.assert_array_equal(mixture(store, layer, x, 0),
+                                  layer_forward(store, base.emit, x))
 
 
 def _hard_routed_layer(rng):
@@ -182,17 +204,18 @@ def test_bypass_forward_matches_numpy_reference():
         ad = layer.expert_of(d, 0)
         A, B = store.get(f"{ad.name}.A"), store.get(f"{ad.name}.B")
         expect = np.maximum(x @ W.T + b + ad.scaling * (x @ A.T) @ B.T, 0.0)
-        np.testing.assert_allclose(moe_forward(x, d, layer), expect, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(bypass(store, layer, x, d), expect, rtol=0.0, atol=1e-12)
 
 
 def test_zero_init_bypass_matches_dense_bitwise():
     # The gated merged path has the same check in
     # test_zero_init_moe_layer_matches_dense_bitwise.
     rng = np.random.default_rng(43)
-    _, base, layer = _hard_routed_layer(rng)
+    store, base, layer = _hard_routed_layer(rng)
     x = rng.normal(size=(11, 5))
     for d in range(2):
-        np.testing.assert_array_equal(moe_forward(x, d, layer), dense_forward(x, base))
+        np.testing.assert_array_equal(bypass(store, layer, x, d),
+                                      layer_forward(store, base.emit, x))
 
 
 @pytest.mark.parametrize("include_backbone", [False, True])
@@ -219,7 +242,7 @@ def test_moe_forward_matches_per_expert_reference(include_backbone, input_condit
     layer = MoELayer(base, experts, gate=gate, gate_includes_backbone=include_backbone)
     x = rng.normal(size=(9, d_in))
     for domain in range(3):
-        w = gate_weights(domain, gate, x if input_conditioned else None)
+        w = weights(store, gate, domain, x if input_conditioned else None)
         w = np.broadcast_to(w, (len(x), n_cols))
         pre = x @ store.get("l0.W").T + store.get("l0.b")
         if include_backbone:
@@ -229,7 +252,7 @@ def test_moe_forward_matches_per_expert_reference(include_backbone, input_condit
             A, B = store.get(f"{ad.name}.A"), store.get(f"{ad.name}.B")
             wj = w[:, j + n_cols - len(experts), None]
             mixed += wj * ad.scaling * (x @ A.T) @ B.T
-        np.testing.assert_allclose(moe_forward(x, domain, layer), np.maximum(mixed, 0.0),
+        np.testing.assert_allclose(mixture(store, layer, x, domain), np.maximum(mixed, 0.0),
                                    rtol=0.0, atol=1e-12)
 
 
@@ -243,7 +266,7 @@ def test_param_groups_counts_expert_groups():
                                           group=f"expert({d},0,l{li})", seed=d)))
         GateNet(store, f"l{li}.gate", n_domains=2, n_cols=2)
         MoELayer(base, ads, gate=GateNet(store, f"l{li}.gate2", 2, 2))
-    tags = {g for _, g, _ in param_groups(store) if g.startswith("expert(")}
+    tags = {g for _, g, _ in store.param_groups() if g.startswith("expert(")}
     assert len(tags) == 6
 
 
@@ -282,8 +305,6 @@ def test_layer_misuse_errors():
     gate = GateNet(store, "g0", n_domains=1, n_cols=1, d_in=2, input_conditioned=True)
     with pytest.raises(AutodiffError, match="without input node"):
         gate.emit_weights(tape, tape.input("domain"))
-    with pytest.raises(AutodiffError, match=r"shape \(1, 1, 2\)"):
-        dense_forward(np.ones((1, 1, 2)), base)
 
 
 def test_moe_mixture_gradients_match_central_differences():

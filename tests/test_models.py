@@ -3,18 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import model_loss_fn, sample_inputs
+from helpers import fm_pairwise, model_loss_fn, sample_inputs, wide_logit
 from moectr.autodiff import AutodiffError, grad_check
 from moectr.models import (
     AdapterConfig,
     CtrModel,
     FeatureSchema,
     build_model,
-    fm_pairwise,
     load_checkpoint,
-    predict_ctr,
     save_checkpoint,
-    wide_logit,
 )
 from moectr.training import AdamState, adam_step
 
@@ -34,7 +31,7 @@ def rand_ids(n, seed=0):
 
 def test_probabilities_in_open_interval():
     m = tiny()
-    p = predict_ctr(m, rand_ids(64), 0)
+    p = m.predict(rand_ids(64), 0)
     assert p.shape == (64,)
     assert (p > 0.0).all() and (p < 1.0).all()
 
@@ -43,15 +40,15 @@ def test_zero_head_gives_half():
     m = tiny()
     m.store.set("head.W", np.zeros((1, 5)))
     m.store.set("head.b", np.zeros(1))
-    np.testing.assert_allclose(predict_ctr(m, rand_ids(16), 0), 0.5, atol=1e-15)
+    np.testing.assert_allclose(m.predict(rand_ids(16), 0), 0.5, atol=1e-15)
 
 
 def test_probability_monotone_in_head_bias():
     m = tiny()
     ids = rand_ids(32)
-    p0 = predict_ctr(m, ids, 0)
+    p0 = m.predict(ids, 0)
     m.store.set("head.b", np.array([1.5]))
-    p1 = predict_ctr(m, ids, 0)
+    p1 = m.predict(ids, 0)
     assert (p1 > p0).all()
 
 
@@ -75,7 +72,7 @@ def test_wide_logit_linear_part():
 def test_deepfm_tape_matches_reference_terms():
     m = tiny("deepfm")
     ids = rand_ids(20, seed=2)
-    p = predict_ctr(m, ids, 0)
+    p = m.predict(ids, 0)
     # Reassemble the logit by hand from the stored parameters.
     embs = [m.store.get(f"emb.{f}")[ids[:, i]] for i, (f, _) in enumerate(SCHEMA.fields)]
     x = np.concatenate(embs, axis=1)
@@ -96,10 +93,10 @@ def test_wdl_adds_wide_term_to_mlp_logit():
     wdl = tiny("wdl", seed=5)
     ids = rand_ids(10, seed=1)
     # Wide starts at zero, so the two coincide; a biased wide table shifts it.
-    np.testing.assert_allclose(predict_ctr(wdl, ids, 0), predict_ctr(mlp, ids, 0),
+    np.testing.assert_allclose(wdl.predict(ids, 0), mlp.predict(ids, 0),
                                atol=1e-15)
     wdl.store.set("wide.bias", np.array([2.0]))
-    assert (predict_ctr(wdl, ids, 0) > predict_ctr(mlp, ids, 0)).all()
+    assert (wdl.predict(ids, 0) > mlp.predict(ids, 0)).all()
 
 
 @pytest.mark.parametrize("mode", ["mlora", "moe"])
@@ -110,7 +107,7 @@ def test_zero_init_adapted_model_matches_plain_bitwise(arch, mode):
     ids = rand_ids(50, seed=3)
     for d in range(2):
         np.testing.assert_array_equal(
-            predict_ctr(adapted, ids, d), predict_ctr(plain, ids, d))
+            adapted.predict(ids, d), plain.predict(ids, d))
 
 
 def test_moe_param_group_counts():
@@ -201,9 +198,9 @@ def test_id_out_of_range_names_field():
     m = tiny()
     bad = np.array([[2, 11]])
     with pytest.raises(ValueError, match="item_id"):
-        predict_ctr(m, bad, 0)
+        m.predict(bad, 0)
     with pytest.raises(ValueError, match="domain"):
-        predict_ctr(m, rand_ids(2), 7)
+        m.predict(rand_ids(2), 7)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -220,7 +217,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(m.store.get(name), m2.store.get(name))
         assert m.store[name].trainable == m2.store[name].trainable
     ids = rand_ids(30, seed=8)
-    np.testing.assert_array_equal(predict_ctr(m, ids, 1), predict_ctr(m2, ids, 1))
+    np.testing.assert_array_equal(m.predict(ids, 1), m2.predict(ids, 1))
 
 
 def test_load_rejects_non_checkpoint(tmp_path):

@@ -21,7 +21,6 @@ from moectr.training import (
     TrainConfig,
     _stop_early,
     adam_step,
-    bce_loss,
     run_phase1,
     run_phase2,
     run_phase3,
@@ -48,17 +47,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="betas"):
         TrainConfig(beta1=1.0)
-
-
-def test_bce_loss_values_and_validation():
-    assert abs(bce_loss([0.5], [1.0]) - np.log(2.0)) < 1e-15
-    assert np.isfinite(bce_loss([0.0, 1.0], [1.0, 0.0]))  # clamp keeps it finite
-    with pytest.raises(ValueError, match="labels"):
-        bce_loss([0.5], [0.7])
-    with pytest.raises(ValueError, match="finite"):
-        bce_loss([np.nan], [1.0])
-    with pytest.raises(ValueError, match="same shape"):
-        bce_loss([0.5, 0.5], [1.0])
 
 
 def test_adam_single_step_matches_hand_recurrence():
