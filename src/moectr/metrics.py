@@ -53,14 +53,17 @@ def auc(labels, scores) -> float | None:
 def wauc(per_domain) -> float:
     """Weighted mean of per-domain AUCs.
 
-    ``per_domain`` is a sequence of (auc_or_None, weight), the weight a row
-    count or any finite non-negative real; degenerate entries (AUC ``None``)
-    are excluded and the remaining weights are renormalized.  All-degenerate
-    input is an error.
+    ``per_domain`` is a sequence of (auc_or_None, weight), the AUC in
+    [0, 1] and the weight a row count or any finite non-negative real;
+    degenerate entries (AUC ``None``) are excluded and the remaining
+    weights are renormalized.  All-degenerate input is an error.
     """
     entries = [(a, float(n)) for a, n in per_domain]
     if not all(np.isfinite(n) and n >= 0 for _, n in entries):
         raise ValueError("domain weights must be finite and non-negative")
+    bad = [a for a, _ in entries if a is not None and not 0.0 <= a <= 1.0]
+    if bad:
+        raise ValueError(f"each AUC must be None or a number in [0, 1], got {bad[0]!r}")
     live = [(a, n) for a, n in entries if a is not None and n > 0]
     if not live:
         raise ValueError("every domain is degenerate; weighted AUC undefined")

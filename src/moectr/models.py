@@ -23,6 +23,8 @@ d through ``expert:d:0`` and has no mixture view.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,6 +47,19 @@ ARCHS = ("mlp", "wdl", "deepfm")
 MODES = ("plain", "mlora", "moe")
 DEFAULT_HIDDEN = (64, 32)
 EMBED_INIT_STD = 0.05
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse anything but a whole number >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse anything but a finite real number > 0; a bool is not a number."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,10 +103,9 @@ class AdapterConfig:
     gate_force_one_hot: bool = False
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("adapter rank must be >= 1")
-        if self.experts_per_domain < 1:
-            raise ValueError("experts_per_domain must be >= 1")
+        _check_count("rank", self.rank)
+        _check_positive("alpha", self.alpha)
+        _check_count("experts_per_domain", self.experts_per_domain)
         if self.gate_force_one_hot and self.experts_per_domain != 1:
             raise ValueError("one-hot gating requires exactly one expert per domain")
         if self.gate_force_one_hot and self.gate_includes_backbone:

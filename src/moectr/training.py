@@ -38,6 +38,8 @@ from .models import (
     DEFAULT_HIDDEN,
     AdapterConfig,
     CtrModel,
+    _check_count,
+    _check_positive,
     build_model,
     save_checkpoint,
 )
@@ -78,16 +80,16 @@ class TrainConfig:
     balanced_phase3: bool = False
 
     def __post_init__(self):
-        if self.lr <= 0 or self.gate_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if len(self.epochs) != 3 or any(e < 1 for e in self.epochs):
-            raise ValueError("epochs must be three positive counts")
+        for name in ("lr", "gate_lr", "adam_eps"):
+            _check_positive(name, getattr(self, name))
+        for name in ("batch_size", "patience"):
+            _check_count(name, getattr(self, name))
+        if len(self.epochs) != 3:
+            raise ValueError(f"epochs must be three counts, one per phase, got {self.epochs!r}")
+        for e in self.epochs:
+            _check_count("epochs", e)
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
 
 
 @dataclass
@@ -125,20 +127,16 @@ class _FlatLayout:
     ``rows`` is a (4, total) block: the flat gradient, ``m``, ``v`` and
     the update.  Each name owns one slice of every row, in order; ``m``,
     ``v`` and ``updates`` hold its views, in its parameter's shape, which
-    each gradient must have (``ShapeError`` otherwise).  A new layout
-    copies in the moments ``state`` already holds and starts the rest at
-    zero; ``state`` sees none of it until a step succeeds.
+    ``shapes`` lists.  A new layout copies in the moments ``state`` already
+    holds and starts the rest at zero; ``state`` sees none of it until a
+    step succeeds.
     """
 
-    def __init__(self, names: tuple[str, ...], store: ParamStore, grads: dict,
-                 state: "AdamState"):
+    def __init__(self, names: tuple[str, ...], store: ParamStore, state: "AdamState"):
         shapes = [store.get(n).shape for n in names]
-        for n, shape in zip(names, shapes):
-            if np.shape(grads[n]) != shape:
-                raise ShapeError(f"gradient for {n!r} has shape {np.shape(grads[n])}, "
-                                 f"its parameter {shape}")
         ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
         self.names = names
+        self.shapes = shapes
         self.rows = tuple(np.zeros((4, int(ends[-1]))))
         _, m, v, update = self.rows
         self.m, self.v, self.updates = {}, {}, []
@@ -178,15 +176,20 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
     update runs as one fixed sequence of in-place numpy calls over flat
     buffers, with each tensor's bits as a per-tensor update would give.
     The layout is rebuilt only when the trainable names differ from the
-    last step's; a new layout checks that each gradient has its
-    parameter's shape, or raises ``ShapeError`` naming the tensor.  A
-    non-finite gradient raises ``NumericError`` naming the first bad tensor
-    before anything is written: no parameter, moment or step count moves.
+    last step's.  Every step checks that each gradient has its parameter's
+    shape, or raises ``ShapeError`` naming the tensor, and a non-finite
+    gradient raises ``NumericError`` naming the first bad tensor; both
+    come before anything is written: no parameter, moment or step count
+    moves.
     """
     names = tuple(n for n in grads if store[n].trainable)
     layout = state._layout
     if layout is None or layout.names != names:
-        layout = _FlatLayout(names, store, grads, state)
+        layout = _FlatLayout(names, store, state)
+    for n, shape in zip(names, layout.shapes):
+        if np.shape(grads[n]) != shape:
+            raise ShapeError(f"gradient for {n!r} has shape {np.shape(grads[n])}, "
+                             f"its parameter {shape}")
     g, m, v, u = layout.rows
     if names:
         np.concatenate([np.ravel(grads[n]) for n in names], out=g)

@@ -173,8 +173,14 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
     ("train", {"data": {"synthetic": TINY_SYNTH}}, ["--seed=-1"], "non-negative integers"),
     # Not ConfigErrors: main's ValueError and OSError handler maps them to exit 2.
     ("train", {"data": {"synthetic": TINY_SYNTH}, "train": {"lr": 0.0}}, [],
-     "learning rates must be positive"),
+     "lr must be a finite positive number, got 0.0"),
     ("train", {"data": {"csv": "no-such-dir/missing.csv"}}, [], "No such file"),
+    ("train", {"data": {"synthetic": TINY_SYNTH}, "train": {"lr": float("nan")}}, [],
+     "lr must be a finite positive number, got nan"),
+    ("train", {"data": {"synthetic": TINY_SYNTH}, "train": {"adam_eps": -1.0}}, [],
+     "adam_eps must be a finite positive number, got -1.0"),
+    ("train", {"data": {"synthetic": TINY_SYNTH}, "adapter": {"alpha": 0.0}}, [],
+     "alpha must be a finite positive number, got 0.0"),
 ])
 def test_each_config_problem_exits_2_with_its_message(tmp_path, capsys, command, body,
                                                        extra, named):

@@ -86,6 +86,12 @@ def test_wauc_keeps_fractional_weights():
             wauc([(0.8, bad), (0.6, 1.0)])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5, -0.2])
+def test_wauc_rejects_an_auc_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=rf"\[0, 1\].*got {bad!r}"):
+        wauc([(bad, 10), (0.7, 10)])
+
+
 def test_wauc_all_degenerate_raises():
     with pytest.raises(ValueError, match="degenerate"):
         wauc([(None, 10), (None, 5)])

@@ -49,6 +49,27 @@ def test_train_config_validation():
         TrainConfig(beta1=1.0)
 
 
+@pytest.mark.parametrize("cls,field_name,value", [
+    (TrainConfig, "lr", float("nan")),
+    (TrainConfig, "gate_lr", float("inf")),
+    (TrainConfig, "adam_eps", float("nan")),
+    (TrainConfig, "adam_eps", -1.0),
+    (TrainConfig, "epochs", (1.5, 2, 2)),
+    (TrainConfig, "batch_size", 2.5),
+    (TrainConfig, "batch_size", True),
+    (TrainConfig, "patience", 2.5),
+    (AdapterConfig, "alpha", float("nan")),
+    (AdapterConfig, "alpha", -1.0),
+    (AdapterConfig, "alpha", 0.0),
+    (AdapterConfig, "rank", 2.5),
+    (AdapterConfig, "rank", True),
+    (AdapterConfig, "experts_per_domain", 1.0),
+])
+def test_bad_config_value_is_an_error_naming_the_field(cls, field_name, value):
+    with pytest.raises(ValueError, match=rf"^{field_name} must be "):
+        cls(**{field_name: value})
+
+
 def test_adam_single_step_matches_hand_recurrence():
     store = ParamStore()
     store.add("w", np.array([1.0]), "backbone")
@@ -111,6 +132,21 @@ def test_adam_rejects_a_gradient_shaped_unlike_its_parameter():
     assert state.t == 0 and state.m == {}
     np.testing.assert_array_equal(store.get("b"), np.ones(2))
     np.testing.assert_array_equal(store.get("w"), np.zeros(4))
+
+
+def test_adam_checks_gradient_shapes_on_every_step():
+    store = ParamStore()
+    store.add("w", np.zeros(4), "backbone")
+    state = AdamState()
+    adam_step(store, {"w": np.ones(4)}, state, 0.1)
+    w, m, v = store.get("w").copy(), state.m["w"].copy(), state.v["w"].copy()
+    # Same names, so the flat layout is reused; the size fits, the shape does not.
+    with pytest.raises(ShapeError, match=r"'w'.*\(2, 2\).*\(4,\)"):
+        adam_step(store, {"w": np.array([[1.0, 2.0], [3.0, 4.0]])}, state, 0.1)
+    assert state.t == 1
+    np.testing.assert_array_equal(store.get("w"), w)
+    np.testing.assert_array_equal(state.m["w"], m)
+    np.testing.assert_array_equal(state.v["w"], v)
 
 
 def reference_adam_step(store, grads, ref, lr, beta1=0.9, beta2=0.999, eps=1e-8):
