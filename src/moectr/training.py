@@ -187,8 +187,8 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
     if layout is None or layout.names != names:
         layout = _FlatLayout(names, store, state)
     for n, shape in zip(names, layout.shapes):
-        if np.shape(grads[n]) != shape:
-            raise ShapeError(f"gradient for {n!r} has shape {np.shape(grads[n])}, "
+        if grads[n].shape != shape:
+            raise ShapeError(f"gradient for {n!r} has shape {grads[n].shape}, "
                              f"its parameter {shape}")
     g, m, v, u = layout.rows
     if names:

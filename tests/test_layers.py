@@ -160,8 +160,7 @@ def test_moe_one_hot_equals_mlora_bitwise():
                          group=f"expert({d},0,l0)", seed=d)
         store.set(f"l0.e{d}.B", np.random.default_rng(20 + d).normal(size=(3, 2)))
         ads.append(ad)
-    experts = [(d, 0, ad) for d, ad in enumerate(ads)]
-    one_hot = MoELayer(base, experts, gate=None)
+    one_hot = MoELayer(base, [(d, 0, ad) for d, ad in enumerate(ads)], gate=None)
     # Each domain's adapter alone on the backbone, as in a per-domain model.
     alone = [MoELayer(base, [(0, 0, ad)], gate=None) for ad in ads]
     x = np.random.default_rng(5).normal(size=(7, 4))
