@@ -64,9 +64,13 @@ def _blas_core() -> str | None:
 
 def fingerprint() -> dict:
     """What the bits of a float64 matmul depend on besides this code."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "blas_core": _blas_core(), "machine": platform.machine()}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 returns no dict; some builds no BLAS
+        build = None
+    return {"numpy": np.__version__, "blas": build, "blas_core": _blas_core(),
+            "machine": platform.machine()}
 
 
 def _sha256(data: bytes) -> str:
