@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import FeatureSchema
+from .models import FeatureSchema, _check_count, _check_positive
 
 __all__ = [
     "Batch",
@@ -211,7 +212,8 @@ def split_dataset(ds: Dataset, ratios: tuple[float, float, float] = (0.8, 0.1, 0
     remainder, so per-domain label rates carry over to every split and a
     domain with at least three rows per cell appears in all three.
     """
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9 or min(ratios) <= 0:
+    if (len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
         raise ValueError(f"ratios must be three positive numbers summing to 1, got {ratios}")
     parts: list[list[np.ndarray]] = [[], [], []]
     for d in range(ds.schema.n_domains):
@@ -300,10 +302,9 @@ class SyntheticSpec:
     noise_scale: float = 0.15
 
     def __post_init__(self):
-        if self.n_domains < 1 or self.n_users < 1 or self.n_items < 1:
-            raise ValueError("domain, user and item counts must be positive")
-        if self.rows_per_domain < 1:
-            raise ValueError("rows_per_domain must be positive")
+        for name in ("n_domains", "n_users", "n_items", "rows_per_domain",
+                     "n_user_clusters", "n_item_clusters"):
+            _check_count(name, getattr(self, name))
         if self.rows_per_domain > self.n_users * self.n_items:
             raise ValueError(
                 f"rows_per_domain {self.rows_per_domain} exceeds the "
@@ -312,10 +313,7 @@ class SyntheticSpec:
             raise ValueError("positive_rate must lie strictly between 0 and 1")
         if not (0.0 <= self.divergence <= 1.0):
             raise ValueError("divergence must lie in [0, 1]")
-        if self.n_user_clusters < 1 or self.n_item_clusters < 1:
-            raise ValueError("cluster counts must be positive")
-        if self.noise_scale <= 0:
-            raise ValueError("noise_scale must be positive")
+        _check_positive("noise_scale", self.noise_scale)
 
 
 def _latents(spec: SyntheticSpec):

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset
 from .models import CtrModel
@@ -32,7 +31,13 @@ __all__ = [
 
 
 def auc(labels, scores) -> float | None:
-    """Rank AUC; ``None`` when only one label class is present."""
+    """Rank AUC; ``None`` when only one label class is present.
+
+    One sort: a tie group at sorted positions [start, end) holds the average
+    1-based rank (start + end + 1) / 2, so the positives' rank sum is that
+    times each group's positive count.  Every term and partial sum is a
+    multiple of 0.5 below 2**52, so the sum is exact in float64.
+    """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 1:
@@ -45,8 +50,12 @@ def auc(labels, scores) -> float | None:
     neg = labels.size - pos
     if pos == 0 or neg == 0:
         return None
-    ranks = rankdata(scores, method="average")
-    u = ranks[labels == 1].sum() - pos * (pos + 1) / 2.0
+    order = np.argsort(scores)
+    ranked = scores[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], ranked.size]
+    group_pos = np.add.reduceat(labels[order].astype(np.int64), starts)
+    u = ((starts + ends + 1) / 2.0 * group_pos).sum() - pos * (pos + 1) / 2.0
     return float(u / (pos * neg))
 
 
@@ -86,18 +95,21 @@ def sparsity(ds: Dataset) -> SparsityReport:
     """Unobserved share of the user-item grid: 1 - distinct pairs / (U * I).
 
     The grid size comes from the schema cardinalities; duplicates of the
-    same pair count once.  Reported per domain and over all domains pooled.
+    same pair count once.  Reported per domain and over all domains pooled,
+    from one sort of the distinct (pair, domain) keys.
     """
     n_users = ds.schema.fields[0][1]
     n_items = ds.schema.fields[1][1]
+    n_domains = ds.schema.n_domains
     grid = float(n_users) * float(n_items)
-    codes = ds.ids[:, 0].astype(np.int64) * n_items + ds.ids[:, 1]
-    per = []
-    for d in range(ds.schema.n_domains):
-        rows = ds.rows_of_domain(d)
-        per.append(1.0 - np.unique(codes[rows]).size / grid)
-    overall = 1.0 - np.unique(codes).size / grid
-    return SparsityReport(overall, tuple(per))
+    codes = ds.ids[:, 0] * n_items + ds.ids[:, 1]
+    keys = np.sort(codes * n_domains + ds.domains)
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    per_domain = np.bincount(keys % n_domains, minlength=n_domains).tolist()
+    pairs = keys // n_domains
+    overall = 1 + int(np.count_nonzero(pairs[1:] != pairs[:-1]))
+    return SparsityReport(1.0 - overall / grid,
+                          tuple(1.0 - c / grid for c in per_domain))
 
 
 @dataclass

@@ -181,6 +181,10 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
      "adam_eps must be a finite positive number, got -1.0"),
     ("train", {"data": {"synthetic": TINY_SYNTH}, "adapter": {"alpha": 0.0}}, [],
      "alpha must be a finite positive number, got 0.0"),
+    ("train", {"data": {"synthetic": TINY_SYNTH}, "ratios": [float("nan"), 0.5, 0.5]}, [],
+     "ratios must be three positive numbers summing to 1"),
+    ("train", {"data": {"synthetic": {**TINY_SYNTH, "noise_scale": float("inf")}}}, [],
+     "noise_scale must be a finite positive number, got inf"),
 ])
 def test_each_config_problem_exits_2_with_its_message(tmp_path, capsys, command, body,
                                                        extra, named):

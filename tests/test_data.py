@@ -82,6 +82,12 @@ def test_split_keeps_tiny_domains_everywhere():
         assert part.rows_of_domain(1).size > 0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, 1.2])
+def test_split_rejects_a_ratio_that_is_not_a_finite_share(bad):
+    with pytest.raises(ValueError, match="three positive numbers summing to 1"):
+        split_dataset(small_ds(40), (bad, 0.5, 0.5))
+
+
 def test_csv_round_trip_exact(tmp_path):
     ds = small_ds(37, seed=4)
     path = tmp_path / "d.csv"
@@ -188,6 +194,21 @@ def test_generator_is_deterministic_and_pairs_distinct():
 def test_too_many_interactions_rejected():
     with pytest.raises(ValueError, match="exceeds"):
         SyntheticSpec(n_users=10, n_items=10, rows_per_domain=101)
+
+
+@pytest.mark.parametrize("field", ["n_domains", "n_users", "n_items", "rows_per_domain",
+                                   "n_user_clusters", "n_item_clusters"])
+@pytest.mark.parametrize("bad", [2.5, True, 0, float("nan")])
+def test_spec_names_a_count_that_is_not_a_positive_integer(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer, got {bad!r}"):
+        SyntheticSpec(**{"n_users": 50, "n_items": 40, "rows_per_domain": 100, field: bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, True])
+def test_spec_names_a_noise_scale_that_is_not_finite_and_positive(bad):
+    with pytest.raises(ValueError, match=f"noise_scale must be a finite positive number, "
+                                         f"got {bad!r}"):
+        SyntheticSpec(noise_scale=bad)
 
 
 def test_divergence_zero_rules_agree_exactly():

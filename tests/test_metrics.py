@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moectr
 from helpers import auc_bruteforce
 from moectr.data import Dataset, SyntheticSpec, generate_synthetic, split_dataset
 from moectr.metrics import MetricsReport, auc, evaluate, sparsity, wauc
@@ -56,6 +61,33 @@ def test_auc_invariant_under_monotone_transform_and_label_flip():
     base = auc(labels, scores)
     assert abs(auc(labels, 3.0 * scores + 7.0) - base) < 1e-12
     assert abs(auc(1 - labels, scores) - (1.0 - base)) < 1e-12
+
+
+def auc_rankdata(labels, scores):
+    """The Mann-Whitney U from scipy's average ranks: the AUC's reference formula."""
+    from scipy.stats import rankdata
+
+    labels = np.asarray(labels)
+    pos = int(labels.sum())
+    neg = labels.size - pos
+    ranks = rankdata(np.asarray(scores, dtype=np.float64), method="average")
+    u = ranks[labels == 1].sum() - pos * (pos + 1) / 2.0
+    return float(u / (pos * neg))
+
+
+@pytest.mark.parametrize("label_dtype", [np.int64, bool, np.float64])
+@pytest.mark.parametrize("seed", range(4))
+def test_auc_equals_the_rankdata_formula_bit_for_bit(seed, label_dtype):
+    rng = np.random.default_rng([seed, 17])
+    for n in (2, 7, 300, 4_000, 50_000):
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        labels = labels.astype(label_dtype)
+        # Few distinct values make long tie groups; signed zeros must tie too.
+        scores = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+        zeros = rng.random(n) < 0.2
+        scores[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        assert auc(labels, scores) == auc_rankdata(labels, scores)
 
 
 def test_wauc_weighted_mean_example():
@@ -112,6 +144,49 @@ def test_sparsity_ignores_duplicate_pairs():
     rep = sparsity(ds)
     assert rep.overall == 0.5
     assert rep.per_domain == (0.75, 0.75)
+
+
+def sparsity_unique(ds):
+    """Per-domain and pooled sparsity from one ``np.unique`` per set: the reference."""
+    n_users, n_items = ds.schema.fields[0][1], ds.schema.fields[1][1]
+    grid = float(n_users) * float(n_items)
+    codes = ds.ids[:, 0].astype(np.int64) * n_items + ds.ids[:, 1]
+    per = tuple(1.0 - np.unique(codes[ds.rows_of_domain(d)]).size / grid
+                for d in range(ds.schema.n_domains))
+    return 1.0 - np.unique(codes).size / grid, per
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparsity_equals_the_unique_formula_bit_for_bit(seed):
+    rng = np.random.default_rng([seed, 29])
+    n_users, n_items = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+    n_domains = int(rng.integers(2, 6))
+    schema = FeatureSchema((("user_id", n_users), ("item_id", n_items), ("ctx", 3)),
+                           n_domains=n_domains)
+    n = int(rng.integers(1, 3_000))
+    # Small grids make repeated pairs, within and across domains; the last
+    # domain holds no rows.
+    ids = np.column_stack([rng.integers(0, n_users, n), rng.integers(0, n_items, n),
+                           rng.integers(0, 3, n)])
+    ds = Dataset(schema, ids, rng.integers(0, 2, n), rng.integers(0, n_domains - 1, n))
+    rep = sparsity(ds)
+    overall, per = sparsity_unique(ds)
+    assert rep.overall == overall and rep.per_domain == per
+    assert rep.per_domain[-1] == 1.0
+    assert all(type(v) is float for v in (rep.overall, *rep.per_domain))
+
+
+def test_scoring_imports_no_scipy_stats():
+    """``scipy.stats`` costs about half a second and 46 MiB to import."""
+    src = str(Path(moectr.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, moectr.cli, moectr.training, moectr.metrics\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def make_eval_pair(seed=0):
