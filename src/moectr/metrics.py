@@ -35,8 +35,9 @@ def auc(labels, scores) -> float | None:
 
     One sort: a tie group at sorted positions [start, end) holds the average
     1-based rank (start + end + 1) / 2, so the positives' rank sum is that
-    times each group's positive count.  Every term and partial sum is a
-    multiple of 0.5 below 2**52, so the sum is exact in float64.
+    times each group's positive count.  Below about 6e7 rows every term and
+    partial sum is a multiple of 0.5 below 2**52, so the sum is exact in
+    float64 and equal to the per-row rank sum in any order.
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
@@ -96,7 +97,7 @@ def sparsity(ds: Dataset) -> SparsityReport:
 
     The grid size comes from the schema cardinalities; duplicates of the
     same pair count once.  Reported per domain and over all domains pooled,
-    from one sort of the distinct (pair, domain) keys.
+    from one sort of the (pair, domain) keys.
     """
     n_users = ds.schema.fields[0][1]
     n_items = ds.schema.fields[1][1]

@@ -177,7 +177,7 @@ def test_sparsity_equals_the_unique_formula_bit_for_bit(seed):
 
 
 def test_scoring_imports_no_scipy_stats():
-    """``scipy.stats`` costs about half a second and 46 MiB to import."""
+    """Scoring needs no ``scipy.stats``, a large import that setup would pay for."""
     src = str(Path(moectr.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
