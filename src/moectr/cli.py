@@ -21,9 +21,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .data import SyntheticSpec, generate_synthetic, load_csv, write_synthetic
+from .data import SyntheticSpec, _check_ratios, generate_synthetic, load_csv, write_synthetic
 from .metrics import sparsity
-from .models import DEFAULT_HIDDEN, ARCHS, MODES, AdapterConfig
+from .models import (DEFAULT_HIDDEN, ARCHS, MODES, AdapterConfig, _check_count, _check_widths,
+                     _is_number)
 from .training import NumericError, TrainConfig, train_pipeline
 
 __all__ = ["main", "ConfigError", "load_config", "resolve_config", "config_hash"]
@@ -46,35 +47,21 @@ def _check_keys(section: dict, allowed, where: str) -> None:
             f"allowed: {', '.join(sorted(allowed))}")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; ``true`` and ``false`` are not numbers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _typed_section(parent: dict, key: str, defaults: dict, where: str) -> dict:
-    """``parent[key]``: a JSON object whose keys are known and typed as their defaults."""
+def _section(parent: dict, key: str, defaults: dict, where: str) -> dict:
+    """``parent[key]``: a JSON object whose keys are among ``defaults``."""
     section = parent.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {json.dumps(section)}")
     _check_keys(section, defaults, where)
-    for name, value in section.items():
-        default = defaults[name]
-        if isinstance(default, bool):
-            ok, kind = isinstance(value, bool), "true or false"
-        elif isinstance(default, int):
-            ok, kind = _is_int(value), "an integer"
-        elif isinstance(default, float):
-            ok, kind = _is_number(value), "a number"
-        else:  # a tuple of counts, such as train.epochs
-            ok = isinstance(value, list) and all(_is_int(v) for v in value)
-            kind = "a list of integers"
-        if not ok:
-            raise ConfigError(f"{where}.{name} must be {kind}, got {json.dumps(value)}")
     return dict(section)
+
+
+def _named(where: str, check, *args, **kwargs) -> None:
+    """Run the check of the object that reads a value; name ``where`` in its error."""
+    try:
+        check(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{where}{e}") from None
 
 
 def load_config(path) -> dict:
@@ -108,11 +95,10 @@ def resolve_config(cfg: dict, command: str) -> dict:
     if "csv" in data and "synthetic" in data:
         raise ConfigError("data: give either csv or synthetic, not both")
     if "synthetic" in data:
-        synth = _typed_section(data, "synthetic", {**SYNTH_DEFAULTS, "seed": 0},
-                               "data.synthetic")
-        pinned = "seed" in synth
+        synth = _section(data, "synthetic", {**SYNTH_DEFAULTS, "seed": 0}, "data.synthetic")
         merged = {**SYNTH_DEFAULTS, **synth}
-        out["data"] = {"synthetic": merged, "seed_pinned": pinned}
+        _named("data.synthetic.", SyntheticSpec, **{"seed": 0, **merged})
+        out["data"] = {"synthetic": merged, "seed_pinned": "seed" in synth}
     else:
         out["data"] = {"csv": str(data["csv"])}
 
@@ -132,41 +118,37 @@ def resolve_config(cfg: dict, command: str) -> dict:
     out["modes"] = modes
 
     hidden = cfg.get("hidden", list(DEFAULT_HIDDEN))
-    if not isinstance(hidden, list) or not hidden or any(
-            not _is_int(h) or h < 1 for h in hidden):
-        raise ConfigError(
-            f"hidden must be a list of positive integer widths, got {json.dumps(hidden)}")
+    if not isinstance(hidden, list):
+        raise ConfigError(f"hidden must be a list of tower widths, got {json.dumps(hidden)}")
+    _named("", _check_widths, hidden)
     out["hidden"] = hidden
 
     emb = cfg.get("embedding_dim")
-    if emb is not None and (not _is_int(emb) or emb < 1):
-        raise ConfigError(
-            f"embedding_dim must be a positive integer or null, got {json.dumps(emb)}")
+    if emb is not None:
+        _named("", _check_count, "embedding_dim", emb)
     out["embedding_dim"] = emb
 
-    adapter = _typed_section(cfg, "adapter", ADAPTER_DEFAULTS, "adapter")
+    adapter = _section(cfg, "adapter", ADAPTER_DEFAULTS, "adapter")
     out["adapter"] = {**ADAPTER_DEFAULTS, **adapter}
+    _named("adapter.", AdapterConfig, **out["adapter"])
 
-    train = _typed_section(cfg, "train", TRAIN_DEFAULTS, "train")
+    train = _section(cfg, "train", TRAIN_DEFAULTS, "train")
     out["train"] = {**TRAIN_DEFAULTS, **train}
+    _named("train.", TrainConfig, **out["train"])
 
-    ratios = cfg.get("ratios", [0.8, 0.1, 0.1])
-    if not isinstance(ratios, list) or len(ratios) != 3 or not all(
-            _is_number(r) for r in ratios):
-        raise ConfigError(
-            f"ratios must be three numbers [train, val, test], got {json.dumps(ratios)}")
-    out["ratios"] = ratios
+    out["ratios"] = cfg.get("ratios", [0.8, 0.1, 0.1])
+    _named("", _check_ratios, out["ratios"])
 
     seeds = cfg.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or any(
-            not _is_int(s) or s < 0 for s in seeds):
+            not _is_number(s, whole=True) or s < 0 for s in seeds):
         raise ConfigError(
             f"seeds must be a non-empty list of non-negative integers, got {json.dumps(seeds)}")
     out["seeds"] = seeds
 
     counts = cfg.get("expert_counts", [2, 4, 6, 8])
     if not isinstance(counts, list) or not counts or any(
-            not _is_int(c) or c < 1 for c in counts):
+            not _is_number(c, whole=True) or c < 1 for c in counts):
         raise ConfigError("expert_counts must be a non-empty list of positive integers, "
                           f"got {json.dumps(counts)}")
     out["expert_counts"] = counts
@@ -224,8 +206,7 @@ def _write_resolved(resolved: dict, out: str) -> None:
 def _run_one(resolved: dict, mode: str, seed: int, out_dir: str | None,
              experts_per_domain: int | None = None):
     ds = _dataset_for_seed(resolved, seed)
-    t = resolved["train"]
-    cfg = TrainConfig(**{**t, "epochs": tuple(t["epochs"])}, seed=seed)
+    cfg = TrainConfig(**resolved["train"], seed=seed)
     a = resolved["adapter"]
     if experts_per_domain is not None:
         a = {**a, "experts_per_domain": experts_per_domain}
@@ -233,9 +214,8 @@ def _run_one(resolved: dict, mode: str, seed: int, out_dir: str | None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     result = train_pipeline(cfg, ds, resolved["arch"], mode, adapter,
-                            hidden=tuple(resolved["hidden"]),
-                            ratios=tuple(resolved["ratios"]), out_dir=out_dir,
-                            embedding_dim=resolved["embedding_dim"])
+                            hidden=resolved["hidden"], ratios=resolved["ratios"],
+                            out_dir=out_dir, embedding_dim=resolved["embedding_dim"])
     result.metrics.context = {
         "arch": resolved["arch"], "mode": mode, "seed": seed,
         "config_hash": config_hash(resolved),

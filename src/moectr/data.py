@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import FeatureSchema, _check_count, _check_positive
+from .models import FeatureSchema, _check, _check_count, _check_positive, _check_seed, _is_number
 
 __all__ = [
     "Batch",
@@ -109,14 +109,9 @@ class Dataset:
                      self.domains[idx])
 
 
-def _context_fields(schema: FeatureSchema) -> list[str]:
-    extra = [n for n, _ in schema.fields[2:]]
-    return extra
-
-
 def write_csv(ds: Dataset, path) -> None:
     """Serialize a dataset; the same dataset always yields identical bytes."""
-    header = list(BASE_COLUMNS) + _context_fields(ds.schema)
+    header = list(BASE_COLUMNS) + [n for n, _ in ds.schema.fields[2:]]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -175,8 +170,7 @@ def load_csv(path, schema: FeatureSchema | None = None) -> Dataset:
         fields += [(name, int(c.max()) + 1) for name, c in zip(ctx_names, cols[2:])]
         schema = FeatureSchema(tuple(fields), n_domains=int(max(domains)) + 1)
     else:
-        expected = ["user_id", "item_id"] + list(schema.field_names[2:])
-        if list(schema.field_names) != expected[:2] + ctx_names:
+        if list(schema.field_names) != ["user_id", "item_id"] + ctx_names:
             raise ValueError(
                 f"{path}: columns {ctx_names} do not match schema fields "
                 f"{schema.field_names[2:]}")
@@ -204,6 +198,14 @@ def _allocate(n: int, ratios: tuple[float, ...]) -> list[int]:
     return sizes
 
 
+def _check_ratios(ratios) -> None:
+    """Refuse anything but three finite positive shares summing to 1."""
+    if not (isinstance(ratios, (tuple, list)) and len(ratios) == 3
+            and all(_is_number(r) and math.isfinite(r) and r > 0 for r in ratios)
+            and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ValueError(f"ratios must be three positive numbers summing to 1, got {ratios}")
+
+
 def split_dataset(ds: Dataset, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
                   seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
     """Deterministic stratified split over (domain, label) cells.
@@ -212,9 +214,7 @@ def split_dataset(ds: Dataset, ratios: tuple[float, float, float] = (0.8, 0.1, 0
     remainder, so per-domain label rates carry over to every split and a
     domain with at least three rows per cell appears in all three.
     """
-    if (len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios)
-            or abs(sum(ratios) - 1.0) > 1e-9):
-        raise ValueError(f"ratios must be three positive numbers summing to 1, got {ratios}")
+    _check_ratios(ratios)
     parts: list[list[np.ndarray]] = [[], [], []]
     for d in range(ds.schema.n_domains):
         for lab in (0, 1):
@@ -309,10 +309,10 @@ class SyntheticSpec:
             raise ValueError(
                 f"rows_per_domain {self.rows_per_domain} exceeds the "
                 f"{self.n_users * self.n_items} available user-item pairs")
-        if not (0.0 < self.positive_rate < 1.0):
-            raise ValueError("positive_rate must lie strictly between 0 and 1")
-        if not (0.0 <= self.divergence <= 1.0):
-            raise ValueError("divergence must lie in [0, 1]")
+        _check("positive_rate", self.positive_rate, "a number strictly between 0 and 1",
+               lambda v: 0 < v < 1)
+        _check("divergence", self.divergence, "a number in [0, 1]", lambda v: 0 <= v <= 1)
+        _check_seed("seed", self.seed)
         _check_positive("noise_scale", self.noise_scale)
 
 

@@ -159,21 +159,12 @@ class MetricsReport:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def evaluate(model: CtrModel, ds: Dataset, weight_counts=None,
-             view: str | None = None) -> MetricsReport:
-    """Score a dataset domain by domain and weight the AUCs by row share.
-
-    ``weight_counts`` overrides the per-domain weights (e.g. with train
-    split counts); by default the evaluated split's own counts are used.
-    """
+def evaluate(model: CtrModel, ds: Dataset, view: str | None = None) -> MetricsReport:
+    """Score a dataset domain by domain and weight the AUCs by its row counts."""
     if ds.schema.n_domains != model.schema.n_domains:
         raise ValueError("dataset and model disagree on the number of domains")
     sp = sparsity(ds)
     counts = ds.domain_counts()
-    if weight_counts is not None:
-        weight_counts = np.asarray(weight_counts, dtype=np.float64)
-        if weight_counts.shape != (ds.schema.n_domains,):
-            raise ValueError("weight_counts must have one entry per domain")
     per_auc: list[tuple[float | None, int]] = []
     notes: list[str] = []
     for d in range(ds.schema.n_domains):
@@ -187,14 +178,13 @@ def evaluate(model: CtrModel, ds: Dataset, weight_counts=None,
         if a is None:
             notes.append(f"domain {d}: single-class split, AUC undefined")
         per_auc.append((a, int(counts[d])))
-    weights_src = weight_counts if weight_counts is not None else counts
-    entries = [(a, float(weights_src[d])) for d, (a, _) in enumerate(per_auc)]
+    entries = [(a, float(n)) for a, n in per_auc]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         value = wauc(entries)
     live_total = sum(w for (a, w) in entries if a is not None and w > 0)
     per_domain = []
     for d, (a, n) in enumerate(per_auc):
-        w = float(weights_src[d]) / live_total if a is not None and live_total else 0.0
+        w = n / live_total if a is not None and live_total else 0.0
         per_domain.append(DomainMetrics(d, n, a, w, sp.per_domain[d]))
     return MetricsReport(per_domain, value, sp.overall, notes)

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import AutodiffError, ParamStore, Tape
+from .autodiff import AutodiffError, ParamStore, Tape, rng_for
 from .layers import DenseLayer, GateNet, LoRAAdapter, MoELayer
 
 __all__ = [
@@ -49,17 +49,40 @@ DEFAULT_HIDDEN = (64, 32)
 EMBED_INIT_STD = 0.05
 
 
+def _is_number(value, whole: bool = False) -> bool:
+    """A real number, or with ``whole`` an integer; a bool is neither."""
+    kind = numbers.Integral if whole else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check(name: str, value, kind: str, ok, whole: bool = False) -> None:
+    """Refuse ``value`` unless it is a number for which ``ok`` holds, naming the field."""
+    if not (_is_number(value, whole) and ok(value)):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _check_count(name: str, value) -> None:
-    """Refuse anything but a whole number >= 1; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    _check(name, value, "a positive integer", lambda v: v >= 1, whole=True)
+
+
+def _check_seed(name: str, value) -> None:
+    _check(name, value, "a non-negative integer", lambda v: v >= 0, whole=True)
 
 
 def _check_positive(name: str, value) -> None:
-    """Refuse anything but a finite real number > 0; a bool is not a number."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value > 0)):
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    _check(name, value, "a finite positive number", lambda v: math.isfinite(v) and v > 0)
+
+
+def _check_flag(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _check_widths(hidden) -> tuple[int, ...]:
+    """The tower widths as a tuple of ints, each a positive integer."""
+    for width in hidden:
+        _check_count("hidden width", width)
+    return tuple(int(w) for w in hidden)
 
 
 @dataclass(frozen=True)
@@ -77,12 +100,9 @@ class FeatureSchema:
         if len(set(names)) != len(names):
             raise ValueError("duplicate field names in schema")
         for n, c in self.fields:
-            if c < 1:
-                raise ValueError(f"field {n!r} has non-positive cardinality {c}")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
-        if self.n_domains < 1:
-            raise ValueError("n_domains must be >= 1")
+            _check_count(f"cardinality of field {n!r}", c)
+        _check_count("embedding_dim", self.embedding_dim)
+        _check_count("n_domains", self.n_domains)
 
     @property
     def field_names(self) -> tuple[str, ...]:
@@ -106,12 +126,14 @@ class AdapterConfig:
         _check_count("rank", self.rank)
         _check_positive("alpha", self.alpha)
         _check_count("experts_per_domain", self.experts_per_domain)
+        for name in ("gate_input_conditioned", "gate_includes_backbone", "gate_force_one_hot"):
+            _check_flag(name, getattr(self, name))
         if self.gate_force_one_hot and self.experts_per_domain != 1:
-            raise ValueError("one-hot gating requires exactly one expert per domain")
+            raise ValueError("gate_force_one_hot: one-hot gating needs one expert per domain")
         if self.gate_force_one_hot and self.gate_includes_backbone:
-            raise ValueError("one-hot gating keeps the backbone outside the mixture")
+            raise ValueError("gate_force_one_hot: one-hot gating mixes no backbone column")
         if self.gate_force_one_hot and self.gate_input_conditioned:
-            raise ValueError("one-hot gating builds no gate to condition on the input")
+            raise ValueError("gate_force_one_hot: one-hot gating builds no gate to condition")
 
 
 class CtrModel:
@@ -129,7 +151,7 @@ class CtrModel:
         self.arch = arch
         self.mode = mode
         self.adapter_cfg = adapter_cfg
-        self.hidden = tuple(int(h) for h in hidden)
+        self.hidden = _check_widths(hidden)
         self.seed = int(seed)
         self.store = ParamStore()
         self._tapes: dict[str, tuple[Tape, int, int]] = {}
@@ -173,8 +195,6 @@ class CtrModel:
                         n_domains=self.schema.n_domains)
 
     def _build(self) -> None:
-        from .autodiff import rng_for
-
         sch = self.schema
         for fname, card in sch.fields:
             emb = rng_for(self.seed, f"emb.{fname}").normal(

@@ -38,8 +38,11 @@ from .models import (
     DEFAULT_HIDDEN,
     AdapterConfig,
     CtrModel,
+    _check,
     _check_count,
+    _check_flag,
     _check_positive,
+    _check_seed,
     build_model,
     save_checkpoint,
 )
@@ -84,12 +87,15 @@ class TrainConfig:
             _check_positive(name, getattr(self, name))
         for name in ("batch_size", "patience"):
             _check_count(name, getattr(self, name))
-        if len(self.epochs) != 3:
+        if not (isinstance(self.epochs, (tuple, list)) and len(self.epochs) == 3):
             raise ValueError(f"epochs must be three counts, one per phase, got {self.epochs!r}")
         for e in self.epochs:
             _check_count("epochs", e)
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            _check(name, getattr(self, name), "a number in [0, 1) like all Adam betas",
+                   lambda v: 0 <= v < 1)
+        _check_seed("seed", self.seed)
+        _check_flag("balanced_phase3", self.balanced_phase3)
 
 
 @dataclass

@@ -132,6 +132,21 @@ def test_config_hash_changes_with_content():
     assert h0 == config_hash(resolve_config(dict(base), "train"))
 
 
+@pytest.mark.parametrize("body,expected", [
+    ({"data": {"synthetic": {}}}, "c0c5db16b090134f"),
+    # The README's example session.
+    ({"data": {"synthetic": {"n_domains": 4, "n_users": 2000, "n_items": 2500,
+                             "rows_per_domain": 12500, "divergence": 0.8,
+                             "noise_scale": 0.05}},
+      "embedding_dim": 4, "adapter": {"rank": 8, "alpha": 8.0},
+      "train": {"lr": 0.003, "gate_lr": 0.05, "epochs": [10, 14, 20], "patience": 4}},
+     "333c31dcd7b3d383"),
+])
+def test_config_hash_is_pinned(body, expected):
+    # A change to resolution must not silently re-stamp every earlier run.
+    assert config_hash(resolve_config(body, "compare")) == expected
+
+
 def test_refuses_nonempty_out_without_force(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"data": {"synthetic": TINY_SYNTH}})
     out = tmp_path / "gen"
@@ -171,7 +186,9 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
     ("compare", {"data": {"synthetic": TINY_SYNTH}, "modes": ["plain", "x"]}, [],
      "modes must be a non-empty subset"),
     ("train", {"data": {"synthetic": TINY_SYNTH}}, ["--seed=-1"], "non-negative integers"),
-    # Not ConfigErrors: main's ValueError and OSError handler maps them to exit 2.
+    # The value rows below are ConfigErrors raised by resolve_config, each naming
+    # section.key; the missing CSV is not: it fails at load, and main maps its
+    # OSError to exit 2.
     ("train", {"data": {"synthetic": TINY_SYNTH}, "train": {"lr": 0.0}}, [],
      "lr must be a finite positive number, got 0.0"),
     ("train", {"data": {"csv": "no-such-dir/missing.csv"}}, [], "No such file"),
@@ -216,6 +233,10 @@ def test_unknown_key_message_names_the_key(tmp_path):
     ({"embedding_dim": True}, "embedding_dim"),
     ({"seeds": [False]}, "seeds"),
     ({"expert_counts": [True, 2]}, "expert_counts"),
+    ({"train": {"lr": float("nan")}}, "train.lr"),
+    ({"adapter": {"alpha": 0.0}}, "adapter.alpha"),
+    ({"ratios": [float("nan"), 0.5, 0.5]}, "ratios"),
+    ({"data": {"synthetic": {**TINY_SYNTH, "seed": -1}}}, "data.synthetic.seed"),
 ])
 def test_wrongly_typed_values_are_named_config_errors(tmp_path, capsys, body, named):
     cfg = {"data": {"synthetic": TINY_SYNTH}, **body}

@@ -82,7 +82,7 @@ def test_split_keeps_tiny_domains_everywhere():
         assert part.rows_of_domain(1).size > 0
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, 1.2])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, 1.2, "a"])
 def test_split_rejects_a_ratio_that_is_not_a_finite_share(bad):
     with pytest.raises(ValueError, match="three positive numbers summing to 1"):
         split_dataset(small_ds(40), (bad, 0.5, 0.5))

@@ -237,25 +237,3 @@ def test_evaluate_handles_single_class_domain():
     assert rep.per_domain[0].weight == 0.0
     assert rep.per_domain[1].weight == 1.0
     assert any("single-class" in w for w in rep.warnings)
-
-
-def test_evaluate_weight_override_uses_train_counts():
-    model, test = make_eval_pair(2)
-    base = evaluate(model, test)
-    skew = np.array([1000.0, 1.0, 1.0])
-    rep = evaluate(model, test, weight_counts=skew)
-    d0 = rep.per_domain[0]
-    assert d0.weight > 0.99
-    want = sum(m.auc * m.weight for m in rep.per_domain if m.auc is not None)
-    assert abs(rep.wauc - want) < 1e-12
-    assert abs(rep.wauc - base.per_domain[0].auc) < 1e-3
-    assert rep.wauc != base.wauc
-
-
-def test_evaluate_fractional_weights_match_scaled_counts():
-    model, test = make_eval_pair(2)
-    frac = evaluate(model, test, weight_counts=[0.75, 0.25, 0.5])
-    whole = evaluate(model, test, weight_counts=[3, 1, 2])
-    assert abs(frac.wauc - whole.wauc) < 1e-12
-    for a, b in zip(frac.per_domain, whole.per_domain):
-        assert abs(a.weight - b.weight) < 1e-12

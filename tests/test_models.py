@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -175,6 +176,20 @@ def test_domain_gate_with_backbone_column_gradients():
     f = model_loss_fn(m, ids, y, domain=1)
     theta0 = np.concatenate([m.store.get(n).reshape(-1) for n in m.store.names()])
     assert grad_check(f, theta0, eps=1e-5) < 1e-5
+
+
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_schema_names_an_embedding_dim_that_is_not_a_positive_integer(bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"embedding_dim must be a positive integer, got {bad!r}")):
+        FeatureSchema(SCHEMA.fields, embedding_dim=bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 0, True])
+def test_build_model_names_a_tower_width_that_is_not_a_positive_integer(bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"hidden width must be a positive integer, got {bad!r}")):
+        build_model(SCHEMA, "mlp", "plain", hidden=(bad,))
 
 
 @pytest.mark.parametrize("option", ["gate_includes_backbone", "gate_input_conditioned"])

@@ -64,6 +64,17 @@ def test_train_config_validation():
     (AdapterConfig, "rank", 2.5),
     (AdapterConfig, "rank", True),
     (AdapterConfig, "experts_per_domain", 1.0),
+    (TrainConfig, "seed", -1),
+    (TrainConfig, "seed", 2.5),
+    (TrainConfig, "balanced_phase3", "no"),
+    (TrainConfig, "beta1", "0.9"),
+    (AdapterConfig, "gate_force_one_hot", "false"),
+    (AdapterConfig, "gate_input_conditioned", 1),
+    (SyntheticSpec, "seed", -1),
+    (SyntheticSpec, "seed", 2.5),
+    (SyntheticSpec, "seed", True),
+    (SyntheticSpec, "divergence", True),
+    (SyntheticSpec, "positive_rate", "0.5"),
 ])
 def test_bad_config_value_is_an_error_naming_the_field(cls, field_name, value):
     with pytest.raises(ValueError, match=rf"^{field_name} must be "):
