@@ -34,7 +34,6 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "AutodiffError",
@@ -211,8 +210,15 @@ def _forward_kernel(nid: int, node: _Node):
         return lambda v, out: np.multiply(v[a], c, out=out)
     if op == "relu":
         return lambda v, out: np.maximum(v[a], 0.0, out=out)
-    if op == "sigmoid":
-        return lambda v, out: expit(v[a], out=out)
+    if op == "sigmoid":  # 1 / (1 + exp(-a)); below a = -709, exp(-a) is inf and this 0
+        def sigmoid(v, out):
+            x = v[a]  # ``out`` made here: numpy returns a 0-d result as a scalar
+            out = np.negative(x, out=np.empty(x.shape) if out is None else out)
+            with np.errstate(over="ignore"):
+                np.exp(out, out=out)
+            np.add(out, 1.0, out=out)
+            return np.reciprocal(out, out=out)
+        return sigmoid
     if op == "softmax":  # e = exp(a - max(a)); e / sum(e), along the last axis
         def softmax(v, out):
             x = v[a]

@@ -23,8 +23,8 @@ import numpy as np
 
 from .data import SyntheticSpec, _check_ratios, generate_synthetic, load_csv, write_synthetic
 from .metrics import sparsity
-from .models import (DEFAULT_HIDDEN, ARCHS, MODES, AdapterConfig, _check_count, _check_widths,
-                     _is_number)
+from .models import (DEFAULT_HIDDEN, ARCHS, MODES, AdapterConfig, _check_count,
+                     _check_mode_experts, _check_widths, _is_number)
 from .training import NumericError, TrainConfig, train_pipeline
 
 __all__ = ["main", "ConfigError", "load_config", "resolve_config", "config_hash"]
@@ -131,6 +131,8 @@ def resolve_config(cfg: dict, command: str) -> dict:
     adapter = _section(cfg, "adapter", ADAPTER_DEFAULTS, "adapter")
     out["adapter"] = {**ADAPTER_DEFAULTS, **adapter}
     _named("adapter.", AdapterConfig, **out["adapter"])
+    for m in {"train": [mode], "compare": modes}.get(command, []):
+        _named("adapter.", _check_mode_experts, m, out["adapter"]["experts_per_domain"])
 
     train = _section(cfg, "train", TRAIN_DEFAULTS, "train")
     out["train"] = {**TRAIN_DEFAULTS, **train}

@@ -85,6 +85,12 @@ def _check_widths(hidden) -> tuple[int, ...]:
     return tuple(int(w) for w in hidden)
 
 
+def _check_mode_experts(mode: str, experts_per_domain: int) -> None:
+    if mode == "mlora" and experts_per_domain != 1:
+        raise ValueError("experts_per_domain: mlora mode keeps exactly one adapter per "
+                         f"domain, got {experts_per_domain!r}")
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     """Categorical feature fields with their cardinalities, plus domain count."""
@@ -145,8 +151,8 @@ class CtrModel:
             raise ValueError(f"unknown arch {arch!r}; use one of {ARCHS}")
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; use one of {MODES}")
-        if mode == "mlora" and adapter_cfg.experts_per_domain != 1:
-            raise ValueError("mlora mode keeps exactly one adapter per domain")
+        _check_mode_experts(mode, adapter_cfg.experts_per_domain)
+        _check_seed("seed", seed)
         self.schema = schema
         self.arch = arch
         self.mode = mode

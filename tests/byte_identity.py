@@ -62,15 +62,26 @@ def _blas_core() -> str | None:
     return None
 
 
+def _exp_target() -> str:
+    """The SIMD target numpy dispatches float64 exp to: the sigmoid's bits follow it."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy before 2
+        return "unknown"
+    found = opt_func_info(func_name="^exp$", signature="float64")
+    return " ".join(sorted({sig["current"] for sigs in found.values()
+                            for sig in sigs.values()})) or "unknown"
+
+
 def fingerprint() -> dict:
-    """What the bits of a float64 matmul depend on besides this code."""
+    """What the bits of a float64 matmul and exp depend on besides this code."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         build = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 returns no dict; some builds no BLAS
         build = None
     return {"numpy": np.__version__, "blas": build, "blas_core": _blas_core(),
-            "machine": platform.machine()}
+            "exp_target": _exp_target(), "machine": platform.machine()}
 
 
 def _sha256(data: bytes) -> str:

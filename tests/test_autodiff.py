@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -366,6 +369,61 @@ def test_forward_only_reuses_a_buffer_only_after_its_last_reader():
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     expect = e / e.sum(axis=-1, keepdims=True) + 1.0 / (1.0 + np.exp(-hv))
     np.testing.assert_allclose(t.forward({"x": x}, output=out), expect, rtol=1e-15, atol=0)
+
+
+def sigmoid_both_ways(x):
+    """Sigmoid of ``x`` from a forward-only call and from a training forward.
+
+    Forward-only, the sigmoid writes into the buffer of the ``scale`` it reads
+    last.  The training forward writes it into the arena; the gradient of
+    sum(s * W) with respect to W is s itself, bit for bit.  The training
+    forward runs twice: its first call allocates, the second reuses the arena.
+    """
+    store = ParamStore()
+    store.add("W", np.ones_like(x), "backbone")
+    t = Tape(store)
+    s = t.sigmoid(t.scale(t.input("x"), 1.0))
+    loss = t.reduce_sum(t.mul(s, t.param("W")))
+    only = t.forward({"x": x}, output=s)
+    trained = []
+    for _ in range(2):
+        t.forward({"x": x}, output=loss)
+        trained.append(t.backward(loss)["W"])
+    return only, trained
+
+
+def test_sigmoid_saturates_exactly_without_warnings():
+    x = np.array([-1000.0, -745.0, -710.0, 0.0, 710.0, 745.0, 1000.0, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        only, trained = sigmoid_both_ways(x)
+    for got in (only, *trained):
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, np.nan])
+
+
+def test_sigmoid_is_one_over_one_plus_libm_exp_within_its_ulp():
+    """Each value is 1 / (1 + e), correctly rounded, for an e within 1 ulp of
+    libm's exp(-x): numpy's exp may differ from libm's by 1 ulp.  The result
+    is then within 2 ulp of 1 / (1 + math.exp(-x)), not 1: where exp(-x)
+    dwarfs 1, its 1-ulp step can cross a binade of the reciprocal."""
+    x = np.linspace(-709.0, 709.0, 20001)
+    got = sigmoid_both_ways(x)[0]
+    e = np.array([math.exp(-v) for v in x])
+    hit = np.zeros(x.shape, dtype=bool)
+    for near in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf)):
+        hit |= got == 1.0 / (1.0 + near)
+    assert hit.all(), x[~hit][:5]
+    ulps = np.abs(got.view(np.int64) - (1.0 / (1.0 + e)).view(np.int64))
+    assert ulps.max() <= 2
+
+
+def test_sigmoid_training_and_forward_only_give_the_same_bits():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.normal(scale=30.0, size=4000),
+                        [-1000.0, -745.0, -709.5, 0.0, 36.7, 745.0, np.nan]])
+    only, trained = sigmoid_both_ways(x)
+    for got in trained:
+        np.testing.assert_array_equal(got.view(np.uint64), only.view(np.uint64))
 
 
 def test_backward_without_a_training_forward_raises():

@@ -1,9 +1,10 @@
 """Twelve small pipelines against outputs checked in from an earlier commit.
 
 On the platform the fixture records (numpy version, BLAS build and kernel,
-machine) every output file and the test predictions must match byte for
-byte.  Elsewhere the bits of a matmul may differ, so only the predictions
-are compared, within 1e-12.  The test prints which of the two it ran.
+numpy's exp target, machine) every output file and the test predictions must
+match byte for byte.  Elsewhere the bits of a matmul or an exp may differ, so
+only the predictions are compared, within 1e-12.  The test prints which of
+the two it ran.
 A change that means to alter outputs regenerates the fixture with
 ``PYTHONPATH=src python tests/byte_identity.py``.
 """

@@ -248,6 +248,21 @@ def test_wrongly_typed_values_are_named_config_errors(tmp_path, capsys, body, na
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,body", [
+    ("train", {"mode": "mlora"}),
+    ("compare", {"modes": ["plain", "mlora"]}),
+    ("compare", {}),  # the default modes include mlora
+])
+def test_mlora_with_several_experts_exits_2_before_writing(tmp_path, capsys, command, body):
+    cfg = write_cfg(tmp_path, {"data": {"synthetic": TINY_SYNTH},
+                               "adapter": {"experts_per_domain": 2}, **body})
+    code, records, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")],
+                             capsys)
+    assert code == 2 and not records
+    assert "adapter.experts_per_domain: mlora mode keeps exactly one adapter" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_exit_3_on_numeric_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
@@ -334,6 +349,13 @@ def _check_help(proc):
     choices = re.search(r"\{([^}]*)\}", proc.stdout.splitlines()[0])
     assert choices, proc.stdout
     assert set(choices.group(1).split(",")) == set(SUBCOMMANDS)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    toml = pytest.importorskip("tomllib" if sys.version_info >= (3, 11) else "tomli")
+    with open(PYPROJECT, "rb") as fh:
+        deps = toml.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
 
 
 def test_console_script_installed():

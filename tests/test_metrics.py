@@ -189,6 +189,19 @@ def test_scoring_imports_no_scipy_stats():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_imports_no_scipy():
+    """moectr runs on numpy alone: scipy is only the test suite's AUC oracle."""
+    src = str(Path(moectr.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, moectr.cli, moectr.training, moectr.metrics\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def make_eval_pair(seed=0):
     spec = SyntheticSpec(n_domains=3, n_users=120, n_items=80,
                          rows_per_domain=600, seed=seed)

@@ -192,6 +192,19 @@ def test_build_model_names_a_tower_width_that_is_not_a_positive_integer(bad):
         build_model(SCHEMA, "mlp", "plain", hidden=(bad,))
 
 
+@pytest.mark.parametrize("bad", [2.5, -1, True])
+def test_build_model_names_a_seed_that_is_not_a_non_negative_integer(bad):
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be a non-negative integer, got {bad!r}")):
+        build_model(SCHEMA, "mlp", "plain", seed=bad)
+
+
+def test_mlora_refuses_more_than_one_expert_per_domain():
+    with pytest.raises(ValueError, match=re.escape(
+            "experts_per_domain: mlora mode keeps exactly one adapter per domain, got 2")):
+        build_model(SCHEMA, "mlp", "mlora", AdapterConfig(experts_per_domain=2))
+
+
 @pytest.mark.parametrize("option", ["gate_includes_backbone", "gate_input_conditioned"])
 def test_one_hot_gate_rejects_gate_options(option):
     # A one-hot gate builds no gate tables, so a gate option would be dropped.
