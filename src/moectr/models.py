@@ -124,22 +124,15 @@ class AdapterConfig:
     rank: int = 4
     alpha: float = 4.0
     experts_per_domain: int = 1
-    gate_input_conditioned: bool = False
-    gate_includes_backbone: bool = False
     gate_force_one_hot: bool = False
 
     def __post_init__(self):
         _check_count("rank", self.rank)
         _check_positive("alpha", self.alpha)
         _check_count("experts_per_domain", self.experts_per_domain)
-        for name in ("gate_input_conditioned", "gate_includes_backbone", "gate_force_one_hot"):
-            _check_flag(name, getattr(self, name))
+        _check_flag("gate_force_one_hot", self.gate_force_one_hot)
         if self.gate_force_one_hot and self.experts_per_domain != 1:
             raise ValueError("gate_force_one_hot: one-hot gating needs one expert per domain")
-        if self.gate_force_one_hot and self.gate_includes_backbone:
-            raise ValueError("gate_force_one_hot: one-hot gating mixes no backbone column")
-        if self.gate_force_one_hot and self.gate_input_conditioned:
-            raise ValueError("gate_force_one_hot: one-hot gating builds no gate to condition")
 
 
 class CtrModel:
@@ -193,12 +186,8 @@ class CtrModel:
             experts.append((d, k, ad))
         gate = None
         if not self._hard_routed():
-            n_cols = len(experts) + (1 if cfg.gate_includes_backbone else 0)
-            gate = GateNet(self.store, f"{name}.gate", self.schema.n_domains, n_cols,
-                           d_in=d_in, input_conditioned=cfg.gate_input_conditioned)
-        return MoELayer(base, experts, gate=gate,
-                        gate_includes_backbone=cfg.gate_includes_backbone,
-                        n_domains=self.schema.n_domains)
+            gate = GateNet(self.store, f"{name}.gate", self.schema.n_domains, len(experts))
+        return MoELayer(base, experts, gate=gate, n_domains=self.schema.n_domains)
 
     def _build(self) -> None:
         sch = self.schema
@@ -333,6 +322,12 @@ def build_model(schema: FeatureSchema, arch: str, mode: str,
 
 # ---- checkpoints ----------------------------------------------------------
 
+# Two gate options that format 1 records in its adapter section, and that no
+# longer exist.  Readers of the format look both keys up (the benchmark's
+# forward check among them), so every checkpoint still writes them, false,
+# which also keeps its bytes what they were.
+RETIRED_GATE_OPTIONS = {"gate_includes_backbone": False, "gate_input_conditioned": False}
+
 
 def save_checkpoint(model: CtrModel, path) -> None:
     """Write a self-describing, bit-exact snapshot of the model."""
@@ -348,7 +343,7 @@ def save_checkpoint(model: CtrModel, path) -> None:
         "mode": model.mode,
         "hidden": list(model.hidden),
         "seed": model.seed,
-        "adapter": asdict(model.adapter_cfg),
+        "adapter": {**asdict(model.adapter_cfg), **RETIRED_GATE_OPTIONS},
         "params": [],
     }
     arrays = {}
@@ -377,8 +372,12 @@ def load_checkpoint(path) -> CtrModel:
             embedding_dim=manifest["schema"]["embedding_dim"],
             n_domains=manifest["schema"]["n_domains"],
         )
-        model = CtrModel(schema, manifest["arch"], manifest["mode"],
-                         AdapterConfig(**manifest["adapter"]),
+        adapter = dict(manifest["adapter"])
+        for key in RETIRED_GATE_OPTIONS:
+            if adapter.pop(key, False) is not False:
+                raise ValueError(f"{path}: adapter option {key} was removed; only "
+                                 "checkpoints with it false can be loaded")
+        model = CtrModel(schema, manifest["arch"], manifest["mode"], AdapterConfig(**adapter),
                          tuple(manifest["hidden"]), manifest["seed"])
         manifest_names = {rec["name"] for rec in manifest["params"]}
         if set(model.store.names()) != manifest_names:

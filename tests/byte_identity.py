@@ -1,4 +1,4 @@
-"""Golden outputs of twelve small pipelines, for the byte-identity test.
+"""Golden outputs of ten small pipelines, for the byte-identity test.
 
 Each pipeline trains on one small synthetic dataset (2 domains, 1,400
 rows, ``hidden=(8, 6)``, epochs (3, 3, 3)) and writes what the CLI's
@@ -40,9 +40,6 @@ HIDDEN = (8, 6)
 PIPELINES = {
     **{f"{arch}-{mode}": (arch, mode, AdapterConfig())
        for arch in ("mlp", "wdl", "deepfm") for mode in ("plain", "mlora", "moe")},
-    "mlp-moe-e2-backbone": ("mlp", "moe", AdapterConfig(experts_per_domain=2,
-                                                        gate_includes_backbone=True)),
-    "mlp-moe-input-gate": ("mlp", "moe", AdapterConfig(gate_input_conditioned=True)),
     "mlp-moe-one-hot": ("mlp", "moe", AdapterConfig(gate_force_one_hot=True)),
 }
 

@@ -120,14 +120,15 @@ def relu_margin(model: CtrModel, ids: np.ndarray, y: np.ndarray, domain: int,
 
 
 def sample_inputs(model: CtrModel, batch: int, seed: int, domain: int = 0,
-                  min_margin: float = 1e-3, view: str | None = None):
-    """Draw ids/labels whose relu margins keep central differences smooth."""
+                  view: str | None = None):
+    """Draw ids/labels whose relu margins (at least 1e-3) keep central
+    differences with a 1e-5 probe smooth."""
     for attempt in range(50):
         rng = np.random.default_rng([seed, attempt])
         ids = np.column_stack(
             [rng.integers(0, card, size=batch) for _, card in model.schema.fields]
         )
         y = (rng.random(batch) > 0.5).astype(float)
-        if relu_margin(model, ids, y, domain, view) >= min_margin:
+        if relu_margin(model, ids, y, domain, view) >= 1e-3:
             return ids, y
     raise AssertionError("could not sample inputs clear of relu kinks")

@@ -59,13 +59,12 @@ def _perturb_adapters(model, seed=1):
             model.store.set(name, rng.normal(size=model.store.get(name).shape) * 0.3)
 
 
-def _model_grad_err(arch, mode, sample_seed=13, min_margin=1e-3, **adapter_kw):
+def _model_grad_err(arch, mode, **adapter_kw):
     m = build_model(SCHEMA, arch, mode,
                     AdapterConfig(rank=2, alpha=2.0, **adapter_kw),
                     seed=21, hidden=(6, 5))
     _perturb_adapters(m)
-    ids, y = sample_inputs(m, batch=5, seed=sample_seed, domain=1,
-                           min_margin=min_margin)
+    ids, y = sample_inputs(m, batch=5, seed=13, domain=1)
     f = model_loss_fn(m, ids, y, domain=1)
     theta0 = np.concatenate([m.store.get(n).reshape(-1) for n in m.store.names()])
     return grad_check(f, theta0, eps=1e-5)
@@ -125,11 +124,6 @@ def test_criterion_1_gradient_suite(report):
         for mode in MODES:
             kw = {"experts_per_domain": 2} if mode == "moe" else {}
             errs.append(_model_grad_err(arch, mode, **kw))
-    # Backbone-in-softmax variant scales preacts by the gate weight, which
-    # shrinks relu margins; a 5e-4 margin still dwarfs the 1e-5 probe.
-    errs.append(_model_grad_err("mlp", "moe", sample_seed=17, min_margin=5e-4,
-                                gate_includes_backbone=True,
-                                gate_input_conditioned=True))
     elapsed = time.monotonic() - t0
     worst = max(errs)
     ok = worst < 1e-5 and elapsed < 60.0

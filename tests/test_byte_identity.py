@@ -1,4 +1,4 @@
-"""Twelve small pipelines against outputs checked in from an earlier commit.
+"""Ten small pipelines against outputs checked in from an earlier commit.
 
 On the platform the fixture records (numpy version, BLAS build and kernel,
 numpy's exp target, machine) every output file and the test predictions must

@@ -133,14 +133,14 @@ def test_config_hash_changes_with_content():
 
 
 @pytest.mark.parametrize("body,expected", [
-    ({"data": {"synthetic": {}}}, "c0c5db16b090134f"),
+    ({"data": {"synthetic": {}}}, "6d763798f51ec642"),
     # The README's example session.
     ({"data": {"synthetic": {"n_domains": 4, "n_users": 2000, "n_items": 2500,
                              "rows_per_domain": 12500, "divergence": 0.8,
                              "noise_scale": 0.05}},
       "embedding_dim": 4, "adapter": {"rank": 8, "alpha": 8.0},
       "train": {"lr": 0.003, "gate_lr": 0.05, "epochs": [10, 14, 20], "patience": 4}},
-     "333c31dcd7b3d383"),
+     "4dc2336d8d6d9e40"),
 ])
 def test_config_hash_is_pinned(body, expected):
     # A change to resolution must not silently re-stamp every earlier run.
@@ -212,11 +212,20 @@ def test_each_config_problem_exits_2_with_its_message(tmp_path, capsys, command,
     assert named in err
 
 
-def test_unknown_key_message_names_the_key(tmp_path):
+def test_unknown_key_message_names_the_key(tmp_path, capsys):
     with pytest.raises(ConfigError, match="gate_lr2"):
         resolve_config({"data": {"csv": "x.csv"}, "train": {"gate_lr2": 1.0}}, "train")
     with pytest.raises(ConfigError, match="csv"):
         resolve_config({}, "train")
+    # Gate options that were removed are unknown keys like any other.
+    for key in ("gate_includes_backbone", "gate_input_conditioned"):
+        cfg = write_cfg(tmp_path, {"data": {"synthetic": TINY_SYNTH},
+                                   "adapter": {key: False}}, f"{key}.json")
+        out = tmp_path / key
+        code, _, err = run(["train", "--config", cfg, "--out", str(out)], capsys)
+        assert code == 2
+        assert f"adapter: unknown key(s) {key}; allowed: " in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("body,named", [

@@ -18,11 +18,10 @@ def bypass(store, layer, x, domain, replica=0):
         store, lambda t, xn: layer.emit_single_expert(t, xn, domain, replica), x)
 
 
-def weights(store, gate, domain, x=None):
-    """The gate's softmax weights: one row, or one per row of ``x``."""
-    w = layer_forward(store, lambda t, xn: gate.emit_weights(t, t.input("domain"), xn), x,
-                      domain=domain)
-    return w[0] if x is None else w
+def weights(store, gate, domain):
+    """The gate's softmax weights for ``domain``: one row."""
+    return layer_forward(store, lambda t, _: gate.emit_weights(t, t.input("domain")),
+                         domain=domain)[0]
 
 
 def test_dense_identity_forward():
@@ -83,18 +82,7 @@ def test_gate_domain_out_of_range():
         weights(store, gate, 5)
 
 
-def test_input_conditioned_gate_varies_with_input():
-    store = ParamStore()
-    gate = GateNet(store, "g0", n_domains=2, n_cols=3, d_in=4, input_conditioned=True)
-    store.set("g0.proj", np.random.default_rng(0).normal(size=(3, 4)))
-    x = np.random.default_rng(1).normal(size=(5, 4))
-    w = weights(store, gate, 0, x)
-    assert w.shape == (5, 3)
-    assert np.abs(np.diff(w, axis=0)).max() > 1e-6
-    np.testing.assert_allclose(w.sum(axis=1), np.ones(5), atol=1e-12)
-
-
-def _two_expert_layer(include_backbone=False):
+def _two_expert_layer():
     """Two domains, one rank-1 expert each, deltas [1,0] and [0,1] for x=[1]."""
     store = ParamStore()
     base = DenseLayer.from_arrays(store, "l0", np.zeros((2, 1)), np.zeros(2))
@@ -105,23 +93,12 @@ def _two_expert_layer(include_backbone=False):
         store.set(f"l0.e{d}.A", np.array([[1.0]]))
         store.set(f"l0.e{d}.B", np.array(col).reshape(2, 1))
         ads.append((d, 0, ad))
-    gate = GateNet(store, "l0.gate", n_domains=2,
-                   n_cols=2 + (1 if include_backbone else 0))
-    return store, MoELayer(base, ads, gate=gate,
-                           gate_includes_backbone=include_backbone)
+    return store, MoELayer(base, ads, gate=GateNet(store, "l0.gate", n_domains=2, n_cols=2))
 
 
 def test_moe_uniform_gate_adds_half_of_each_delta():
     store, layer = _two_expert_layer()
     np.testing.assert_allclose(mixture(store, layer, [[1.0]], 0), [[0.5, 0.5]], atol=1e-15)
-
-
-def test_moe_backbone_in_mixture_weighs_preactivation():
-    store, layer = _two_expert_layer(include_backbone=True)
-    store.set("l0.b", np.array([3.0, 3.0]))
-    # Uniform over {backbone, e0, e1}: (1/3)*[3,3] + (1/3)*[1,0] + (1/3)*[0,1]
-    np.testing.assert_allclose(mixture(store, layer, [[1.0]], 1),
-                               [[4.0 / 3.0, 4.0 / 3.0]], atol=1e-12)
 
 
 def test_mlora_only_addressed_adapter_contributes():
@@ -217,9 +194,7 @@ def test_zero_init_bypass_matches_dense_bitwise():
                                       layer_forward(store, base.emit, x))
 
 
-@pytest.mark.parametrize("include_backbone", [False, True])
-@pytest.mark.parametrize("input_conditioned", [False, True])
-def test_moe_forward_matches_per_expert_reference(include_backbone, input_conditioned):
+def test_moe_forward_matches_per_expert_reference():
     rng = np.random.default_rng(31)
     d_in, d_out = 5, 4
     store = ParamStore()
@@ -232,25 +207,16 @@ def test_moe_forward_matches_per_expert_reference(include_backbone, input_condit
                              alpha=1.5 + d + 2 * k, group=f"expert({d},{k},l0)", seed=d)
             store.set(f"{ad.name}.B", rng.normal(size=(d_out, ad.rank)))
             experts.append((d, k, ad))
-    n_cols = len(experts) + (1 if include_backbone else 0)
-    gate = GateNet(store, "l0.gate", 3, n_cols, d_in=d_in,
-                   input_conditioned=input_conditioned)
-    store.set("l0.gate.logits", rng.normal(size=(3, n_cols)))
-    if input_conditioned:
-        store.set("l0.gate.proj", rng.normal(size=(n_cols, d_in)))
-    layer = MoELayer(base, experts, gate=gate, gate_includes_backbone=include_backbone)
+    gate = GateNet(store, "l0.gate", 3, len(experts))
+    store.set("l0.gate.logits", rng.normal(size=(3, len(experts))))
+    layer = MoELayer(base, experts, gate=gate)
     x = rng.normal(size=(9, d_in))
     for domain in range(3):
-        w = weights(store, gate, domain, x if input_conditioned else None)
-        w = np.broadcast_to(w, (len(x), n_cols))
-        pre = x @ store.get("l0.W").T + store.get("l0.b")
-        if include_backbone:
-            pre = w[:, :1] * pre
-        mixed = pre.copy()
+        w = weights(store, gate, domain)
+        mixed = x @ store.get("l0.W").T + store.get("l0.b")
         for j, (_, _, ad) in enumerate(experts):
             A, B = store.get(f"{ad.name}.A"), store.get(f"{ad.name}.B")
-            wj = w[:, j + n_cols - len(experts), None]
-            mixed += wj * ad.scaling * (x @ A.T) @ B.T
+            mixed += w[j] * ad.scaling * (x @ A.T) @ B.T
         np.testing.assert_allclose(mixture(store, layer, x, domain), np.maximum(mixed, 0.0),
                                    rtol=0.0, atol=1e-12)
 
@@ -283,10 +249,6 @@ def test_layer_construction_errors():
         MoELayer(base, [(0, 0, ad)], gate=GateNet(store, "g", 1, 5))
     with pytest.raises(AutodiffError, match="at least one column"):
         GateNet(store, "g0", n_domains=1, n_cols=0)
-    with pytest.raises(AutodiffError, match="input width"):
-        GateNet(store, "g1", n_domains=1, n_cols=1, input_conditioned=True)
-    with pytest.raises(AutodiffError, match="backbone outside"):
-        MoELayer(base, [(0, 0, ad)], gate=None, gate_includes_backbone=True)
     with pytest.raises(AutodiffError, match="one expert per domain"):
         MoELayer(base, [(0, 1, ad)], gate=None)
 
@@ -301,9 +263,6 @@ def test_layer_misuse_errors():
         hard.expert_of(0, 1)
     with pytest.raises(AutodiffError, match="hard-routed"):
         hard.emit(tape, tape.input("x"), tape.input("domain"))
-    gate = GateNet(store, "g0", n_domains=1, n_cols=1, d_in=2, input_conditioned=True)
-    with pytest.raises(AutodiffError, match="without input node"):
-        gate.emit_weights(tape, tape.input("domain"))
 
 
 def test_moe_mixture_gradients_match_central_differences():

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -148,34 +149,12 @@ def _batch_row_matmuls(tape) -> list[int]:
 @pytest.mark.parametrize("view,cfg", [
     ("expert:1:0", {}),
     ("mixture", {}),
-    ("mixture", {"experts_per_domain": 2, "gate_includes_backbone": True}),
+    ("mixture", {"experts_per_domain": 2}),
 ])
 def test_each_merged_layer_runs_one_batch_row_matmul(view, cfg):
     tape, _, _ = tiny("mlp", "moe", **cfg).tape(view)
     # tower.0, tower.1 and head: one x @ W_eff.T each.
     assert len(_batch_row_matmuls(tape)) == 3
-
-
-def test_input_conditioned_gate_keeps_the_per_row_bank():
-    tape, _, _ = tiny("mlp", "moe", gate_input_conditioned=True).tape("mixture")
-    bank = [nid for nid in _batch_row_matmuls(tape)
-            if tape.nodes[tape.nodes[nid].args[1]].op == "concat"]
-    # x @ A_cat.T and h @ B_cat.T on each of the three adapted layers.
-    assert len(bank) == 6
-
-
-def test_domain_gate_with_backbone_column_gradients():
-    m = tiny("mlp", "moe", seed=21, experts_per_domain=2, gate_includes_backbone=True)
-    rng = np.random.default_rng(1)
-    for name in m.store.names():
-        if name.endswith(".B") or name.endswith("gate.logits"):
-            m.store.set(name, rng.normal(size=m.store.get(name).shape) * 0.3)
-    # The backbone column scales W and b by its weight and so shrinks the
-    # relu margins; 2e-4 still dwarfs the 1e-5 probe.
-    ids, y = sample_inputs(m, batch=5, seed=17, domain=1, min_margin=2e-4)
-    f = model_loss_fn(m, ids, y, domain=1)
-    theta0 = np.concatenate([m.store.get(n).reshape(-1) for n in m.store.names()])
-    assert grad_check(f, theta0, eps=1e-5) < 1e-5
 
 
 @pytest.mark.parametrize("bad", [True, 2.5])
@@ -203,13 +182,6 @@ def test_mlora_refuses_more_than_one_expert_per_domain():
     with pytest.raises(ValueError, match=re.escape(
             "experts_per_domain: mlora mode keeps exactly one adapter per domain, got 2")):
         build_model(SCHEMA, "mlp", "mlora", AdapterConfig(experts_per_domain=2))
-
-
-@pytest.mark.parametrize("option", ["gate_includes_backbone", "gate_input_conditioned"])
-def test_one_hot_gate_rejects_gate_options(option):
-    # A one-hot gate builds no gate tables, so a gate option would be dropped.
-    with pytest.raises(ValueError, match="one-hot"):
-        AdapterConfig(gate_force_one_hot=True, **{option: True})
 
 
 def test_build_model_deterministic_by_seed():
@@ -246,6 +218,34 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert m.store[name].trainable == m2.store[name].trainable
     ids = rand_ids(30, seed=8)
     np.testing.assert_array_equal(m.predict(ids, 1), m2.predict(ids, 1))
+
+
+def _manifest_and_arrays(path):
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    return json.loads(arrays.pop("manifest").tobytes()), arrays
+
+
+def test_checkpoint_writes_the_removed_gate_options_false(tmp_path):
+    m = tiny("mlp", "moe", seed=3, experts_per_domain=2)
+    path = tmp_path / "model.npz"
+    save_checkpoint(m, path)
+    assert _manifest_and_arrays(path)[0]["adapter"] == {
+        "rank": 2, "alpha": 2.0, "experts_per_domain": 2, "gate_force_one_hot": False,
+        "gate_includes_backbone": False, "gate_input_conditioned": False}
+    assert load_checkpoint(path).adapter_cfg == m.adapter_cfg
+
+
+@pytest.mark.parametrize("key", ["gate_includes_backbone", "gate_input_conditioned"])
+def test_load_refuses_a_checkpoint_with_a_removed_gate_option_set(tmp_path, key):
+    path = tmp_path / "model.npz"
+    save_checkpoint(tiny("mlp", "moe"), path)
+    manifest, arrays = _manifest_and_arrays(path)
+    manifest["adapter"][key] = True
+    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
+             **arrays)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: adapter option {key} was removed")):
+        load_checkpoint(path)
 
 
 def test_load_rejects_non_checkpoint(tmp_path):
@@ -295,13 +295,9 @@ def _assert_pruned_equals_full(model, view, trainable, domain):
         assert np.array_equal(pruned[name], full[name]), name
 
 
-@pytest.mark.parametrize("conditioned", [False, True])
-@pytest.mark.parametrize("with_backbone", [False, True])
 @pytest.mark.parametrize("arch", ["mlp", "wdl", "deepfm"])
-def test_gate_only_backward_bit_identical_to_full_backward(arch, with_backbone, conditioned):
-    m = _randomized(tiny(arch, "moe", seed=2, experts_per_domain=2,
-                         gate_includes_backbone=with_backbone,
-                         gate_input_conditioned=conditioned))
+def test_gate_only_backward_bit_identical_to_full_backward(arch):
+    m = _randomized(tiny(arch, "moe", seed=2, experts_per_domain=2))
     _assert_pruned_equals_full(m, "mixture", "gate", domain=1)
 
 
@@ -326,7 +322,7 @@ def _bits(value, grads):
 def test_tail_then_full_batch_matches_fresh_tapes(view):
     """A grown arena, and leading-row views of it, give a fresh tape's bits."""
     def build():
-        m = _randomized(tiny("deepfm", "moe", seed=5, gate_input_conditioned=True), seed=2)
+        m = _randomized(tiny("deepfm", "moe", seed=5, experts_per_domain=2), seed=2)
         m.store.set_trainable_only(lambda g: True)
         return m
 
@@ -340,7 +336,7 @@ def test_tail_then_full_batch_matches_fresh_tapes(view):
 
 
 def test_handed_out_arrays_survive_later_calls_at_the_same_row_count():
-    m = _randomized(tiny("mlp", "moe", seed=6, gate_includes_backbone=True))
+    m = _randomized(tiny("mlp", "moe", seed=6, experts_per_domain=2))
     m.store.set_trainable_only(lambda g: True)
     ids_a, ids_b = rand_ids(30, seed=1), rand_ids(30, seed=2)
     y = (np.random.default_rng(3).random(30) > 0.5).astype(float)

@@ -69,7 +69,7 @@ def test_train_config_validation():
     (TrainConfig, "balanced_phase3", "no"),
     (TrainConfig, "beta1", "0.9"),
     (AdapterConfig, "gate_force_one_hot", "false"),
-    (AdapterConfig, "gate_input_conditioned", 1),
+    (AdapterConfig, "gate_force_one_hot", 1),
     (SyntheticSpec, "seed", -1),
     (SyntheticSpec, "seed", 2.5),
     (SyntheticSpec, "seed", True),
