@@ -24,7 +24,7 @@ import numpy as np
 from .data import SyntheticSpec, _check_ratios, generate_synthetic, load_csv, write_synthetic
 from .metrics import sparsity
 from .models import (DEFAULT_HIDDEN, ARCHS, MODES, AdapterConfig, _check_count,
-                     _check_mode_experts, _check_widths, _is_number)
+                     _check_widths, _is_number, _routing)
 from .training import NumericError, TrainConfig, train_pipeline
 
 __all__ = ["main", "ConfigError", "load_config", "resolve_config", "config_hash"]
@@ -62,6 +62,11 @@ def _named(where: str, check, *args, **kwargs) -> None:
         check(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(f"{where}{e}") from None
+
+
+def _check_adapter(mode: str, adapter: dict) -> None:
+    """Refuse an adapter section that a model of ``mode`` would refuse, naming ``adapter.``."""
+    _named("adapter.", lambda: _routing(mode, AdapterConfig(**adapter)))
 
 
 def load_config(path) -> dict:
@@ -132,7 +137,7 @@ def resolve_config(cfg: dict, command: str) -> dict:
     out["adapter"] = {**ADAPTER_DEFAULTS, **adapter}
     _named("adapter.", AdapterConfig, **out["adapter"])
     for m in {"train": [mode], "compare": modes}.get(command, []):
-        _named("adapter.", _check_mode_experts, m, out["adapter"]["experts_per_domain"])
+        _check_adapter(m, out["adapter"])
 
     train = _section(cfg, "train", TRAIN_DEFAULTS, "train")
     out["train"] = {**TRAIN_DEFAULTS, **train}
@@ -305,15 +310,15 @@ def cmd_compare(args) -> int:
 def cmd_sweep_experts(args) -> int:
     resolved = resolve_config(load_config(args.config), "sweep-experts")
     seeds = _parse_seeds(args.seed, resolved)
-    out = _prepare_out(args.out, args.force)
-    _write_resolved(resolved, out)
-    chash = config_hash(resolved)
-    probe = _dataset_for_seed(resolved, seeds[0])
-    n_domains = probe.schema.n_domains
+    n_domains = _dataset_for_seed(resolved, seeds[0]).schema.n_domains
     for count in resolved["expert_counts"]:
         if count % n_domains != 0:
             raise ConfigError(
                 f"expert count {count} is not a multiple of the {n_domains} domains")
+        _check_adapter("moe", {**resolved["adapter"], "experts_per_domain": count // n_domains})
+    out = _prepare_out(args.out, args.force)
+    _write_resolved(resolved, out)
+    chash = config_hash(resolved)
     rows = []
     for count in resolved["expert_counts"]:
         per_domain = count // n_domains

@@ -46,7 +46,6 @@ BASE_COLUMNS = ("user_id", "item_id", "domain_id", "label")
 class Batch:
     ids: np.ndarray      # (n, n_fields) int64
     labels: np.ndarray   # (n,) float64
-    domains: np.ndarray  # (n,) int64
 
 
 def _whole(values, column: str) -> np.ndarray:
@@ -105,8 +104,7 @@ class Dataset:
 
     def batch(self, indices) -> Batch:
         idx = np.asarray(indices, dtype=np.int64)
-        return Batch(self.ids[idx], self.labels[idx].astype(np.float64),
-                     self.domains[idx])
+        return Batch(self.ids[idx], self.labels[idx].astype(np.float64))
 
 
 def write_csv(ds: Dataset, path) -> None:

@@ -6,18 +6,20 @@ memorization term over raw ids, ``deepfm`` additionally adds the pairwise
 interaction term computed from the same embeddings.  The probability is
 always sigmoid(sum of logits).
 
-Modes differ only in the tower and head layers: ``plain`` uses bare dense
-layers, ``mlora`` wraps each in per-domain low-rank adapters of which a row
-uses only its own domain's, and ``moe`` mixes all adapters of all domains
-through a learned per-domain gate.  Embeddings, the wide tables, and the
-interaction term always belong to the backbone.
+Modes differ only in the tower and head layers, through one routing
+decision that ``_routing`` makes once and ``CtrModel.routing`` keeps:
+``plain`` uses bare dense layers; ``hard`` (``mlora``, or ``moe`` with
+``gate_force_one_hot``) wraps each in per-domain low-rank adapters of which
+a row uses only its own domain's; ``gated`` (``moe``) mixes all adapters of
+all domains through a learned per-domain gate.  Embeddings, the wide
+tables, and the interaction term always belong to the backbone.
 
-A model owns one ``ParamStore`` plus a static tape per forward view:
-``backbone`` (base weights only), ``expert:d:k`` (backbone plus exactly one
-adapter, no gate), and ``mixture`` (the softmax-gated forward of ``moe``).
-Training phases pick views; prediction uses ``predict_view(domain)``.  Hard
-routing (``mlora``, or ``moe`` with ``gate_force_one_hot``) predicts domain
-d through ``expert:d:0`` and has no mixture view.
+A model owns one ``ParamStore`` plus a static tape per forward view, and
+``views()`` lists them: ``backbone`` (base weights only), ``expert:d:k``
+(backbone plus exactly one adapter, no gate) for each adapter, and
+``mixture`` (the softmax-gated forward) when gated.  Training phases pick
+views; prediction uses ``predict_view(domain)``: ``backbone``,
+``expert:d:0`` or ``mixture`` by routing.
 """
 
 from __future__ import annotations
@@ -85,12 +87,6 @@ def _check_widths(hidden) -> tuple[int, ...]:
     return tuple(int(w) for w in hidden)
 
 
-def _check_mode_experts(mode: str, experts_per_domain: int) -> None:
-    if mode == "mlora" and experts_per_domain != 1:
-        raise ValueError("experts_per_domain: mlora mode keeps exactly one adapter per "
-                         f"domain, got {experts_per_domain!r}")
-
-
 @dataclass(frozen=True)
 class FeatureSchema:
     """Categorical feature fields with their cardinalities, plus domain count."""
@@ -135,6 +131,18 @@ class AdapterConfig:
             raise ValueError("gate_force_one_hot: one-hot gating needs one expert per domain")
 
 
+def _routing(mode: str, adapter_cfg: AdapterConfig) -> str:
+    """The routing of ``mode``: "plain", "hard" or "gated" (see the module docstring)."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; use one of {MODES}")
+    if mode == "mlora" and adapter_cfg.experts_per_domain != 1:
+        raise ValueError("experts_per_domain: mlora mode keeps exactly one adapter per "
+                         f"domain, got {adapter_cfg.experts_per_domain!r}")
+    if mode == "plain":
+        return "plain"
+    return "gated" if mode == "moe" and not adapter_cfg.gate_force_one_hot else "hard"
+
+
 class CtrModel:
     """A built CTR model: parameter store plus cached per-view tapes."""
 
@@ -142,9 +150,7 @@ class CtrModel:
                  adapter_cfg: AdapterConfig, hidden: tuple[int, ...], seed: int):
         if arch not in ARCHS:
             raise ValueError(f"unknown arch {arch!r}; use one of {ARCHS}")
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; use one of {MODES}")
-        _check_mode_experts(mode, adapter_cfg.experts_per_domain)
+        self.routing = _routing(mode, adapter_cfg)
         _check_seed("seed", seed)
         self.schema = schema
         self.arch = arch
@@ -158,25 +164,16 @@ class CtrModel:
 
     # ---- construction ---------------------------------------------------
 
-    def _adapted(self) -> bool:
-        return self.mode in ("mlora", "moe")
-
-    @property
-    def experts_per_domain(self) -> int:
-        return self.adapter_cfg.experts_per_domain if self.mode == "moe" else 1
-
     def expert_keys(self) -> list[tuple[int, int]]:
+        """(domain, replica) of every adapter, in gate-column order; none when plain."""
+        if self.routing == "plain":
+            return []
         return [(d, k) for d in range(self.schema.n_domains)
-                for k in range(self.experts_per_domain)]
-
-    def _hard_routed(self) -> bool:
-        """True when each row uses only its own domain's expert, with no gate."""
-        return self.mode == "mlora" or (
-            self.mode == "moe" and self.adapter_cfg.gate_force_one_hot)
+                for k in range(self.adapter_cfg.experts_per_domain)]
 
     def _make_layer(self, name: str, d_in: int, d_out: int, activation: str):
         base = DenseLayer(self.store, name, d_in, d_out, activation, "backbone", self.seed)
-        if not self._adapted():
+        if self.routing == "plain":
             return base
         cfg = self.adapter_cfg
         experts = []
@@ -185,7 +182,7 @@ class CtrModel:
                              cfg.rank, cfg.alpha, f"expert({d},{k},{name})", self.seed)
             experts.append((d, k, ad))
         gate = None
-        if not self._hard_routed():
+        if self.routing == "gated":
             gate = GateNet(self.store, f"{name}.gate", self.schema.n_domains, len(experts))
         return MoELayer(base, experts, gate=gate, n_domains=self.schema.n_domains)
 
@@ -209,30 +206,35 @@ class CtrModel:
     # ---- tape assembly --------------------------------------------------
 
     def _emit_layer(self, layer, tape: Tape, x: int, view: str) -> int:
-        if not self._adapted():
+        if self.routing == "plain":
             return layer.emit(tape, x)
         if view == "backbone":
             return layer.base.emit(tape, x)
-        if view.startswith("expert:"):
-            _, d, k = view.split(":")
-            return layer.emit_single_expert(tape, x, int(d), int(k))
-        return layer.emit(tape, x, tape.input("domain"))
+        if view == "mixture":
+            return layer.emit(tape, x, tape.input("domain"))
+        _, d, k = view.split(":")
+        return layer.emit_single_expert(tape, x, int(d), int(k))
+
+    def views(self) -> list[str]:
+        """The forward views of this model's routing, the names ``tape`` accepts."""
+        views = ["backbone"] + [f"expert:{d}:{k}" for d, k in self.expert_keys()]
+        if self.routing == "gated":
+            views.append("mixture")
+        return views
 
     def tape(self, view: str) -> tuple[Tape, int, int]:
         """(tape, probability node, loss node) for a forward view.
 
-        Views: "backbone", "mixture", or "expert:d:k".  Plain models only
-        have the backbone view; "mixture" aliases to it for convenience.
-        Hard-routed models have no mixture view.
+        Every routing has "backbone"; a hard or gated model has one
+        "expert:d:k" per adapter; only a gated model has "mixture".  Any
+        other name raises ``AutodiffError`` naming the view and the routing.
         """
-        if not self._adapted():
-            view = "backbone"
-        elif view == "mixture" and self._hard_routed():
-            raise AutodiffError(
-                f"hard-routed {self.mode} model has no mixture view; "
-                "use predict_view(domain)")
         if view in self._tapes:
             return self._tapes[view]
+        if view not in self.views():
+            raise AutodiffError(
+                f"{self.mode} model ({self.routing} routing) has no view {view!r}; "
+                f"its views are {', '.join(self.views())}")
         sch = self.schema
         tape = Tape(self.store)
         embs = []
@@ -268,9 +270,9 @@ class CtrModel:
 
     def predict_view(self, domain: int | None = None) -> str:
         """The view that predicts rows of ``domain``."""
-        if self.mode == "plain":
+        if self.routing == "plain":
             return "backbone"
-        if not self._hard_routed():
+        if self.routing == "gated":
             return "mixture"
         if domain is None:
             raise ValueError("a hard-routed model predicts through its domain's expert; "
@@ -297,7 +299,7 @@ class CtrModel:
         inputs = {}
         for f, (fname, _) in enumerate(self.schema.fields):
             inputs[f"ids.{fname}"] = ids[:, f]
-        if self._adapted():
+        if self.routing != "plain":
             inputs["domain"] = np.array([domain])
         if y is not None:
             inputs["y"] = np.asarray(y, dtype=np.float64).reshape(-1, 1)

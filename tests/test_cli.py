@@ -335,6 +335,19 @@ def test_sweep_rejects_indivisible_counts(tmp_path, capsys):
                        capsys)
     assert code == 2
     assert "multiple" in err
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_refuses_a_one_hot_gate_over_several_experts_before_training(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "data": {"synthetic": TINY_SYNTH}, "expert_counts": [2, 4],
+        "train": FAST_TRAIN, "adapter": {"gate_force_one_hot": True},
+    })
+    code, records, err = run(
+        ["sweep-experts", "--config", cfg, "--out", str(tmp_path / "s")], capsys)
+    assert code == 2 and not records
+    assert "adapter.gate_force_one_hot: one-hot gating needs one expert per domain" in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_train_on_csv_input(tmp_path, capsys):

@@ -157,6 +157,20 @@ def test_each_merged_layer_runs_one_batch_row_matmul(view, cfg):
     assert len(_batch_row_matmuls(tape)) == 3
 
 
+@pytest.mark.parametrize("mode,routing,bad_views", [
+    ("plain", "plain", ["expert:0:0", "expert:7:3", "mixture", "bogus"]),
+    ("mlora", "hard", ["expert:0:1", "expert:2:0", "expert:x:0", "mixture", "bogus"]),
+    ("moe", "gated", ["expert:0:1", "expert:x:0", "bogus"]),
+])
+def test_an_unknown_view_is_refused_naming_it_and_the_routing(mode, routing, bad_views):
+    m = tiny("mlp", mode)
+    for view in bad_views:
+        with pytest.raises(AutodiffError, match=re.escape(
+                f"{mode} model ({routing} routing) has no view {view!r}")):
+            m.predict(rand_ids(4), 0, view=view)
+    assert set(m._tapes) <= set(m.views())
+
+
 @pytest.mark.parametrize("bad", [True, 2.5])
 def test_schema_names_an_embedding_dim_that_is_not_a_positive_integer(bad):
     with pytest.raises(ValueError, match=re.escape(

@@ -561,6 +561,29 @@ def test_pipeline_phase_counts_and_checkpoints(tmp_path, mode, n_phases):
     assert res.metrics.context["mode"] == mode
 
 
+HARD_VIEWS = ["backbone", "expert:0:0", "expert:1:0"]
+
+
+@pytest.mark.parametrize("mode,adapter,routing,views,phases", [
+    ("plain", AdapterConfig(), "plain", ["backbone"], [1]),
+    ("mlora", AdapterConfig(), "hard", HARD_VIEWS, [1, 2]),
+    ("moe", AdapterConfig(), "gated", HARD_VIEWS + ["mixture"], [1, 2, 3]),
+    ("moe", AdapterConfig(gate_force_one_hot=True), "hard", HARD_VIEWS, [1, 2]),
+    ("moe", AdapterConfig(experts_per_domain=2), "gated",
+     ["backbone", "expert:0:0", "expert:0:1", "expert:1:0", "expert:1:1", "mixture"],
+     [1, 2, 3]),
+])
+def test_routing_decides_views_predict_view_and_phases(mode, adapter, routing, views, phases):
+    res = train_pipeline(FAST, small_synth(seed=7), "mlp", mode, adapter, hidden=(8, 6))
+    model = res.model
+    assert model.routing == routing
+    assert model.views() == views
+    expected = {"plain": "backbone", "hard": "expert:{d}:0", "gated": "mixture"}[routing]
+    assert [model.predict_view(d) for d in range(2)] == [expected.format(d=d)
+                                                         for d in range(2)]
+    assert [p.phase for p in res.phases] == phases
+
+
 def test_pipeline_rerun_bit_identical_records():
     ds = small_synth(seed=8)
     a = train_pipeline(FAST, ds, "wdl", "moe", AdapterConfig(), hidden=(8, 6))
