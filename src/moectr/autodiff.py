@@ -10,10 +10,12 @@ depends on, with its operand slots.  A forward to a scalar loss is a
 training forward.  It writes every value into the tape's arena, one reused
 buffer per node grown to the largest row count seen (a smaller batch uses
 leading-row views), and keeps them for ``backward``, whose plan writes each
-VJP into the arena as well.  Any other forward is forward-only: a value is
-dropped, or its buffer reused in place, after its last reader, and nothing
-is kept once the call returns.  Whatever a call hands out (outputs, losses,
-gradients) is its own array, never a view into the arena.
+VJP into the arena as well.  The arena lives until ``Tape.release`` drops
+it; a later training forward grows it again.  Any other forward is
+forward-only: a value is dropped, or its buffer reused in place, after its
+last reader, and nothing is kept once the call returns.  Whatever a call
+hands out (outputs, losses, gradients) is its own array, never a view into
+the arena.
 
 Gradients flow back in reverse node order and accumulate additively, so a
 parameter used in several places receives the sum of its contributions.
@@ -373,9 +375,9 @@ class Tape:
     Build the graph once with the op methods (each returns an integer node
     id), then call ``forward`` with a dict of input arrays and ``backward``
     from a scalar loss node.  A tape keeps the values of its last training
-    forward, in its arena, until the next forward of any kind; a
-    forward-only call keeps nothing.  A tape is not safe to share across
-    threads.
+    forward, in its arena, until the next forward of any kind, and the
+    arena itself until ``release``; a forward-only call keeps nothing.  A
+    tape is not safe to share across threads.
     """
 
     def __init__(self, store: ParamStore):
@@ -604,6 +606,16 @@ class Tape:
             raise self._shape_error(nid, vals) from e
         out = vals[plan.output]
         return out.copy() if self.nodes[plan.output].op in _LEAVES else out
+
+    def release(self) -> None:
+        """Drop the training arena, its bound views and the last training forward.
+
+        Compiled plans stay.  ``backward`` then raises until the next
+        training forward, which grows the arena again as on a fresh tape.
+        """
+        self._arena.clear()
+        self._bound.clear()
+        self._train = None
 
     @staticmethod
     def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -327,21 +327,21 @@ def _latents(spec: SyntheticSpec):
 
 
 def _sample_pairs(spec: SyntheticSpec, domain: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (user, item) pairs for one domain, deterministic by seed."""
-    grid = spec.n_users * spec.n_items
+    """Distinct (user, item) pairs for one domain, deterministic by seed.
+
+    Each round draws twice the codes still missing (plus 16) and keeps, in
+    draw order, the first occurrence of each code not taken yet, until the
+    domain has its rows.
+    """
+    n = spec.rows_per_domain
     rng = np.random.default_rng([spec.seed, 307, domain])
-    seen: set[int] = set()
-    codes: list[int] = []
-    while len(codes) < spec.rows_per_domain:
-        draw = rng.integers(0, grid, size=2 * (spec.rows_per_domain - len(codes)) + 16)
-        for c in draw:
-            if c not in seen:
-                seen.add(int(c))
-                codes.append(int(c))
-                if len(codes) == spec.rows_per_domain:
-                    break
-    arr = np.asarray(codes, dtype=np.int64)
-    return arr // spec.n_items, arr % spec.n_items
+    codes = np.empty(0, dtype=np.int64)
+    while codes.size < n:
+        draw = rng.integers(0, spec.n_users * spec.n_items, size=2 * (n - codes.size) + 16)
+        draw = draw[np.sort(np.unique(draw, return_index=True)[1])]
+        fresh = draw[~np.isin(draw, codes)]
+        codes = np.concatenate([codes, fresh[: n - codes.size]])
+    return codes // spec.n_items, codes % spec.n_items
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -49,6 +49,14 @@ ARCHS = ("mlp", "wdl", "deepfm")
 MODES = ("plain", "mlora", "moe")
 DEFAULT_HIDDEN = (64, 32)
 EMBED_INIT_STD = 0.05
+# Rows per forward in ``CtrModel.predict``.  A forward-only pass holds a few
+# (rows x width) float64 values at once, so scoring a whole domain in one pass
+# takes memory that grows with the domain: 512 MB for one width-64 value at
+# 1M rows.  Blocks of 4096 rows (16 training batches) hold 2 MiB per such
+# value.  Each block is one more forward call, about 170 us through the moe
+# mixture view, so smaller blocks cost more: 1024-row blocks make one
+# evaluate of 50k rows on a 4-domain moe model 21% slower than 4096-row ones.
+PREDICT_BLOCK_ROWS = 4096
 
 
 def _is_number(value, whole: bool = False) -> bool:
@@ -306,13 +314,29 @@ class CtrModel:
         return inputs
 
     def predict(self, ids: np.ndarray, domain: int, view: str | None = None) -> np.ndarray:
+        """Click probabilities of the rows of ``ids``, all of ``domain``, as an (n,) array.
+
+        The rows run through the view's tape (``predict_view(domain)`` by
+        default) in blocks of ``PREDICT_BLOCK_ROWS``, so memory is bounded
+        by one block whatever ``n``.  A tail shorter than half a block joins
+        the block before it.  A BLAS may pick its kernel by row count, and
+        OpenBLAS rounds a matmul of up to about 150 rows differently, so
+        blocks that never get that small keep the bits of one pass there.
+        """
         ids = self._validate_ids(ids)
         if not (0 <= domain < self.schema.n_domains):
             raise ValueError(
                 f"domain index {domain} out of range [0, {self.schema.n_domains})")
         tape, p_node, _ = self.tape(view or self.predict_view(domain))
-        p = tape.forward(self.bind_inputs(ids, domain), output=p_node)
-        return p.reshape(-1)
+        n = ids.shape[0]
+        starts = list(range(0, n, PREDICT_BLOCK_ROWS))
+        if len(starts) > 1 and n - starts[-1] < PREDICT_BLOCK_ROWS // 2:
+            starts.pop()  # the last block takes a short tail
+        out = np.empty(n)
+        for start, end in zip(starts, starts[1:] + [n]):
+            p = tape.forward(self.bind_inputs(ids[start:end], domain), output=p_node)
+            out[start:end] = p.reshape(-1)
+        return out
 
 
 def build_model(schema: FeatureSchema, arch: str, mode: str,

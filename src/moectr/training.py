@@ -15,8 +15,10 @@ pipeline, and ``gated`` runs all three.
 The backbone, each expert and the gates are units, and one trainer runs
 them all.  It hashes every tensor outside the unit's own groups before and
 after, and aborts if a byte moved; each phase does the same around the
-groups it froze.  Each unit gets its own Adam state and one tape, and early
-stopping watches the weighted validation AUC with a fixed patience.
+groups it froze.  Each unit gets its own Adam state and one tape, whose
+training arena it releases when it ends, aborted or not, so training holds
+one unit's arena at a time however many experts there are.  Early stopping
+watches the weighted validation AUC with a fixed patience.
 
 Every batch takes one fused Adam step: the trainable gradients are
 concatenated into one flat buffer and the moments live in flat buffers
@@ -247,7 +249,8 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
     Every tensor outside ``own`` is hashed before and after, and a moved
     byte aborts with ``NumericError``.  The unit gets its own ``AdamState``
     and steps once per ``(domain, batch)`` of ``batches(epoch)`` through the
-    one tape of ``view``, for at most the phase's epoch count; early
+    one tape of ``view``, for at most the phase's epoch count, and releases
+    that tape's training arena when it ends, also on an error; early
     stopping watches ``val_metric()``, which gives None when the unit has
     no validation rows to score.  ``frozen_groups`` goes to the report: a
     phase names the groups it froze, an expert of phase 2 leaves it empty.
@@ -261,27 +264,30 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
     losses: list[float] = []
     waucs: list[float] = []
     stopped = False
-    for epoch in range(cfg.epochs[phase - 1]):
-        total, rows = 0.0, 0
-        for domain, batch in batches(epoch):
-            inputs = model.bind_inputs(batch.ids, domain, batch.labels)
-            loss = float(tape.forward(inputs, output=loss_node))
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite training loss in phase {phase}", phase)
-            try:
-                adam_step(store, tape.backward(loss_node), adam, lr,
-                          cfg.beta1, cfg.beta2, cfg.adam_eps)
-            except NumericError as e:
-                raise NumericError(f"{e} in phase {phase}", phase)
-            total += loss * batch.labels.size
-            rows += batch.labels.size
-        losses.append(total / max(rows, 1))
-        score = val_metric()
-        if score is not None:
-            waucs.append(score)
-            stopped = _stop_early(waucs, cfg.patience)
-            if stopped:
-                break
+    try:
+        for epoch in range(cfg.epochs[phase - 1]):
+            total, rows = 0.0, 0
+            for domain, batch in batches(epoch):
+                inputs = model.bind_inputs(batch.ids, domain, batch.labels)
+                loss = float(tape.forward(inputs, output=loss_node))
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite training loss in phase {phase}", phase)
+                try:
+                    adam_step(store, tape.backward(loss_node), adam, lr,
+                              cfg.beta1, cfg.beta2, cfg.adam_eps)
+                except NumericError as e:
+                    raise NumericError(f"{e} in phase {phase}", phase)
+                total += loss * batch.labels.size
+                rows += batch.labels.size
+            losses.append(total / max(rows, 1))
+            score = val_metric()
+            if score is not None:
+                waucs.append(score)
+                stopped = _stop_early(waucs, cfg.patience)
+                if stopped:
+                    break
+    finally:
+        tape.release()
     after = store.group_checksum(outside)
     if after != before:
         raise NumericError(f"phase {phase} modified frozen parameters: "

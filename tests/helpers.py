@@ -1,9 +1,11 @@
 """Shared test utilities: FD harness for whole models, brute-force AUC,
-numpy oracles for the model terms, and a one-layer forward on a fresh tape."""
+numpy oracles for the model terms and the pair sampler, and a one-layer
+forward on a fresh tape."""
 
 import numpy as np
 
 from moectr.autodiff import ParamStore, Tape
+from moectr.data import SyntheticSpec
 from moectr.models import CtrModel
 
 
@@ -64,6 +66,24 @@ def auc_bruteforce(labels, scores):
     for p in pos:
         wins += float((p > neg).sum()) + 0.5 * float((p == neg).sum())
     return wins / (pos.size * neg.size)
+
+
+def sample_pairs_loop(spec: SyntheticSpec, domain: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``data._sample_pairs``: the same draws, taken one code at a time."""
+    grid = spec.n_users * spec.n_items
+    rng = np.random.default_rng([spec.seed, 307, domain])
+    seen: set[int] = set()
+    codes: list[int] = []
+    while len(codes) < spec.rows_per_domain:
+        draw = rng.integers(0, grid, size=2 * (spec.rows_per_domain - len(codes)) + 16)
+        for c in draw:
+            if c not in seen:
+                seen.add(int(c))
+                codes.append(int(c))
+                if len(codes) == spec.rows_per_domain:
+                    break
+    arr = np.asarray(codes, dtype=np.int64)
+    return arr // spec.n_items, arr % spec.n_items
 
 
 def param_layout(model: CtrModel) -> list[tuple[str, tuple[int, ...]]]:

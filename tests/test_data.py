@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import sample_pairs_loop
 from moectr.data import (
     Dataset,
     SyntheticSpec,
@@ -13,6 +14,7 @@ from moectr.data import (
     write_csv,
     write_synthetic,
 )
+from moectr.data import _sample_pairs
 from moectr.models import FeatureSchema
 
 
@@ -189,6 +191,21 @@ def test_generator_is_deterministic_and_pairs_distinct():
         rows = a.rows_of_domain(d)
         pairs = {(int(u), int(i)) for u, i in a.ids[rows]}
         assert len(pairs) == rows.size
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_users,n_items,rows", [
+    (60, 50, 500), (2000, 2500, 3000), (7, 3, 21), (12, 10, 120), (40, 30, 1100)])
+def test_sample_pairs_takes_the_loops_draws(seed, n_users, n_items, rows):
+    # (7, 3, 21) and (12, 10, 120) fill their grid, so they need several rounds.
+    spec = SyntheticSpec(n_domains=2, n_users=n_users, n_items=n_items,
+                         rows_per_domain=rows, seed=seed)
+    for d in range(2):
+        users, items = _sample_pairs(spec, d)
+        want_users, want_items = sample_pairs_loop(spec, d)
+        assert users.dtype == items.dtype == np.int64
+        np.testing.assert_array_equal(users, want_users)
+        np.testing.assert_array_equal(items, want_items)
 
 
 def test_too_many_interactions_rejected():

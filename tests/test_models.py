@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import byte_identity
 from helpers import fm_pairwise, model_loss_fn, sample_inputs, wide_logit
-from moectr.autodiff import AutodiffError, grad_check
+from moectr.autodiff import AutodiffError, Tape, grad_check
 from moectr.models import (
+    PREDICT_BLOCK_ROWS,
     AdapterConfig,
     CtrModel,
     FeatureSchema,
@@ -349,6 +351,27 @@ def test_tail_then_full_batch_matches_fresh_tapes(view):
         assert _bits(*_step(build(), view, ids[:n], y[:n], 1)) == bits
 
 
+@pytest.mark.parametrize("view", ["mixture", "expert:1:0", "backbone"])
+def test_a_released_tape_trains_again_as_a_fresh_tape(view):
+    def build():
+        m = _randomized(tiny("wdl", "moe", seed=5, experts_per_domain=2), seed=2)
+        m.store.set_trainable_only(lambda g: True)
+        return m
+
+    ids = rand_ids(40, seed=3)
+    y = (np.random.default_rng(4).random(40) > 0.5).astype(float)
+    used = build()
+    _step(used, view, ids, y, 1)
+    tape, _, loss = used.tape(view)
+    tape.release()
+    assert not tape._arena and not tape._bound
+    with pytest.raises(AutodiffError, match="training forward"):
+        tape.backward(loss)
+    # A smaller batch than the released arena's: it grows anew, from nothing.
+    again = _bits(*_step(used, view, ids[:7], y[:7], 1))
+    assert again == _bits(*_step(build(), view, ids[:7], y[:7], 1))
+
+
 def test_handed_out_arrays_survive_later_calls_at_the_same_row_count():
     m = _randomized(tiny("mlp", "moe", seed=6, experts_per_domain=2))
     m.store.set_trainable_only(lambda g: True)
@@ -390,3 +413,55 @@ def test_predict_keeps_no_values_and_backward_needs_a_training_forward():
     # The forward-only call ended the training forward's values.
     with pytest.raises(AutodiffError, match="training forward"):
         tape.backward(loss)
+
+
+def _on_fixture_platform() -> bool:
+    with open(byte_identity.FIXTURE, encoding="utf-8") as fh:
+        return json.load(fh)["platform"] == byte_identity.fingerprint()
+
+
+@pytest.mark.parametrize("mode", ["plain", "mlora", "moe"])
+@pytest.mark.parametrize("rows,forwards", [
+    (PREDICT_BLOCK_ROWS * 5 // 2, 3),  # a half-block tail runs on its own
+    (PREDICT_BLOCK_ROWS * 2 + 5, 2),   # a short tail joins the block before it
+    (0, 0),
+])
+def test_blocked_predict_matches_one_unblocked_forward(monkeypatch, mode, rows, forwards):
+    m = _randomized(tiny("mlp", mode, seed=4), seed=3)
+    ids = rand_ids(rows, seed=5)
+    tape, p_node, _ = m.tape(m.predict_view(1))
+    want = tape.forward(m.bind_inputs(ids, 1), output=p_node).reshape(-1)
+    calls = []
+    forward = Tape.forward
+
+    def counted(self, inputs, output=None):
+        calls.append(len(inputs["ids.user_id"]))
+        return forward(self, inputs, output)
+
+    monkeypatch.setattr(Tape, "forward", counted)
+    got = m.predict(ids, 1)
+    assert len(calls) == forwards and sum(calls) == rows
+    assert got.shape == (rows,) and got.dtype == np.float64
+    # As in the byte-identity test: a BLAS elsewhere may round a matmul
+    # differently by row count.
+    if _on_fixture_platform():
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_predict_memory_is_bounded_by_one_block():
+    m = build_model(SCHEMA, "mlp", "moe", AdapterConfig(rank=2, alpha=2.0), seed=0,
+                    hidden=(64, 32))
+    ids = rand_ids(10 * PREDICT_BLOCK_ROWS, seed=6)
+    m.predict(ids[:1], 0)  # compiles the plan
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        p = m.predict(ids, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # One pass over all ten blocks' rows would hold several (rows, 64)
+    # values at once, 20 MiB each; a block's are a tenth of that.
+    assert peak < p.nbytes + 2 * PREDICT_BLOCK_ROWS * 64 * 8

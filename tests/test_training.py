@@ -303,6 +303,38 @@ def test_non_finite_gradient_in_training_names_tensor_and_phase(monkeypatch):
     assert model.store.group_bytes("backbone") == before
 
 
+def _assert_no_training_arena(model, views):
+    for view in views:
+        tape, _, _ = model.tape(view)
+        assert not tape._arena and not tape._bound and tape._train is None, view
+
+
+def test_a_unit_aborted_by_a_numeric_error_releases_its_tape(monkeypatch):
+    ds = small_synth()
+    train, val, _ = split_dataset(ds, seed=1)
+    model = build_model(ds.schema, "mlp", "plain", seed=1, hidden=(8, 6))
+    backward = Tape.backward
+
+    def poisoned(self, *args, **kwargs):
+        grads = backward(self, *args, **kwargs)
+        grads["head.b"][...] = np.nan
+        return grads
+
+    monkeypatch.setattr(Tape, "backward", poisoned)
+    with pytest.raises(NumericError):
+        run_phase1(model, train, val, FAST)
+    _assert_no_training_arena(model, ["backbone"])
+
+
+def test_no_tape_keeps_a_training_arena_after_the_pipeline():
+    res = train_pipeline(FAST, small_synth(), "mlp", "moe",
+                         AdapterConfig(experts_per_domain=2), hidden=(8, 6))
+    # Every view trained one unit: the backbone, four experts and the gates.
+    assert sorted(res.model._tapes) == sorted(res.model.views())
+    assert len(res.model.views()) == 6
+    _assert_no_training_arena(res.model, res.model.views())
+
+
 def test_stop_early_patience_semantics():
     assert not _stop_early([0.5, 0.6], patience=2)
     assert not _stop_early([0.5, 0.6, 0.55], patience=2)
