@@ -24,7 +24,7 @@ import numpy as np
 from .data import SyntheticSpec, _check_ratios, generate_synthetic, load_csv, write_synthetic
 from .metrics import sparsity
 from .models import (DEFAULT_HIDDEN, ARCHS, MODES, AdapterConfig, _check_count,
-                     _check_widths, _is_number, _routing)
+                     _check_mode, _check_widths, _is_number)
 from .training import NumericError, TrainConfig, train_pipeline
 
 __all__ = ["main", "ConfigError", "load_config", "resolve_config", "config_hash"]
@@ -66,7 +66,7 @@ def _named(where: str, check, *args, **kwargs) -> None:
 
 def _check_adapter(mode: str, adapter: dict) -> None:
     """Refuse an adapter section that a model of ``mode`` would refuse, naming ``adapter.``."""
-    _named("adapter.", lambda: _routing(mode, AdapterConfig(**adapter)))
+    _named("adapter.", lambda: _check_mode(mode, AdapterConfig(**adapter)))
 
 
 def load_config(path) -> dict:
@@ -315,7 +315,6 @@ def cmd_sweep_experts(args) -> int:
         if count % n_domains != 0:
             raise ConfigError(
                 f"expert count {count} is not a multiple of the {n_domains} domains")
-        _check_adapter("moe", {**resolved["adapter"], "experts_per_domain": count // n_domains})
     out = _prepare_out(args.out, args.force)
     _write_resolved(resolved, out)
     chash = config_hash(resolved)

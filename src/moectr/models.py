@@ -6,20 +6,19 @@ memorization term over raw ids, ``deepfm`` additionally adds the pairwise
 interaction term computed from the same embeddings.  The probability is
 always sigmoid(sum of logits).
 
-Modes differ only in the tower and head layers, through one routing
-decision that ``_routing`` makes once and ``CtrModel.routing`` keeps:
-``plain`` uses bare dense layers; ``hard`` (``mlora``, or ``moe`` with
-``gate_force_one_hot``) wraps each in per-domain low-rank adapters of which
-a row uses only its own domain's; ``gated`` (``moe``) mixes all adapters of
-all domains through a learned per-domain gate.  Embeddings, the wide
-tables, and the interaction term always belong to the backbone.
+Modes differ only in the tower and head layers, and the mode alone is the
+routing: ``plain`` uses bare dense layers; ``mlora`` wraps each in
+per-domain low-rank adapters of which a row uses only its own domain's;
+``moe`` mixes all adapters of all domains through a learned per-domain
+gate.  Embeddings, the wide tables, and the interaction term always belong
+to the backbone.
 
 A model owns one ``ParamStore`` plus a static tape per forward view, and
 ``views()`` lists them: ``backbone`` (base weights only), ``expert:d:k``
 (backbone plus exactly one adapter, no gate) for each adapter, and
-``mixture`` (the softmax-gated forward) when gated.  Training phases pick
+``mixture`` (the softmax-gated forward) in ``moe``.  Training phases pick
 views; prediction uses ``predict_view(domain)``: ``backbone``,
-``expert:d:0`` or ``mixture`` by routing.
+``expert:d:0`` or ``mixture`` by mode.
 """
 
 from __future__ import annotations
@@ -128,27 +127,20 @@ class AdapterConfig:
     rank: int = 4
     alpha: float = 4.0
     experts_per_domain: int = 1
-    gate_force_one_hot: bool = False
 
     def __post_init__(self):
         _check_count("rank", self.rank)
         _check_positive("alpha", self.alpha)
         _check_count("experts_per_domain", self.experts_per_domain)
-        _check_flag("gate_force_one_hot", self.gate_force_one_hot)
-        if self.gate_force_one_hot and self.experts_per_domain != 1:
-            raise ValueError("gate_force_one_hot: one-hot gating needs one expert per domain")
 
 
-def _routing(mode: str, adapter_cfg: AdapterConfig) -> str:
-    """The routing of ``mode``: "plain", "hard" or "gated" (see the module docstring)."""
+def _check_mode(mode: str, adapter_cfg: AdapterConfig) -> None:
+    """Refuse an unknown mode, and ``mlora`` with more than one adapter per domain."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; use one of {MODES}")
     if mode == "mlora" and adapter_cfg.experts_per_domain != 1:
         raise ValueError("experts_per_domain: mlora mode keeps exactly one adapter per "
                          f"domain, got {adapter_cfg.experts_per_domain!r}")
-    if mode == "plain":
-        return "plain"
-    return "gated" if mode == "moe" and not adapter_cfg.gate_force_one_hot else "hard"
 
 
 class CtrModel:
@@ -158,7 +150,7 @@ class CtrModel:
                  adapter_cfg: AdapterConfig, hidden: tuple[int, ...], seed: int):
         if arch not in ARCHS:
             raise ValueError(f"unknown arch {arch!r}; use one of {ARCHS}")
-        self.routing = _routing(mode, adapter_cfg)
+        _check_mode(mode, adapter_cfg)
         _check_seed("seed", seed)
         self.schema = schema
         self.arch = arch
@@ -174,14 +166,14 @@ class CtrModel:
 
     def expert_keys(self) -> list[tuple[int, int]]:
         """(domain, replica) of every adapter, in gate-column order; none when plain."""
-        if self.routing == "plain":
+        if self.mode == "plain":
             return []
         return [(d, k) for d in range(self.schema.n_domains)
                 for k in range(self.adapter_cfg.experts_per_domain)]
 
     def _make_layer(self, name: str, d_in: int, d_out: int, activation: str):
         base = DenseLayer(self.store, name, d_in, d_out, activation, "backbone", self.seed)
-        if self.routing == "plain":
+        if self.mode == "plain":
             return base
         cfg = self.adapter_cfg
         experts = []
@@ -189,9 +181,8 @@ class CtrModel:
             ad = LoRAAdapter(self.store, f"{name}.e{d}.{k}", d_in, d_out,
                              cfg.rank, cfg.alpha, f"expert({d},{k},{name})", self.seed)
             experts.append((d, k, ad))
-        gate = None
-        if self.routing == "gated":
-            gate = GateNet(self.store, f"{name}.gate", self.schema.n_domains, len(experts))
+        gate = (GateNet(self.store, f"{name}.gate", self.schema.n_domains, len(experts))
+                if self.mode == "moe" else None)
         return MoELayer(base, experts, gate=gate, n_domains=self.schema.n_domains)
 
     def _build(self) -> None:
@@ -214,7 +205,7 @@ class CtrModel:
     # ---- tape assembly --------------------------------------------------
 
     def _emit_layer(self, layer, tape: Tape, x: int, view: str) -> int:
-        if self.routing == "plain":
+        if self.mode == "plain":
             return layer.emit(tape, x)
         if view == "backbone":
             return layer.base.emit(tape, x)
@@ -224,25 +215,24 @@ class CtrModel:
         return layer.emit_single_expert(tape, x, int(d), int(k))
 
     def views(self) -> list[str]:
-        """The forward views of this model's routing, the names ``tape`` accepts."""
+        """The forward views of this model's mode, the names ``tape`` accepts."""
         views = ["backbone"] + [f"expert:{d}:{k}" for d, k in self.expert_keys()]
-        if self.routing == "gated":
+        if self.mode == "moe":
             views.append("mixture")
         return views
 
     def tape(self, view: str) -> tuple[Tape, int, int]:
         """(tape, probability node, loss node) for a forward view.
 
-        Every routing has "backbone"; a hard or gated model has one
-        "expert:d:k" per adapter; only a gated model has "mixture".  Any
-        other name raises ``AutodiffError`` naming the view and the routing.
+        Every mode has "backbone"; an mlora or moe model has one
+        "expert:d:k" per adapter; only a moe model has "mixture".  Any
+        other name raises ``AutodiffError`` naming the view and the mode.
         """
         if view in self._tapes:
             return self._tapes[view]
         if view not in self.views():
-            raise AutodiffError(
-                f"{self.mode} model ({self.routing} routing) has no view {view!r}; "
-                f"its views are {', '.join(self.views())}")
+            raise AutodiffError(f"{self.mode} model has no view {view!r}; "
+                                f"its views are {', '.join(self.views())}")
         sch = self.schema
         tape = Tape(self.store)
         embs = []
@@ -276,15 +266,12 @@ class CtrModel:
         self._tapes[view] = (tape, p, loss)
         return self._tapes[view]
 
-    def predict_view(self, domain: int | None = None) -> str:
+    def predict_view(self, domain: int) -> str:
         """The view that predicts rows of ``domain``."""
-        if self.routing == "plain":
+        if self.mode == "plain":
             return "backbone"
-        if self.routing == "gated":
+        if self.mode == "moe":
             return "mixture"
-        if domain is None:
-            raise ValueError("a hard-routed model predicts through its domain's expert; "
-                             "pass the domain")
         return f"expert:{int(domain)}:0"
 
     # ---- inference -------------------------------------------------------
@@ -307,7 +294,7 @@ class CtrModel:
         inputs = {}
         for f, (fname, _) in enumerate(self.schema.fields):
             inputs[f"ids.{fname}"] = ids[:, f]
-        if self.routing != "plain":
+        if self.mode != "plain":
             inputs["domain"] = np.array([domain])
         if y is not None:
             inputs["y"] = np.asarray(y, dtype=np.float64).reshape(-1, 1)
@@ -348,11 +335,12 @@ def build_model(schema: FeatureSchema, arch: str, mode: str,
 
 # ---- checkpoints ----------------------------------------------------------
 
-# Two gate options that format 1 records in its adapter section, and that no
-# longer exist.  Readers of the format look both keys up (the benchmark's
+# Three gate options that format 1 records in its adapter section, and that no
+# longer exist.  Readers of the format look all three keys up (the benchmark's
 # forward check among them), so every checkpoint still writes them, false,
 # which also keeps its bytes what they were.
-RETIRED_GATE_OPTIONS = {"gate_includes_backbone": False, "gate_input_conditioned": False}
+RETIRED_GATE_OPTIONS = {"gate_force_one_hot": False, "gate_includes_backbone": False,
+                        "gate_input_conditioned": False}
 
 
 def save_checkpoint(model: CtrModel, path) -> None:

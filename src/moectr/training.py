@@ -7,10 +7,8 @@ absent from the graph, so replicas of one domain differ only by their A-matrix
 init and experts are trained independently, one after another.  Phase 3
 freezes everything but the gate tables and fits the mixture weights on
 single-domain batches drawn proportionally (or balanced) across domains.
-The model's routing picks the phases: ``plain`` runs phase 1 alone,
-``hard`` (``mlora``, or ``moe`` with a forced one-hot gate) builds no gate
-tables and stops after phase 2, so a one-hot ``moe`` runs the ``mlora``
-pipeline, and ``gated`` runs all three.
+The model's mode picks the phases: ``plain`` runs phase 1 alone, ``mlora``
+builds no gate tables and stops after phase 2, and ``moe`` runs all three.
 
 The backbone, each expert and the gates are units, and one trainer runs
 them all.  It hashes every tensor outside the unit's own groups before and
@@ -339,7 +337,7 @@ def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
     The backbone and gates stay frozen; each expert trains through the
     bypass view, so experts never see one another.
     """
-    if model.routing == "plain":
+    if model.mode == "plain":
         raise ValueError("per-domain expert training needs an adapted model")
     frozen = _freeze_all_but(model, "expert(")
     outside = lambda g: not g.startswith("expert(")  # noqa: E731
@@ -360,11 +358,11 @@ def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
                cfg: TrainConfig) -> PhaseReport:
     """Fit the gate tables through the mixture view; everything else frozen.
 
-    Only a gated model has gate tables: ``mlora`` and a one-hot ``moe``
-    route by domain and are refused.
+    Only a ``moe`` model has gate tables: ``mlora`` routes by domain and is
+    refused.
     """
-    if model.routing != "gated":
-        raise ValueError("gate training applies only to moe models with a softmax gate; "
+    if model.mode != "moe":
+        raise ValueError("gate training applies only to moe models; "
                          f"this {model.mode} model has no gate tables")
     frozen = _freeze_all_but(model, "gate")
 
@@ -383,10 +381,10 @@ def train_pipeline(cfg: TrainConfig, dataset: Dataset, arch: str, mode: str,
                    hidden: tuple[int, ...] = DEFAULT_HIDDEN,
                    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
                    out_dir=None, embedding_dim: int | None = None) -> PipelineResult:
-    """Split, build, run the routing's phases, and score the test split.
+    """Split, build, run the mode's phases, and score the test split.
 
-    ``plain`` routing runs phase 1 only; ``hard`` (mlora and a one-hot moe)
-    adds per-domain expert fitting; ``gated`` also fits the gates.
+    ``plain`` runs phase 1 only; ``mlora`` adds per-domain expert fitting;
+    ``moe`` also fits the gates.
     Checkpoints land in ``out_dir`` when given.  ``embedding_dim``
     overrides the schema's width, same backbone for every mode at a given
     seed.
@@ -397,8 +395,8 @@ def train_pipeline(cfg: TrainConfig, dataset: Dataset, arch: str, mode: str,
     train, val, test = split_dataset(dataset, ratios, seed=cfg.seed)
     model = build_model(schema, arch, mode, adapter_cfg,
                         seed=cfg.seed, hidden=hidden)
-    runners = {"plain": [run_phase1], "hard": [run_phase1, run_phase2],
-               "gated": [run_phase1, run_phase2, run_phase3]}[model.routing]
+    runners = {"plain": [run_phase1], "mlora": [run_phase1, run_phase2],
+               "moe": [run_phase1, run_phase2, run_phase3]}[model.mode]
     phases: list[PhaseReport] = []
     for i, runner in enumerate(runners, start=1):
         phases.append(runner(model, train, val, cfg))

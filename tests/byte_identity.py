@@ -1,4 +1,4 @@
-"""Golden outputs of ten small pipelines, for the byte-identity test.
+"""Golden outputs of nine small pipelines, for the byte-identity test.
 
 Each pipeline trains on one small synthetic dataset (2 domains, 1,400
 rows, ``hidden=(8, 6)``, epochs (3, 3, 3)) and writes what the CLI's
@@ -26,7 +26,6 @@ import tempfile
 import numpy as np
 
 from moectr.data import SyntheticSpec, generate_synthetic, split_dataset
-from moectr.models import AdapterConfig
 from moectr.training import TrainConfig, train_pipeline
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -36,12 +35,9 @@ SPEC = SyntheticSpec(n_domains=2, n_users=150, n_items=80, rows_per_domain=700,
 CFG = TrainConfig(lr=5e-3, gate_lr=2e-2, batch_size=64, epochs=(3, 3, 3), seed=0)
 HIDDEN = (8, 6)
 
-# name -> (arch, mode, adapter config)
-PIPELINES = {
-    **{f"{arch}-{mode}": (arch, mode, AdapterConfig())
-       for arch in ("mlp", "wdl", "deepfm") for mode in ("plain", "mlora", "moe")},
-    "mlp-moe-one-hot": ("mlp", "moe", AdapterConfig(gate_force_one_hot=True)),
-}
+# name -> (arch, mode), each with the default adapter config
+PIPELINES = {f"{arch}-{mode}": (arch, mode)
+             for arch in ("mlp", "wdl", "deepfm") for mode in ("plain", "mlora", "moe")}
 
 
 def _blas_core() -> str | None:
@@ -87,9 +83,9 @@ def _sha256(data: bytes) -> str:
 
 def run(name: str, out_dir: str) -> dict:
     """Train one pipeline into ``out_dir``; its file hashes and predictions."""
-    arch, mode, adapter = PIPELINES[name]
+    arch, mode = PIPELINES[name]
     dataset = generate_synthetic(SPEC)
-    result = train_pipeline(CFG, dataset, arch, mode, adapter, hidden=HIDDEN,
+    result = train_pipeline(CFG, dataset, arch, mode, hidden=HIDDEN,
                             out_dir=out_dir)
     result.metrics.write_jsonl(os.path.join(out_dir, "metrics.jsonl"))
     with open(os.path.join(out_dir, "phases.jsonl"), "w", encoding="utf-8") as fh:

@@ -25,6 +25,7 @@ from moectr.models import (
     AdapterConfig,
     FeatureSchema,
     build_model,
+    load_checkpoint,
 )
 from moectr.training import TrainConfig, train_pipeline
 
@@ -155,7 +156,7 @@ def test_criterion_2_zero_init_equivalence(report):
            "sets bit-identical on 1000 inputs")
 
 
-def test_criterion_3_mlora_reduction(report):
+def test_criterion_3_mlora_reduction(report, tmp_path):
     spec = SyntheticSpec(n_domains=2, n_users=300, n_items=200,
                          rows_per_domain=1200, divergence=0.6, seed=7,
                          noise_scale=0.1)
@@ -163,20 +164,30 @@ def test_criterion_3_mlora_reduction(report):
     cfg = TrainConfig(lr=3e-3, gate_lr=1e-2, batch_size=128, epochs=(3, 3, 2),
                       seed=7, patience=10)
     adapter = AdapterConfig(rank=3, alpha=3.0)
-    one_hot = dataclasses.replace(adapter, gate_force_one_hot=True)
     res_mlora = train_pipeline(cfg, ds, "mlp", "mlora", adapter)
-    res_moe = train_pipeline(cfg, ds, "mlp", "moe", one_hot)
+    res_moe = train_pipeline(cfg, ds, "mlp", "moe", adapter, out_dir=str(tmp_path))
     _, _, test = split_dataset(ds, (0.8, 0.1, 0.1), seed=cfg.seed)
+    # (a) moe trains mlora's experts: its phase-2 checkpoint is the mlora model.
+    experts = load_checkpoint(tmp_path / "phase2.npz")
+    # (b) A gate whose softmax is exactly one on the domain's own expert and
+    # zero elsewhere (exp(-1e4) underflows) reduces the mixture to mlora.
+    moe = res_moe.model
+    for name in moe.store.names():
+        if name.endswith("gate.logits"):
+            shape = moe.store.get(name).shape
+            moe.store.set(name, np.where(np.eye(*shape, dtype=bool), 0.0, -1e4))
     exact = 0
+    moved = 0.0
     for d in range(2):
         rows = test.ids[test.domains == d]
-        if np.array_equal(res_mlora.model.predict(rows, d),
-                          res_moe.model.predict(rows, d)):
-            exact += 1
-    ok = exact == 2 and res_mlora.metrics.wauc == res_moe.metrics.wauc
+        want = res_mlora.model.predict(rows, d)
+        exact += np.array_equal(experts.predict(rows, d, view=f"expert:{d}:0"), want)
+        moved = max(moved, float(np.max(np.abs(moe.predict(rows, d) - want))))
+    ok = exact == 2 and moved <= 1e-12
     report(3, "one-hot reduction", ok,
-           f"{exact}/2 domains bit-identical after full pipelines; "
-           f"wauc {res_moe.metrics.wauc:.6f} both")
+           f"(a) {exact}/2 domains of moe's phase-2 experts bit-identical to mlora; "
+           "(b) one-hot-gated mixture " + ("exact" if moved == 0 else "not exact") +
+           f", max |diff| {moved:.1e} to mlora (bound 1e-12)")
 
 
 def test_criterion_4_freeze_contracts(report):

@@ -107,22 +107,6 @@ def test_train_stamps_hash_in_files_and_stdout(tmp_path, capsys):
     assert all(json.loads(ln)["config_hash"] == expected for ln in lines)
 
 
-def test_train_one_hot_moe_is_the_mlora_pipeline(tmp_path, capsys):
-    body = {"data": {"synthetic": TINY_SYNTH}, "train": FAST_TRAIN, "hidden": [8, 6],
-            "adapter": {"gate_force_one_hot": True}}
-    runs = {}
-    for mode in ("moe", "mlora"):
-        cfg = write_cfg(tmp_path, {**body, "mode": mode}, f"{mode}.json")
-        code, _, _ = run(["train", "--config", cfg, "--out", str(tmp_path / mode)], capsys)
-        assert code == 0
-        runs[mode] = tmp_path / mode / "seed0"
-    # No gate tables, so no phase 3: the run is mlora's, record for record.
-    assert sorted(p.name for p in runs["moe"].glob("phase*.npz")) == [
-        "phase1.npz", "phase2.npz"]
-    assert (runs["moe"] / "phases.jsonl").read_bytes() == (
-        runs["mlora"] / "phases.jsonl").read_bytes()
-
-
 def test_config_hash_changes_with_content():
     base = {"data": {"synthetic": TINY_SYNTH}}
     tweaked = {"data": {"synthetic": TINY_SYNTH}, "train": {"lr": 5e-4}}
@@ -133,14 +117,14 @@ def test_config_hash_changes_with_content():
 
 
 @pytest.mark.parametrize("body,expected", [
-    ({"data": {"synthetic": {}}}, "6d763798f51ec642"),
+    ({"data": {"synthetic": {}}}, "760a575c846d0dba"),
     # The README's example session.
     ({"data": {"synthetic": {"n_domains": 4, "n_users": 2000, "n_items": 2500,
                              "rows_per_domain": 12500, "divergence": 0.8,
                              "noise_scale": 0.05}},
       "embedding_dim": 4, "adapter": {"rank": 8, "alpha": 8.0},
       "train": {"lr": 0.003, "gate_lr": 0.05, "epochs": [10, 14, 20], "patience": 4}},
-     "4dc2336d8d6d9e40"),
+     "c2d4cb4e70bd774e"),
 ])
 def test_config_hash_is_pinned(body, expected):
     # A change to resolution must not silently re-stamp every earlier run.
@@ -218,7 +202,7 @@ def test_unknown_key_message_names_the_key(tmp_path, capsys):
     with pytest.raises(ConfigError, match="csv"):
         resolve_config({}, "train")
     # Gate options that were removed are unknown keys like any other.
-    for key in ("gate_includes_backbone", "gate_input_conditioned"):
+    for key in ("gate_force_one_hot", "gate_includes_backbone", "gate_input_conditioned"):
         cfg = write_cfg(tmp_path, {"data": {"synthetic": TINY_SYNTH},
                                    "adapter": {key: False}}, f"{key}.json")
         out = tmp_path / key
@@ -335,18 +319,6 @@ def test_sweep_rejects_indivisible_counts(tmp_path, capsys):
                        capsys)
     assert code == 2
     assert "multiple" in err
-    assert not (tmp_path / "s").exists()
-
-
-def test_sweep_refuses_a_one_hot_gate_over_several_experts_before_training(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {
-        "data": {"synthetic": TINY_SYNTH}, "expert_counts": [2, 4],
-        "train": FAST_TRAIN, "adapter": {"gate_force_one_hot": True},
-    })
-    code, records, err = run(
-        ["sweep-experts", "--config", cfg, "--out", str(tmp_path / "s")], capsys)
-    assert code == 2 and not records
-    assert "adapter.gate_force_one_hot: one-hot gating needs one expert per domain" in err
     assert not (tmp_path / "s").exists()
 
 

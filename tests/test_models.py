@@ -159,16 +159,16 @@ def test_each_merged_layer_runs_one_batch_row_matmul(view, cfg):
     assert len(_batch_row_matmuls(tape)) == 3
 
 
-@pytest.mark.parametrize("mode,routing,bad_views", [
-    ("plain", "plain", ["expert:0:0", "expert:7:3", "mixture", "bogus"]),
-    ("mlora", "hard", ["expert:0:1", "expert:2:0", "expert:x:0", "mixture", "bogus"]),
-    ("moe", "gated", ["expert:0:1", "expert:x:0", "bogus"]),
+@pytest.mark.parametrize("mode,bad_views", [
+    ("plain", ["expert:0:0", "expert:7:3", "mixture", "bogus"]),
+    ("mlora", ["expert:0:1", "expert:2:0", "expert:x:0", "mixture", "bogus"]),
+    ("moe", ["expert:0:1", "expert:x:0", "bogus"]),
 ])
-def test_an_unknown_view_is_refused_naming_it_and_the_routing(mode, routing, bad_views):
+def test_an_unknown_view_is_refused_naming_it_and_the_routing(mode, bad_views):
     m = tiny("mlp", mode)
     for view in bad_views:
         with pytest.raises(AutodiffError, match=re.escape(
-                f"{mode} model ({routing} routing) has no view {view!r}")):
+                f"{mode} model has no view {view!r}")):
             m.predict(rand_ids(4), 0, view=view)
     assert set(m._tapes) <= set(m.views())
 
@@ -252,7 +252,8 @@ def test_checkpoint_writes_the_removed_gate_options_false(tmp_path):
     assert load_checkpoint(path).adapter_cfg == m.adapter_cfg
 
 
-@pytest.mark.parametrize("key", ["gate_includes_backbone", "gate_input_conditioned"])
+@pytest.mark.parametrize("key", ["gate_force_one_hot", "gate_includes_backbone",
+                                 "gate_input_conditioned"])
 def test_load_refuses_a_checkpoint_with_a_removed_gate_option_set(tmp_path, key):
     path = tmp_path / "model.npz"
     save_checkpoint(tiny("mlp", "moe"), path)

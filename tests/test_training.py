@@ -68,8 +68,6 @@ def test_train_config_validation():
     (TrainConfig, "seed", 2.5),
     (TrainConfig, "balanced_phase3", "no"),
     (TrainConfig, "beta1", "0.9"),
-    (AdapterConfig, "gate_force_one_hot", "false"),
-    (AdapterConfig, "gate_force_one_hot", 1),
     (SyntheticSpec, "seed", -1),
     (SyntheticSpec, "seed", 2.5),
     (SyntheticSpec, "seed", True),
@@ -559,12 +557,10 @@ def test_phase3_moves_gates_only_and_rejects_other_modes():
     assert model.store.group_bytes(lambda g: g != "gate") == frozen
     assert model.store.group_bytes("gate") != gates_before
     assert rep.phase == 3 and rep.epochs_run >= 1
-    # Hard routing has no gate tables: mlora and a one-hot moe are refused.
-    for mode, adapter in (("mlora", AdapterConfig()),
-                          ("moe", AdapterConfig(gate_force_one_hot=True))):
-        hard = build_model(ds.schema, "mlp", mode, adapter, seed=5, hidden=(8, 6))
-        with pytest.raises(ValueError, match="moe"):
-            run_phase3(hard, train, val, FAST)
+    # mlora routes by domain and has no gate tables.
+    mlora = build_model(ds.schema, "mlp", "mlora", AdapterConfig(), seed=5, hidden=(8, 6))
+    with pytest.raises(ValueError, match="only to moe models; this mlora model"):
+        run_phase3(mlora, train, val, FAST)
 
 
 def test_gate_starts_uniform_then_sharpens_toward_own_expert():
@@ -593,24 +589,23 @@ def test_pipeline_phase_counts_and_checkpoints(tmp_path, mode, n_phases):
     assert res.metrics.context["mode"] == mode
 
 
-HARD_VIEWS = ["backbone", "expert:0:0", "expert:1:0"]
+MLORA_VIEWS = ["backbone", "expert:0:0", "expert:1:0"]
 
 
-@pytest.mark.parametrize("mode,adapter,routing,views,phases", [
-    ("plain", AdapterConfig(), "plain", ["backbone"], [1]),
-    ("mlora", AdapterConfig(), "hard", HARD_VIEWS, [1, 2]),
-    ("moe", AdapterConfig(), "gated", HARD_VIEWS + ["mixture"], [1, 2, 3]),
-    ("moe", AdapterConfig(gate_force_one_hot=True), "hard", HARD_VIEWS, [1, 2]),
-    ("moe", AdapterConfig(experts_per_domain=2), "gated",
+@pytest.mark.parametrize("mode,adapter,views,phases", [
+    ("plain", AdapterConfig(), ["backbone"], [1]),
+    ("mlora", AdapterConfig(), MLORA_VIEWS, [1, 2]),
+    ("moe", AdapterConfig(), MLORA_VIEWS + ["mixture"], [1, 2, 3]),
+    ("moe", AdapterConfig(experts_per_domain=2),
      ["backbone", "expert:0:0", "expert:0:1", "expert:1:0", "expert:1:1", "mixture"],
      [1, 2, 3]),
 ])
-def test_routing_decides_views_predict_view_and_phases(mode, adapter, routing, views, phases):
+def test_mode_decides_views_predict_view_and_phases(mode, adapter, views, phases):
     res = train_pipeline(FAST, small_synth(seed=7), "mlp", mode, adapter, hidden=(8, 6))
     model = res.model
-    assert model.routing == routing
+    assert model.mode == mode
     assert model.views() == views
-    expected = {"plain": "backbone", "hard": "expert:{d}:0", "gated": "mixture"}[routing]
+    expected = {"plain": "backbone", "mlora": "expert:{d}:0", "moe": "mixture"}[mode]
     assert [model.predict_view(d) for d in range(2)] == [expected.format(d=d)
                                                          for d in range(2)]
     assert [p.phase for p in res.phases] == phases
@@ -627,24 +622,9 @@ def test_pipeline_rerun_bit_identical_records():
         np.testing.assert_array_equal(a.model.store.get(na), b.model.store.get(nb))
 
 
-def test_moe_one_hot_pipeline_reproduces_mlora_predictions():
+def test_mlora_predict_runs_the_domain_expert_view():
     ds = small_synth(seed=9, divergence=0.8)
-    res_m = train_pipeline(FAST, ds, "mlp", "mlora", AdapterConfig(), hidden=(8, 6))
-    res_f = train_pipeline(FAST, ds, "mlp", "moe",
-                           AdapterConfig(gate_force_one_hot=True), hidden=(8, 6))
-    _, _, test = split_dataset(ds, seed=FAST.seed)
-    for d in range(2):
-        rows = test.rows_of_domain(d)
-        np.testing.assert_array_equal(
-            res_m.model.predict(test.ids[rows], d),
-            res_f.model.predict(test.ids[rows], d))
-
-
-@pytest.mark.parametrize("adapter", [AdapterConfig(), AdapterConfig(gate_force_one_hot=True)])
-def test_hard_routed_predict_runs_the_domain_expert_view(adapter):
-    ds = small_synth(seed=9, divergence=0.8)
-    mode = "moe" if adapter.gate_force_one_hot else "mlora"
-    res = train_pipeline(FAST, ds, "mlp", mode, adapter, hidden=(8, 6))
+    res = train_pipeline(FAST, ds, "mlp", "mlora", AdapterConfig(), hidden=(8, 6))
     for d in range(2):
         rows = ds.ids[ds.domains == d]
         np.testing.assert_array_equal(res.model.predict(rows, d),
