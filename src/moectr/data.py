@@ -252,29 +252,22 @@ def batch_iter(ds: Dataset, batch_size: int, seed: int = 0, shuffle: bool = True
         yield ds.batch(order[start : start + batch_size])
 
 
-def domain_batches(ds: Dataset, batch_size: int, seed: int = 0, epoch: int = 0,
-                   balanced: bool = False) -> list[tuple[int, np.ndarray]]:
+def domain_batches(ds: Dataset, batch_size: int, seed: int = 0,
+                   epoch: int = 0) -> list[tuple[int, np.ndarray]]:
     """Single-domain batches for one epoch, in a deterministic shuffled order.
 
-    Proportional sampling chunks each domain's shuffled rows once per epoch;
-    balanced sampling gives every domain as many batches as the largest one,
-    re-cycling smaller domains' rows.
+    Each domain's rows are shuffled and chunked once per epoch, so every row
+    appears exactly once and a domain gets batches in proportion to its size;
+    a domain with no rows gets none.  The batches of all domains are then
+    shuffled together.
     """
     per_domain: list[tuple[int, np.ndarray]] = []
     rng = np.random.default_rng([seed, epoch])
-    counts = ds.domain_counts()
-    max_rows = int(counts.max())
     for d in range(ds.schema.n_domains):
         rows = ds.rows_of_domain(d)
         if rows.size == 0:
             continue
         perm = rows[rng.permutation(rows.size)]
-        if balanced and rows.size < max_rows:
-            reps = int(np.ceil(max_rows / rows.size))
-            tiled = [perm]
-            for _ in range(reps - 1):
-                tiled.append(rows[rng.permutation(rows.size)])
-            perm = np.concatenate(tiled)[:max_rows]
         for start in range(0, perm.size, batch_size):
             per_domain.append((d, perm[start : start + batch_size]))
     order = rng.permutation(len(per_domain))

@@ -82,11 +82,6 @@ def _check_positive(name: str, value) -> None:
     _check(name, value, "a finite positive number", lambda v: math.isfinite(v) and v > 0)
 
 
-def _check_flag(name: str, value) -> None:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-
-
 def _check_widths(hidden) -> tuple[int, ...]:
     """The tower widths as a tuple of ints, each a positive integer."""
     for width in hidden:

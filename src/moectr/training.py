@@ -6,7 +6,7 @@ alone, through a bypass view where the gate and every other expert are
 absent from the graph, so replicas of one domain differ only by their A-matrix
 init and experts are trained independently, one after another.  Phase 3
 freezes everything but the gate tables and fits the mixture weights on
-single-domain batches drawn proportionally (or balanced) across domains.
+shuffled single-domain batches that cover each domain's rows once an epoch.
 The model's mode picks the phases: ``plain`` runs phase 1 alone, ``mlora``
 builds no gate tables and stops after phase 2, and ``moe`` runs all three.
 
@@ -41,7 +41,6 @@ from .models import (
     CtrModel,
     _check,
     _check_count,
-    _check_flag,
     _check_positive,
     _check_seed,
     build_model,
@@ -81,7 +80,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     patience: int = 2
-    balanced_phase3: bool = False
 
     def __post_init__(self):
         for name in ("lr", "gate_lr", "adam_eps"):
@@ -96,7 +94,6 @@ class TrainConfig:
             _check(name, getattr(self, name), "a number in [0, 1) like all Adam betas",
                    lambda v: 0 <= v < 1)
         _check_seed("seed", self.seed)
-        _check_flag("balanced_phase3", self.balanced_phase3)
 
 
 @dataclass
@@ -312,6 +309,10 @@ def _train_one_expert(model: CtrModel, d: int, k: int, train: Dataset,
                       val: Dataset, cfg: TrainConfig) -> PhaseReport:
     sub = train.subset(train.rows_of_domain(d))
     val_rows = val.rows_of_domain(d)
+    val_labels = val.labels[val_rows]
+    # AUC ranks positives against negatives: a split missing either class
+    # can never be scored, so it is not predicted every epoch only to fail.
+    scorable = 0 < val_labels.sum() < val_labels.size
     view = f"expert:{d}:{k}"
 
     def batches(epoch):
@@ -320,13 +321,15 @@ def _train_one_expert(model: CtrModel, d: int, k: int, train: Dataset,
             yield d, b
 
     def val_metric():
-        if val_rows.size:
-            return auc(val.labels[val_rows], model.predict(val.ids[val_rows], d, view=view))
+        if scorable:
+            return auc(val_labels, model.predict(val.ids[val_rows], d, view=view))
 
     rep = _train_unit(model, cfg, 2, f"expert({d},{k})", f"expert({d},{k},", view,
                       batches, val_metric)
     if val_rows.size == 0:
         rep.warnings.append(f"domain {d}: no validation rows, no early stopping")
+    elif not scorable:
+        rep.warnings.append(f"domain {d}: single-class validation split, no early stopping")
     return rep
 
 
@@ -368,8 +371,7 @@ def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
 
     def batches(epoch):
         for d, rows in domain_batches(train, cfg.batch_size,
-                                      seed=cfg.seed * 1000 + 3, epoch=epoch,
-                                      balanced=cfg.balanced_phase3):
+                                      seed=cfg.seed * 1000 + 3, epoch=epoch):
             yield d, train.batch(rows)
 
     return _train_unit(model, cfg, 3, "gates", "gate", "mixture", batches,

@@ -117,14 +117,14 @@ def test_config_hash_changes_with_content():
 
 
 @pytest.mark.parametrize("body,expected", [
-    ({"data": {"synthetic": {}}}, "760a575c846d0dba"),
+    ({"data": {"synthetic": {}}}, "4bd4832b8eedad12"),
     # The README's example session.
     ({"data": {"synthetic": {"n_domains": 4, "n_users": 2000, "n_items": 2500,
                              "rows_per_domain": 12500, "divergence": 0.8,
                              "noise_scale": 0.05}},
       "embedding_dim": 4, "adapter": {"rank": 8, "alpha": 8.0},
       "train": {"lr": 0.003, "gate_lr": 0.05, "epochs": [10, 14, 20], "patience": 4}},
-     "c2d4cb4e70bd774e"),
+     "9ab743edbda6eab8"),
 ])
 def test_config_hash_is_pinned(body, expected):
     # A change to resolution must not silently re-stamp every earlier run.
@@ -201,14 +201,15 @@ def test_unknown_key_message_names_the_key(tmp_path, capsys):
         resolve_config({"data": {"csv": "x.csv"}, "train": {"gate_lr2": 1.0}}, "train")
     with pytest.raises(ConfigError, match="csv"):
         resolve_config({}, "train")
-    # Gate options that were removed are unknown keys like any other.
-    for key in ("gate_force_one_hot", "gate_includes_backbone", "gate_input_conditioned"):
+    # Options that were removed are unknown keys like any other.
+    for section, key in (("adapter", "gate_force_one_hot"), ("adapter", "gate_includes_backbone"),
+                         ("adapter", "gate_input_conditioned"), ("train", "balanced_phase3")):
         cfg = write_cfg(tmp_path, {"data": {"synthetic": TINY_SYNTH},
-                                   "adapter": {key: False}}, f"{key}.json")
+                                   section: {key: False}}, f"{key}.json")
         out = tmp_path / key
         code, _, err = run(["train", "--config", cfg, "--out", str(out)], capsys)
         assert code == 2
-        assert f"adapter: unknown key(s) {key}; allowed: " in err
+        assert f"{section}: unknown key(s) {key}; allowed: " in err
         assert not out.exists()
 
 
@@ -216,7 +217,7 @@ def test_unknown_key_message_names_the_key(tmp_path, capsys):
     ({"ratios": ["a", 0.1, 0.1]}, "ratios"),
     ({"train": {"lr": "x"}}, "train.lr"),
     ({"train": {"epochs": [2, "1", 1]}}, "train.epochs"),
-    ({"train": {"balanced_phase3": 1}}, "train.balanced_phase3"),
+    ({"train": {"patience": True}}, "train.patience"),
     ({"train": []}, "train must be a JSON object"),
     ({"adapter": {"rank": 2.5}}, "adapter.rank"),
     ({"adapter": {"alpha": True}}, "adapter.alpha"),

@@ -253,14 +253,13 @@ def test_domain_batches_are_single_domain_and_cover_epoch():
         assert (ds.domains[rows] == d).all()
         seen.append(rows)
     np.testing.assert_array_equal(np.sort(np.concatenate(seen)), np.arange(57))
-
-
-def test_domain_batches_balanced_mode_evens_out_batch_counts():
+    # Uneven domains: each row once per epoch, batches in proportion to rows.
     schema = FeatureSchema((("user_id", 9), ("item_id", 9)), n_domains=2)
-    ids = np.ones((110, 2), dtype=np.int64)
     domains = np.array([0] * 100 + [1] * 10)
-    ds = Dataset(schema, ids, np.zeros(110, dtype=int), domains)
-    counts = {0: 0, 1: 0}
-    for d, rows in domain_batches(ds, 10, seed=0, balanced=True):
-        counts[d] += 1
-    assert counts[0] == counts[1] == 10
+    ds = Dataset(schema, np.ones((110, 2), dtype=np.int64), np.zeros(110, dtype=int), domains)
+    for epoch in (0, 1):
+        batches = domain_batches(ds, 10, seed=0, epoch=epoch)
+        assert all((domains[rows] == d).all() for d, rows in batches)
+        np.testing.assert_array_equal(np.sort(np.concatenate([r for _, r in batches])),
+                                      np.arange(110))
+        assert [sum(d == k for d, _ in batches) for k in (0, 1)] == [10, 1]

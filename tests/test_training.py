@@ -66,7 +66,6 @@ def test_train_config_validation():
     (AdapterConfig, "experts_per_domain", 1.0),
     (TrainConfig, "seed", -1),
     (TrainConfig, "seed", 2.5),
-    (TrainConfig, "balanced_phase3", "no"),
     (TrainConfig, "beta1", "0.9"),
     (SyntheticSpec, "seed", -1),
     (SyntheticSpec, "seed", 2.5),
@@ -524,17 +523,42 @@ def test_pipeline_domain_without_validation_rows_trains_every_epoch():
     assert np.isfinite(res.metrics.wauc) and 0.0 < res.metrics.wauc < 1.0
 
 
-@pytest.mark.parametrize("balanced", [False, True])
-def test_pipeline_phase3_skips_a_domain_with_no_rows(balanced):
+def test_expert_with_single_class_validation_split_warns_and_is_never_scored(monkeypatch):
+    ds = small_synth(seed=12)
+    positive_of_1 = (ds.domains == 1) & (ds.labels == 1)
+    # Domain 1 keeps two positives, and the split puts both in training.
+    ds = ds.subset(np.flatnonzero(~positive_of_1 | (np.cumsum(positive_of_1) <= 2)))
+    cfg = replace(FAST, patience=1)
+    train, val, _ = split_dataset(ds, seed=cfg.seed)
+    val_labels = val.labels[val.rows_of_domain(1)]
+    assert val_labels.size and not val_labels.any()
+    scored_views = []
+    predict = training.CtrModel.predict
+
+    def spy(self, ids, domain, view=None):
+        scored_views.append(view)
+        return predict(self, ids, domain, view=view)
+
+    monkeypatch.setattr(training.CtrModel, "predict", spy)
+    model = build_model(ds.schema, "mlp", "mlora", AdapterConfig(), seed=0, hidden=(8, 6))
+    run_phase1(model, train, val, cfg)
+    rep = run_phase2(model, train, val, cfg)
+    child = next(c for c in rep.children if c.unit == "expert(1,0)")
+    warning = "domain 1: single-class validation split, no early stopping"
+    assert child.warnings == [warning] and warning in rep.warnings
+    assert child.val_wauc == [] and not child.stopped_early
+    assert child.epochs_run == cfg.epochs[1]
+    assert "expert:1:0" not in scored_views and "expert:0:0" in scored_views
+
+
+def test_pipeline_phase3_skips_a_domain_with_no_rows():
     ds = _with_domain(small_synth(seed=11), keep_per_label=0)
-    cfg = replace(FAST, balanced_phase3=balanced)
-    train, _, _ = split_dataset(ds, seed=cfg.seed)
-    batches = domain_batches(train, cfg.batch_size, seed=cfg.seed * 1000 + 3,
-                             balanced=balanced)
+    train, _, _ = split_dataset(ds, seed=FAST.seed)
+    batches = domain_batches(train, FAST.batch_size, seed=FAST.seed * 1000 + 3)
     assert {d for d, _ in batches} == {0, 1} and all(rows.size for _, rows in batches)
-    res = train_pipeline(cfg, ds, "mlp", "moe", AdapterConfig(), hidden=(8, 6))
+    res = train_pipeline(FAST, ds, "mlp", "moe", AdapterConfig(), hidden=(8, 6))
     assert "domain 2: no training rows, expert(2,0) left at initialization" in res.phases[1].warnings
-    assert res.phases[2].epochs_run == cfg.epochs[2]
+    assert res.phases[2].epochs_run == FAST.epochs[2]
     assert np.isfinite(res.phases[2].train_loss).all()
     # Phase 3 stepped no batch of domain 2, so its gate rows never moved,
     # while the other domains' did.
