@@ -676,7 +676,7 @@ class Tape:
             plan = self._backward_plans[key] = _BackwardPlan(edges, params)
         return plan
 
-    def backward(self, loss: int | None = None, seed: float = 1.0) -> dict[str, np.ndarray]:
+    def backward(self, loss: int | None = None) -> dict[str, np.ndarray]:
         """Accumulate gradients from a scalar loss node.
 
         Returns gradients for the store's trainable parameters that are
@@ -715,7 +715,7 @@ class Tape:
                 bound.append((views, acc))
             self._bound[key] = bound
         grads: list = [None] * (loss + 1)
-        grads[loss] = np.asarray(seed, dtype=_F8)
+        grads[loss] = np.asarray(1.0, dtype=_F8)
         for (nid, _, x, fn, _, first), (bufs, acc) in zip(bplan.edges, bound):
             c = fn(grads[nid], vals, bufs)
             grads[x] = c if first else np.add(grads[x], c, out=acc)

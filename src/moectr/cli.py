@@ -47,6 +47,13 @@ def _check_keys(section: dict, allowed, where: str) -> None:
             f"allowed: {', '.join(sorted(allowed))}")
 
 
+def _refuse_repeats(where: str, values: list) -> None:
+    """Refuse a list that names one value twice: it would rerun one pipeline."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{where} lists {v!r} more than once")
+
+
 def _section(parent: dict, key: str, defaults: dict, where: str) -> dict:
     """``parent[key]``: a JSON object whose keys are among ``defaults``."""
     section = parent.get(key, {})
@@ -120,6 +127,7 @@ def resolve_config(cfg: dict, command: str) -> dict:
     modes = cfg.get("modes", list(MODES))
     if not isinstance(modes, list) or not modes or any(m not in MODES for m in modes):
         raise ConfigError(f"modes must be a non-empty subset of {MODES}")
+    _refuse_repeats("modes", modes)
     out["modes"] = modes
 
     hidden = cfg.get("hidden", list(DEFAULT_HIDDEN))
@@ -151,6 +159,7 @@ def resolve_config(cfg: dict, command: str) -> dict:
             not _is_number(s, whole=True) or s < 0 for s in seeds):
         raise ConfigError(
             f"seeds must be a non-empty list of non-negative integers, got {json.dumps(seeds)}")
+    _refuse_repeats("seeds", seeds)
     out["seeds"] = seeds
 
     counts = cfg.get("expert_counts", [2, 4, 6, 8])
@@ -158,6 +167,7 @@ def resolve_config(cfg: dict, command: str) -> dict:
             not _is_number(c, whole=True) or c < 1 for c in counts):
         raise ConfigError("expert_counts must be a non-empty list of positive integers, "
                           f"got {json.dumps(counts)}")
+    _refuse_repeats("expert_counts", counts)
     out["expert_counts"] = counts
     return out
 
@@ -176,6 +186,7 @@ def _parse_seeds(arg: str | None, resolved: dict) -> list[int]:
         raise ConfigError(f"--seed expects comma-separated integers, got {arg!r}")
     if not seeds or any(s < 0 for s in seeds):
         raise ConfigError("--seed expects non-negative integers")
+    _refuse_repeats("--seed", seeds)
     return seeds
 
 

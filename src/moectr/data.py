@@ -6,12 +6,12 @@ and labels are 0/1.  In memory a ``Dataset`` keeps the id columns, labels,
 and domains as flat numpy arrays in file order.
 
 The generator plants a latent structure that domain-specific adapters can
-actually exploit: users and items carry hidden cluster memberships, and each
-domain scores a (user cluster, item cluster) pair through its own table.
-At divergence 0 every domain shares one table, so a single global model is
-Bayes-optimal; at divergence 1 each domain's table is an independent random
-draw.  Labels come from thresholding logistic-noised scores at the quantile
-matching the target positive rate.
+actually exploit: users and items each belong to one of four hidden
+clusters, and each domain scores a (user cluster, item cluster) pair through
+its own table.  At divergence 0 every domain shares one table, so a single
+global model is Bayes-optimal; at divergence 1 each domain's table is an
+independent random draw.  Labels come from thresholding logistic-noised
+scores at the quantile matching the target positive rate.
 """
 
 from __future__ import annotations
@@ -120,11 +120,10 @@ def write_csv(ds: Dataset, path) -> None:
             w.writerow(row)
 
 
-def load_csv(path, schema: FeatureSchema | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Parse a dataset CSV; malformed rows are reported with line numbers.
 
-    Without a schema, field cardinalities and the domain count are inferred
-    as max id + 1.
+    Field cardinalities and the domain count are inferred as max id + 1.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -163,19 +162,9 @@ def load_csv(path, schema: FeatureSchema | None = None) -> Dataset:
     if not users:
         raise ValueError(f"{path}: no data rows")
     cols = [np.asarray(users), np.asarray(items)] + [np.asarray(c) for c in ctx]
-    if schema is None:
-        fields = [("user_id", int(cols[0].max()) + 1), ("item_id", int(cols[1].max()) + 1)]
-        fields += [(name, int(c.max()) + 1) for name, c in zip(ctx_names, cols[2:])]
-        schema = FeatureSchema(tuple(fields), n_domains=int(max(domains)) + 1)
-    else:
-        if list(schema.field_names) != ["user_id", "item_id"] + ctx_names:
-            raise ValueError(
-                f"{path}: columns {ctx_names} do not match schema fields "
-                f"{schema.field_names[2:]}")
-        if max(domains) >= schema.n_domains:
-            bad = max(domains)
-            raise ValueError(
-                f"{path}: domain id {bad} outside schema range [0, {schema.n_domains})")
+    fields = [("user_id", int(cols[0].max()) + 1), ("item_id", int(cols[1].max()) + 1)]
+    fields += [(name, int(c.max()) + 1) for name, c in zip(ctx_names, cols[2:])]
+    schema = FeatureSchema(tuple(fields), n_domains=int(max(domains)) + 1)
     return Dataset(schema, np.column_stack(cols), np.asarray(labels), np.asarray(domains))
 
 
@@ -235,19 +224,16 @@ def split_dataset(ds: Dataset, ratios: tuple[float, float, float] = (0.8, 0.1, 0
     return tuple(out)
 
 
-def batch_iter(ds: Dataset, batch_size: int, seed: int = 0, shuffle: bool = True,
-               epoch: int = 0):
+def batch_iter(ds: Dataset, batch_size: int, seed: int = 0, epoch: int = 0):
     """Yield batches covering every row exactly once.
 
-    Order is the row order when ``shuffle`` is off, otherwise a permutation
-    determined by (seed, epoch).  The last batch may be short.
+    Rows come in a permutation determined by (seed, epoch).  The last batch
+    may be short.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = len(ds)
-    order = np.arange(n)
-    if shuffle:
-        order = np.random.default_rng([seed, epoch]).permutation(n)
+    order = np.random.default_rng([seed, epoch]).permutation(n)
     for start in range(0, n, batch_size):
         yield ds.batch(order[start : start + batch_size])
 
@@ -276,6 +262,9 @@ def domain_batches(ds: Dataset, batch_size: int, seed: int = 0,
 
 # ---- synthetic generator ---------------------------------------------------
 
+# Users fall into this many hidden clusters, and so do items.
+_CLUSTERS = 4
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -288,13 +277,10 @@ class SyntheticSpec:
     positive_rate: float = 0.5
     divergence: float = 0.5
     seed: int = 0
-    n_user_clusters: int = 4
-    n_item_clusters: int = 4
     noise_scale: float = 0.15
 
     def __post_init__(self):
-        for name in ("n_domains", "n_users", "n_items", "rows_per_domain",
-                     "n_user_clusters", "n_item_clusters"):
+        for name in ("n_domains", "n_users", "n_items", "rows_per_domain"):
             _check_count(name, getattr(self, name))
         if self.rows_per_domain > self.n_users * self.n_items:
             raise ValueError(
@@ -309,9 +295,9 @@ class SyntheticSpec:
 
 def _latents(spec: SyntheticSpec):
     rng = np.random.default_rng([spec.seed, 101])
-    user_cluster = rng.integers(0, spec.n_user_clusters, size=spec.n_users)
-    item_cluster = rng.integers(0, spec.n_item_clusters, size=spec.n_items)
-    shared = rng.random((spec.n_user_clusters, spec.n_item_clusters))
+    user_cluster = rng.integers(0, _CLUSTERS, size=spec.n_users)
+    item_cluster = rng.integers(0, _CLUSTERS, size=spec.n_items)
+    shared = rng.random((_CLUSTERS, _CLUSTERS))
     tables = []
     for d in range(spec.n_domains):
         own = np.random.default_rng([spec.seed, 211, d]).random(shared.shape)
@@ -381,8 +367,8 @@ def rule_agreement(spec: SyntheticSpec) -> float:
     quantile matching the target positive rate.
     """
     user_cluster, item_cluster, tables = _latents(spec)
-    u_w = np.bincount(user_cluster, minlength=spec.n_user_clusters).astype(float)
-    i_w = np.bincount(item_cluster, minlength=spec.n_item_clusters).astype(float)
+    u_w = np.bincount(user_cluster, minlength=_CLUSTERS).astype(float)
+    i_w = np.bincount(item_cluster, minlength=_CLUSTERS).astype(float)
     w = np.outer(u_w, i_w)
     w /= w.sum()
     rules = []

@@ -306,9 +306,9 @@ class CtrModel:
         blocks that never get that small keep the bits of one pass there.
         """
         ids = self._validate_ids(ids)
-        if not (0 <= domain < self.schema.n_domains):
-            raise ValueError(
-                f"domain index {domain} out of range [0, {self.schema.n_domains})")
+        if not (_is_number(domain, whole=True) and 0 <= domain < self.schema.n_domains):
+            raise ValueError(f"domain must be an integer in [0, {self.schema.n_domains}), "
+                             f"got {domain!r}")
         tape, p_node, _ = self.tape(view or self.predict_view(domain))
         n = ids.shape[0]
         starts = list(range(0, n, PREDICT_BLOCK_ROWS))

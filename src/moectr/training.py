@@ -39,7 +39,6 @@ from .models import (
     DEFAULT_HIDDEN,
     AdapterConfig,
     CtrModel,
-    _check,
     _check_count,
     _check_positive,
     _check_seed,
@@ -61,6 +60,10 @@ __all__ = [
 ]
 
 
+# Adam's betas and epsilon (Kingma & Ba, ICLR 2015), the same for every unit.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class NumericError(RuntimeError):
     """Non-finite loss or gradient; carries the phase where it happened."""
 
@@ -75,14 +78,11 @@ class TrainConfig:
     gate_lr: float = 1e-2
     batch_size: int = 256
     epochs: tuple[int, int, int] = (5, 5, 5)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     patience: int = 2
 
     def __post_init__(self):
-        for name in ("lr", "gate_lr", "adam_eps"):
+        for name in ("lr", "gate_lr"):
             _check_positive(name, getattr(self, name))
         for name in ("batch_size", "patience"):
             _check_count(name, getattr(self, name))
@@ -90,9 +90,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be three counts, one per phase, got {self.epochs!r}")
         for e in self.epochs:
             _check_count("epochs", e)
-        for name in ("beta1", "beta2"):
-            _check(name, getattr(self, name), "a number in [0, 1) like all Adam betas",
-                   lambda v: 0 <= v < 1)
         _check_seed("seed", self.seed)
 
 
@@ -170,9 +167,8 @@ class AdamState:
 
 
 def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update over the supplied gradients, fused.
+              lr: float) -> None:
+    """One bias-corrected Adam update at rate ``lr`` over the supplied gradients, fused.
 
     Parameters without a gradient entry stay put; frozen parameters never
     move even if a gradient is supplied.  Adam is elementwise, so the
@@ -207,17 +203,17 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
         state.m.update(layout.m)
         state.v.update(layout.v)
     # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
-    np.multiply(m, beta1, out=m)
-    np.add(m, np.multiply(g, 1.0 - beta1, out=u), out=m)
-    np.multiply(v, beta2, out=v)
+    np.multiply(m, _BETA1, out=m)
+    np.add(m, np.multiply(g, 1.0 - _BETA1, out=u), out=m)
+    np.multiply(v, _BETA2, out=v)
     np.multiply(g, g, out=u)
-    np.add(v, np.multiply(u, 1.0 - beta2, out=u), out=v)
+    np.add(v, np.multiply(u, 1.0 - _BETA2, out=u), out=v)
     # u = lr * m_hat / (sqrt(v_hat) + eps); g is free to hold the denominator
-    np.divide(m, 1.0 - beta1 ** t, out=u)
+    np.divide(m, 1.0 - _BETA1 ** t, out=u)
     np.multiply(u, lr, out=u)
-    np.divide(v, 1.0 - beta2 ** t, out=g)
+    np.divide(v, 1.0 - _BETA2 ** t, out=g)
     np.sqrt(g, out=g)
-    np.add(g, eps, out=g)
+    np.add(g, _EPS, out=g)
     np.divide(u, g, out=u)
     for name, update in layout.updates:
         store.set(name, store.get(name) - update)
@@ -268,8 +264,7 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite training loss in phase {phase}", phase)
                 try:
-                    adam_step(store, tape.backward(loss_node), adam, lr,
-                              cfg.beta1, cfg.beta2, cfg.adam_eps)
+                    adam_step(store, tape.backward(loss_node), adam, lr)
                 except NumericError as e:
                     raise NumericError(f"{e} in phase {phase}", phase)
                 total += loss * batch.labels.size
@@ -297,8 +292,7 @@ def run_phase1(model: CtrModel, train: Dataset, val: Dataset,
     frozen = _freeze_all_but(model, "backbone")
 
     def batches(epoch):
-        for b in batch_iter(train, cfg.batch_size, seed=cfg.seed * 1000 + 1,
-                            shuffle=True, epoch=epoch):
+        for b in batch_iter(train, cfg.batch_size, seed=cfg.seed * 1000 + 1, epoch=epoch):
             yield 0, b  # backbone view ignores the domain
 
     return _train_unit(model, cfg, 1, "backbone", "backbone", "backbone", batches,
@@ -316,8 +310,7 @@ def _train_one_expert(model: CtrModel, d: int, k: int, train: Dataset,
     view = f"expert:{d}:{k}"
 
     def batches(epoch):
-        for b in batch_iter(sub, cfg.batch_size,
-                            seed=cfg.seed * 1000 + 20 + d, shuffle=True, epoch=epoch):
+        for b in batch_iter(sub, cfg.batch_size, seed=cfg.seed * 1000 + 20 + d, epoch=epoch):
             yield d, b
 
     def val_metric():

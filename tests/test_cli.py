@@ -23,6 +23,7 @@ TINY_SYNTH = {
 FAST_TRAIN = {"batch_size": 64, "epochs": [2, 1, 1], "patience": 5}
 SUBCOMMANDS = ("generate", "train", "compare", "sweep-experts")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 # What pip writes for a console_scripts entry point: load the target, call it
 # with no arguments, exit with its return value.  argv: name, value, args...
 WRAPPER = (
@@ -117,18 +118,31 @@ def test_config_hash_changes_with_content():
 
 
 @pytest.mark.parametrize("body,expected", [
-    ({"data": {"synthetic": {}}}, "4bd4832b8eedad12"),
+    ({"data": {"synthetic": {}}}, "863c9302b4119d99"),
     # The README's example session.
     ({"data": {"synthetic": {"n_domains": 4, "n_users": 2000, "n_items": 2500,
                              "rows_per_domain": 12500, "divergence": 0.8,
                              "noise_scale": 0.05}},
       "embedding_dim": 4, "adapter": {"rank": 8, "alpha": 8.0},
       "train": {"lr": 0.003, "gate_lr": 0.05, "epochs": [10, 14, 20], "patience": 4}},
-     "9ab743edbda6eab8"),
+     "db7b0b3202d1d46e"),
 ])
 def test_config_hash_is_pinned(body, expected):
     # A change to resolution must not silently re-stamp every earlier run.
     assert config_hash(resolve_config(body, "compare")) == expected
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("All keys and their defaults:", 1)[1]
+    block = block.split("```json", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//.*", "", block))
+    resolved = resolve_config({"data": {"synthetic": {"seed": 0}}}, "compare")
+    resolved = json.loads(json.dumps(resolved))
+    data = doc.pop("data")
+    assert set(data) == {"csv", "synthetic"}
+    assert data["synthetic"] == resolved.pop("data")["synthetic"]
+    assert doc == resolved
 
 
 def test_refuses_nonempty_out_without_force(tmp_path, capsys):
@@ -178,14 +192,21 @@ def test_exit_2_on_config_problems(tmp_path, capsys):
     ("train", {"data": {"csv": "no-such-dir/missing.csv"}}, [], "No such file"),
     ("train", {"data": {"synthetic": TINY_SYNTH}, "train": {"lr": float("nan")}}, [],
      "lr must be a finite positive number, got nan"),
-    ("train", {"data": {"synthetic": TINY_SYNTH}, "train": {"adam_eps": -1.0}}, [],
-     "adam_eps must be a finite positive number, got -1.0"),
+    ("train", {"data": {"synthetic": TINY_SYNTH}}, ["--seed", "1,0,1"],
+     "--seed lists 1 more than once"),
     ("train", {"data": {"synthetic": TINY_SYNTH}, "adapter": {"alpha": 0.0}}, [],
      "alpha must be a finite positive number, got 0.0"),
     ("train", {"data": {"synthetic": TINY_SYNTH}, "ratios": [float("nan"), 0.5, 0.5]}, [],
      "ratios must be three positive numbers summing to 1"),
     ("train", {"data": {"synthetic": {**TINY_SYNTH, "noise_scale": float("inf")}}}, [],
      "noise_scale must be a finite positive number, got inf"),
+    # A repeated list entry would train one pipeline twice into one directory.
+    ("train", {"data": {"synthetic": TINY_SYNTH}, "seeds": [0, 2, 0]}, [],
+     "seeds lists 0 more than once"),
+    ("compare", {"data": {"synthetic": TINY_SYNTH}, "modes": ["moe", "plain", "moe"]}, [],
+     "modes lists 'moe' more than once"),
+    ("sweep-experts", {"data": {"synthetic": TINY_SYNTH}, "expert_counts": [2, 4, 2]}, [],
+     "expert_counts lists 2 more than once"),
 ])
 def test_each_config_problem_exits_2_with_its_message(tmp_path, capsys, command, body,
                                                        extra, named):
@@ -202,10 +223,17 @@ def test_unknown_key_message_names_the_key(tmp_path, capsys):
     with pytest.raises(ConfigError, match="csv"):
         resolve_config({}, "train")
     # Options that were removed are unknown keys like any other.
-    for section, key in (("adapter", "gate_force_one_hot"), ("adapter", "gate_includes_backbone"),
-                         ("adapter", "gate_input_conditioned"), ("train", "balanced_phase3")):
-        cfg = write_cfg(tmp_path, {"data": {"synthetic": TINY_SYNTH},
-                                   section: {key: False}}, f"{key}.json")
+    removed = [("adapter", "gate_force_one_hot"), ("adapter", "gate_includes_backbone"),
+               ("adapter", "gate_input_conditioned"), ("train", "balanced_phase3"),
+               ("train", "beta1"), ("train", "beta2"), ("train", "adam_eps"),
+               ("data.synthetic", "n_user_clusters"), ("data.synthetic", "n_item_clusters")]
+    for section, key in removed:
+        body = {"data": {"synthetic": TINY_SYNTH}}
+        if section == "data.synthetic":
+            body["data"] = {"synthetic": {**TINY_SYNTH, key: 4}}
+        else:
+            body[section] = {key: False}
+        cfg = write_cfg(tmp_path, body, f"{key}.json")
         out = tmp_path / key
         code, _, err = run(["train", "--config", cfg, "--out", str(out)], capsys)
         assert code == 2

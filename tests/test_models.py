@@ -219,6 +219,17 @@ def test_id_out_of_range_names_field():
         m.predict(rand_ids(2), 7)
 
 
+@pytest.mark.parametrize("mode", ["plain", "mlora", "moe"])
+def test_predict_refuses_a_domain_that_is_not_an_integer_in_range(mode):
+    m = tiny("mlp", mode)
+    ids = rand_ids(3)
+    for bad in (1.5, True, np.float64(1.0), 2, -1):
+        with pytest.raises(ValueError, match=re.escape(
+                f"domain must be an integer in [0, 2), got {bad!r}")):
+            m.predict(ids, bad)
+    np.testing.assert_array_equal(m.predict(ids, np.int64(1)), m.predict(ids, 1))
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     m = tiny("deepfm", "moe", seed=11)
     rng = np.random.default_rng(0)

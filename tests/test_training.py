@@ -45,15 +45,13 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError, match="betas"):
-        TrainConfig(beta1=1.0)
 
 
 @pytest.mark.parametrize("cls,field_name,value", [
     (TrainConfig, "lr", float("nan")),
     (TrainConfig, "gate_lr", float("inf")),
-    (TrainConfig, "adam_eps", float("nan")),
-    (TrainConfig, "adam_eps", -1.0),
+    (TrainConfig, "seed", -1),
+    (TrainConfig, "seed", 2.5),
     (TrainConfig, "epochs", (1.5, 2, 2)),
     (TrainConfig, "batch_size", 2.5),
     (TrainConfig, "batch_size", True),
@@ -64,9 +62,6 @@ def test_train_config_validation():
     (AdapterConfig, "rank", 2.5),
     (AdapterConfig, "rank", True),
     (AdapterConfig, "experts_per_domain", 1.0),
-    (TrainConfig, "seed", -1),
-    (TrainConfig, "seed", 2.5),
-    (TrainConfig, "beta1", "0.9"),
     (SyntheticSpec, "seed", -1),
     (SyntheticSpec, "seed", 2.5),
     (SyntheticSpec, "seed", True),
@@ -84,7 +79,7 @@ def test_adam_single_step_matches_hand_recurrence():
     state = AdamState()
     g = np.array([0.3])
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-    adam_step(store, {"w": g}, state, lr, b1, b2, eps)
+    adam_step(store, {"w": g}, state, lr)
     m = (1 - b1) * g
     v = (1 - b2) * g * g
     want = 1.0 - lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
@@ -157,8 +152,9 @@ def test_adam_checks_gradient_shapes_on_every_step():
     np.testing.assert_array_equal(state.v["w"], v)
 
 
-def reference_adam_step(store, grads, ref, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def reference_adam_step(store, grads, ref, lr):
     """The per-tensor Adam loop the fused step replaced; ``ref`` holds t, m, v."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     ref["t"] += 1
     t = ref["t"]
     for name, g in grads.items():
@@ -206,8 +202,8 @@ def test_fused_adam_matches_per_tensor_loop_bitwise():
     for step in range(7):
         grads = {n: rng.normal(scale=10.0 ** (step % 3 - 1), size=s)
                  for n, s in shapes.items()}
-        adam_step(store, grads, state, 3e-3, 0.8, 0.99, 1e-7)
-        reference_adam_step(ref_store, grads, ref, 3e-3, 0.8, 0.99, 1e-7)
+        adam_step(store, grads, state, 3e-3)
+        reference_adam_step(ref_store, grads, ref, 3e-3)
         assert_matches_reference(store, state, ref_store, ref)
     assert "frozen" not in state.m
     assert state.m["s"].shape == ()
