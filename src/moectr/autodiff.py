@@ -9,13 +9,13 @@ Each output node is compiled once into a plan: one bound kernel per node it
 depends on, with its operand slots.  A forward to a scalar loss is a
 training forward.  It writes every value into the tape's arena, one reused
 buffer per node grown to the largest row count seen (a smaller batch uses
-leading-row views), and keeps them for ``backward``, whose plan writes each
-VJP into the arena as well.  The arena lives until ``Tape.release`` drops
-it; a later training forward grows it again.  Any other forward is
-forward-only: a value is dropped, or its buffer reused in place, after its
-last reader, and nothing is kept once the call returns.  Whatever a call
-hands out (outputs, losses, gradients) is its own array, never a view into
-the arena.
+leading-row views), and keeps them for a ``backward`` from that loss, whose
+plan writes each VJP into the arena as well.  The arena lives until
+``Tape.release`` drops it; a later training forward grows it again.  Any
+other forward is forward-only: a value is dropped, or its buffer reused in
+place, after its last reader, and nothing is kept once the call returns.
+Whatever a call hands out (outputs, losses, gradients) is its own array,
+never a view into the arena.
 
 Gradients flow back in reverse node order and accumulate additively, so a
 parameter used in several places receives the sum of its contributions.
@@ -541,7 +541,7 @@ class Tape:
             views.append(flat[:size].reshape(shape))
         return views
 
-    def forward(self, inputs: dict[str, np.ndarray], output: int | None = None) -> np.ndarray:
+    def forward(self, inputs: dict[str, np.ndarray], output: int) -> np.ndarray:
         """Execute the nodes ``output`` depends on and return its value.
 
         A forward to a scalar node (a loss: ``bce``, a full ``reduce_sum``,
@@ -552,8 +552,6 @@ class Tape:
         of an earlier training forward.  The result is the caller's own
         array.  Inputs that ``output`` does not depend on need not be bound.
         """
-        if output is None:
-            output = len(self.nodes) - 1
         if not (0 <= output < len(self.nodes)):
             raise AutodiffError(f"output node {output} out of range")
         plan = self._forward_plan(output)
@@ -676,8 +674,8 @@ class Tape:
             plan = self._backward_plans[key] = _BackwardPlan(edges, params)
         return plan
 
-    def backward(self, loss: int | None = None) -> dict[str, np.ndarray]:
-        """Accumulate gradients from a scalar loss node.
+    def backward(self, loss: int) -> dict[str, np.ndarray]:
+        """Accumulate gradients from ``loss``, the output of the last training forward.
 
         Returns gradients for the store's trainable parameters that are
         reachable from the loss; frozen or unreachable parameters are absent.
@@ -685,21 +683,18 @@ class Tape:
         operands with a trainable parameter upstream, and with none the
         result is ``{}`` at once.  Pruning must not reorder how a returned
         gradient accumulates, so it matches a backward with every tensor
-        trainable bit for bit.  Must follow the training forward that
-        computed the loss, with no other forward in between; the gradients
-        returned are the caller's own arrays.
+        trainable bit for bit.  Must follow the training forward to ``loss``,
+        with no other forward in between; any other node is refused.  The
+        gradients returned are the caller's own arrays.
         """
-        if loss is not None and not (0 <= loss < len(self.nodes) and self.nodes[loss].scalar):
-            raise AutodiffError(f"loss node {loss} is not scalar")
         if self._train is None:
             raise AutodiffError(
                 "backward needs the values of a training forward (a forward to a "
                 "scalar loss node) and the last forward kept none")
         plan, vals, sig = self._train
-        if loss is None:
-            loss = plan.output
-        if loss > plan.output or vals[loss] is None:
-            raise AutodiffError("loss node was not computed by the last forward")
+        if loss != plan.output:
+            raise AutodiffError(f"backward from node {loss}, but the last training "
+                                f"forward computed node {plan.output}")
         need = self._needs_grad()
         if not need[loss]:
             return {}

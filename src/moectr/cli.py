@@ -21,7 +21,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .data import SyntheticSpec, _check_ratios, generate_synthetic, load_csv, write_synthetic
+from .data import (DEFAULT_RATIOS, SyntheticSpec, _check_ratios, generate_synthetic, load_csv,
+                   write_synthetic)
 from .metrics import sparsity
 from .models import (DEFAULT_HIDDEN, ARCHS, MODES, AdapterConfig, _check_count,
                      _check_mode, _check_widths, _is_number)
@@ -151,7 +152,7 @@ def resolve_config(cfg: dict, command: str) -> dict:
     out["train"] = {**TRAIN_DEFAULTS, **train}
     _named("train.", TrainConfig, **out["train"])
 
-    out["ratios"] = cfg.get("ratios", [0.8, 0.1, 0.1])
+    out["ratios"] = cfg.get("ratios", list(DEFAULT_RATIOS))
     _named("", _check_ratios, out["ratios"])
 
     seeds = cfg.get("seeds", [0])

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 BASE_COLUMNS = ("user_id", "item_id", "domain_id", "label")
+# The default train/validation/test shares of every split.
+DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def _check_ratios(ratios) -> None:
         raise ValueError(f"ratios must be three positive numbers summing to 1, got {ratios}")
 
 
-def split_dataset(ds: Dataset, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+def split_dataset(ds: Dataset, ratios: tuple[float, float, float] = DEFAULT_RATIOS,
                   seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
     """Deterministic stratified split over (domain, label) cells.
 

@@ -109,10 +109,6 @@ class FeatureSchema:
         _check_count("n_domains", self.n_domains)
 
     @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.fields)
-
-    @property
     def input_dim(self) -> int:
         return len(self.fields) * self.embedding_dim
 

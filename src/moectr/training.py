@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import ParamStore, ShapeError
-from .data import Dataset, batch_iter, domain_batches, split_dataset
+from .data import DEFAULT_RATIOS, Dataset, batch_iter, domain_batches, split_dataset
 from .metrics import MetricsReport, auc, evaluate
 from .models import (
     DEFAULT_HIDDEN,
@@ -122,48 +122,35 @@ class PipelineResult:
     model: CtrModel
 
 
-class _FlatLayout:
-    """Flat Adam buffers for one ordered tuple of trainable names.
-
-    ``rows`` is a (4, total) block: the flat gradient, ``m``, ``v`` and
-    the update.  Each name owns one slice of every row, in order; ``m``,
-    ``v`` and ``updates`` hold its views, in its parameter's shape, which
-    ``shapes`` lists.  A new layout copies in the moments ``state`` already
-    holds and starts the rest at zero; ``state`` sees none of it until a
-    step succeeds.
-    """
-
-    def __init__(self, names: tuple[str, ...], store: ParamStore, state: "AdamState"):
-        shapes = [store.get(n).shape for n in names]
-        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
-        self.names = names
-        self.shapes = shapes
-        self.rows = tuple(np.zeros((4, int(ends[-1]))))
-        _, m, v, update = self.rows
-        self.m, self.v, self.updates = {}, {}, []
-        for n, shape, lo, hi in zip(names, shapes, ends[:-1], ends[1:]):
-            self.m[n] = m[lo:hi].reshape(shape)
-            self.v[n] = v[lo:hi].reshape(shape)
-            if n in state.m:
-                self.m[n][...] = state.m[n]
-                self.v[n][...] = state.v[n]
-            self.updates.append((n, update[lo:hi].reshape(shape)))
-
-
 class AdamState:
     """First/second moment estimates plus the shared step counter.
 
-    The moments live in the flat buffers of the layout built for the last
-    step's trainable names; ``m[name]`` and ``v[name]`` are reshaped views
-    into them.  A name that drops out of a step keeps its views, and its
-    values, into the block it was last stepped in.
+    A state serves one unit, whose trainable names it takes from its first
+    step; ``names`` is None until then.  The first step also lays out
+    ``_rows``, a (4, total) block holding the flat gradient, ``m``, ``v``
+    and the update, in which each name owns one slice of every row, in
+    order; ``m[name]`` and ``v[name]`` are reshaped views of its moment
+    slices.
     """
 
     def __init__(self):
         self.t = 0
+        self.names: tuple[str, ...] | None = None
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self._layout: _FlatLayout | None = None
+        self._shapes: list[tuple[int, ...]] = []
+        self._rows: tuple[np.ndarray, ...] = ()
+        self._updates: list[tuple[str, np.ndarray]] = []
+
+    def _lay_out(self, names: tuple[str, ...], shapes: list[tuple[int, ...]],
+                 rows: tuple[np.ndarray, ...]) -> None:
+        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+        self.names, self._shapes, self._rows = names, shapes, rows
+        _, m, v, update = rows
+        for n, shape, lo, hi in zip(names, shapes, ends[:-1], ends[1:]):
+            self.m[n] = m[lo:hi].reshape(shape)
+            self.v[n] = v[lo:hi].reshape(shape)
+            self._updates.append((n, update[lo:hi].reshape(shape)))
 
 
 def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
@@ -175,33 +162,38 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
     trainable gradients are concatenated in ``grads`` order and the whole
     update runs as one fixed sequence of in-place numpy calls over flat
     buffers, with each tensor's bits as a per-tensor update would give.
-    The layout is rebuilt only when the trainable names differ from the
-    last step's.  Every step checks that each gradient has its parameter's
-    shape, or raises ``ShapeError`` naming the tensor, and a non-finite
-    gradient raises ``NumericError`` naming the first bad tensor; both
+    The first step lays ``state`` out for its trainable names, and a later
+    step whose trainable names differ raises ``ValueError`` naming both.
+    Every step checks that each gradient has its parameter's shape, or
+    raises ``ShapeError`` naming the tensor, and a non-finite gradient
+    raises ``NumericError`` naming the first bad tensor.  All three checks
     come before anything is written: no parameter, moment or step count
-    moves.
+    moves, and a first step that fails leaves ``state`` as it was new.
     """
     names = tuple(n for n in grads if store[n].trainable)
-    layout = state._layout
-    if layout is None or layout.names != names:
-        layout = _FlatLayout(names, store, state)
-    for n, shape in zip(names, layout.shapes):
+    first = state.names is None
+    if first:
+        shapes = [store.get(n).shape for n in names]
+        rows = tuple(np.zeros((4, sum(store.get(n).size for n in names))))
+    elif names == state.names:
+        shapes, rows = state._shapes, state._rows
+    else:
+        raise ValueError(f"this Adam state steps {list(state.names)}, "
+                         f"but the trainable gradients name {list(names)}")
+    for n, shape in zip(names, shapes):
         if grads[n].shape != shape:
             raise ShapeError(f"gradient for {n!r} has shape {grads[n].shape}, "
                              f"its parameter {shape}")
-    g, m, v, u = layout.rows
+    g, m, v, u = rows
     if names:
         np.concatenate([np.ravel(grads[n]) for n in names], out=g)
     if not np.isfinite(g).all():
         bad = next(n for n in names if not np.isfinite(grads[n]).all())
         raise NumericError(f"non-finite gradient for parameter {bad!r}")
+    if first:
+        state._lay_out(names, shapes, rows)
     state.t += 1
     t = state.t
-    if layout is not state._layout:
-        state._layout = layout
-        state.m.update(layout.m)
-        state.v.update(layout.v)
     # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
     np.multiply(m, _BETA1, out=m)
     np.add(m, np.multiply(g, 1.0 - _BETA1, out=u), out=m)
@@ -215,7 +207,7 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
     np.sqrt(g, out=g)
     np.add(g, _EPS, out=g)
     np.divide(u, g, out=u)
-    for name, update in layout.updates:
+    for name, update in state._updates:
         store.set(name, store.get(name) - update)
 
 
@@ -374,7 +366,7 @@ def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
 def train_pipeline(cfg: TrainConfig, dataset: Dataset, arch: str, mode: str,
                    adapter_cfg: AdapterConfig | None = None,
                    hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-                   ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+                   ratios: tuple[float, float, float] = DEFAULT_RATIOS,
                    out_dir=None, embedding_dim: int | None = None) -> PipelineResult:
     """Split, build, run the mode's phases, and score the test split.
 

@@ -346,6 +346,19 @@ def test_non_scalar_loss_rejected():
         t.backward(y)
 
 
+def test_backward_from_a_node_the_forward_did_not_output_is_refused():
+    store = ParamStore()
+    store.add("W", np.ones((1, 2)), "backbone")
+    t = Tape(store)
+    loss = t.reduce_sum(t.matmul(t.input("x"), t.param("W"), transpose_b=True))
+    doubled = t.scale(loss, 2.0)
+    t.forward({"x": np.ones((3, 2))}, output=doubled)
+    with pytest.raises(AutodiffError, match=f"backward from node {loss}, but the last "
+                                            f"training forward computed node {doubled}$"):
+        t.backward(loss)
+    np.testing.assert_array_equal(t.backward(doubled)["W"], [[6.0, 6.0]])
+
+
 def test_tape_reexecution_two_batches():
     store = ParamStore()
     store.add("W", np.array([[1.0, -1.0]]), "backbone")

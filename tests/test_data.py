@@ -16,6 +16,7 @@ from moectr.data import (
 )
 from moectr.data import _sample_pairs
 from moectr.models import FeatureSchema
+from moectr.training import TrainConfig, train_pipeline
 
 
 def small_ds(n=10, n_domains=2, seed=0):
@@ -102,6 +103,29 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.ids, ds.ids)
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.domains, ds.domains)
+
+
+def test_csv_round_trips_a_context_field_and_trains_on_it(tmp_path):
+    rng = np.random.default_rng(11)
+    fields = (("user_id", 20), ("item_id", 15), ("hour", 24))
+    n = 240
+    ids = np.column_stack([rng.integers(0, card, n) for _, card in fields])
+    ids[0] = [card - 1 for _, card in fields]  # cardinalities are inferred as max id + 1
+    domains = np.arange(n) % 2
+    ds = Dataset(FeatureSchema(fields, n_domains=2), ids, rng.integers(0, 2, n), domains)
+    path = tmp_path / "ctx.csv"
+    write_csv(ds, path)
+    assert path.read_text().splitlines()[0] == "user_id,item_id,domain_id,label,hour"
+    back = load_csv(path)
+    assert back.schema.fields == fields and back.schema.n_domains == 2
+    np.testing.assert_array_equal(back.ids, ds.ids)
+    np.testing.assert_array_equal(back.labels, ds.labels)
+    np.testing.assert_array_equal(back.domains, ds.domains)
+    cfg = TrainConfig(batch_size=64, epochs=(1, 1, 1))
+    result = train_pipeline(cfg, back, "deepfm", "moe", hidden=(8,))
+    assert [p.phase for p in result.phases] == [1, 2, 3]
+    assert result.model.schema.fields == fields
+    assert np.isfinite(result.metrics.wauc)
 
 
 def test_csv_byte_identical_per_spec(tmp_path):

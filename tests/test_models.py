@@ -446,7 +446,7 @@ def test_blocked_predict_matches_one_unblocked_forward(monkeypatch, mode, rows, 
     calls = []
     forward = Tape.forward
 
-    def counted(self, inputs, output=None):
+    def counted(self, inputs, output):
         calls.append(len(inputs["ids.user_id"]))
         return forward(self, inputs, output)
 
