@@ -43,7 +43,6 @@ __all__ = [
     "Param",
     "ParamStore",
     "Tape",
-    "grad_check",
     "rng_for",
 ]
 
@@ -124,14 +123,9 @@ class ParamStore:
 
     @staticmethod
     def _selector(groups) -> "callable":
-        if callable(groups):
-            return groups
-        if isinstance(groups, str):
-            groups = (groups,)
-        wanted = tuple(groups)
-        # A tag matches either exactly or by prefix, so "expert(0," selects
-        # every replica and layer of domain 0's experts.
-        return lambda g: any(g == w or g.startswith(w) for w in wanted)
+        # A tag matches by prefix, so "expert(0," selects every replica and
+        # layer of domain 0's experts; a tuple matches any of its prefixes.
+        return groups if callable(groups) else (lambda g: g.startswith(groups))
 
     def set_trainable_only(self, groups) -> list[str]:
         """Mark exactly the parameters whose group matches; freeze the rest."""
@@ -715,37 +709,3 @@ class Tape:
             c = fn(grads[nid], vals, bufs)
             grads[x] = c if first else np.add(grads[x], c, out=acc)
         return {name: np.array(grads[nid]) for name, nid in bplan.params}
-
-
-def grad_check(f, theta: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f(theta) -> (value, grad)`` must be a scalar function returning its
-    analytic gradient alongside the value.  The error per coordinate is
-    |analytic - numeric| / max(1, |numeric|); the max over coordinates is
-    returned.
-    """
-    if not (1e-6 <= eps <= 1e-4):
-        raise ValueError(f"eps {eps} outside [1e-6, 1e-4]")
-    theta = np.asarray(theta, dtype=np.float64)
-    val, grad = f(theta)
-    if not np.isfinite(val):
-        raise ValueError("function value is not finite at theta")
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != theta.shape:
-        raise ValueError(f"gradient shape {grad.shape} != theta shape {theta.shape}")
-    flat = theta.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi, _ = f(theta)
-        flat[i] = orig - eps
-        lo, _ = f(theta)
-        flat[i] = orig
-        num = (hi - lo) / (2.0 * eps)
-        if not np.isfinite(num):
-            raise ValueError(f"non-finite central difference at coordinate {i}")
-        rel = abs(grad.reshape(-1)[i] - num) / max(1.0, abs(num))
-        worst = max(worst, rel)
-    return worst

@@ -55,6 +55,16 @@ def _refuse_repeats(where: str, values: list) -> None:
             raise ConfigError(f"{where} lists {v!r} more than once")
 
 
+def _check_seeds(where: str, seeds) -> list:
+    """``seeds`` if it is a non-empty list of distinct non-negative integers."""
+    if not isinstance(seeds, list) or not seeds or any(
+            not _is_number(s, whole=True) or s < 0 for s in seeds):
+        raise ConfigError(f"{where} must be a non-empty list of non-negative integers, "
+                          f"got {json.dumps(seeds)}")
+    _refuse_repeats(where, seeds)
+    return seeds
+
+
 def _section(parent: dict, key: str, defaults: dict, where: str) -> dict:
     """``parent[key]``: a JSON object whose keys are among ``defaults``."""
     section = parent.get(key, {})
@@ -155,13 +165,7 @@ def resolve_config(cfg: dict, command: str) -> dict:
     out["ratios"] = cfg.get("ratios", list(DEFAULT_RATIOS))
     _named("", _check_ratios, out["ratios"])
 
-    seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or any(
-            not _is_number(s, whole=True) or s < 0 for s in seeds):
-        raise ConfigError(
-            f"seeds must be a non-empty list of non-negative integers, got {json.dumps(seeds)}")
-    _refuse_repeats("seeds", seeds)
-    out["seeds"] = seeds
+    out["seeds"] = _check_seeds("seeds", cfg.get("seeds", [0]))
 
     counts = cfg.get("expert_counts", [2, 4, 6, 8])
     if not isinstance(counts, list) or not counts or any(
@@ -185,10 +189,7 @@ def _parse_seeds(arg: str | None, resolved: dict) -> list[int]:
         seeds = [int(s) for s in arg.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"--seed expects comma-separated integers, got {arg!r}")
-    if not seeds or any(s < 0 for s in seeds):
-        raise ConfigError("--seed expects non-negative integers")
-    _refuse_repeats("--seed", seeds)
-    return seeds
+    return _check_seeds("--seed", seeds)
 
 
 def _prepare_out(path: str, force: bool) -> str:

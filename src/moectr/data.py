@@ -34,7 +34,6 @@ __all__ = [
     "split_dataset",
     "generate_synthetic",
     "write_synthetic",
-    "rule_agreement",
     "batch_iter",
     "domain_batches",
 ]
@@ -359,33 +358,3 @@ def write_synthetic(spec: SyntheticSpec, csv_path) -> Dataset:
         json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return ds
-
-
-def rule_agreement(spec: SyntheticSpec) -> float:
-    """Mean pairwise agreement of the domains' noise-free labeling rules.
-
-    Evaluated over every (user cluster, item cluster) combination weighted
-    by its population, with each domain thresholding its own table at the
-    quantile matching the target positive rate.
-    """
-    user_cluster, item_cluster, tables = _latents(spec)
-    u_w = np.bincount(user_cluster, minlength=_CLUSTERS).astype(float)
-    i_w = np.bincount(item_cluster, minlength=_CLUSTERS).astype(float)
-    w = np.outer(u_w, i_w)
-    w /= w.sum()
-    rules = []
-    for tab in tables:
-        order = np.argsort(tab, axis=None)
-        flat_w = w.reshape(-1)[order]
-        cum = np.cumsum(flat_w)
-        # Smallest threshold whose upper tail mass is the positive rate.
-        cut = np.searchsorted(cum, 1.0 - spec.positive_rate)
-        tau = tab.reshape(-1)[order][min(cut, tab.size - 1)]
-        rules.append(tab > tau)
-    if spec.n_domains == 1:
-        return 1.0
-    agree = []
-    for a in range(spec.n_domains):
-        for b in range(a + 1, spec.n_domains):
-            agree.append(((rules[a] == rules[b]) * w).sum())
-    return float(np.mean(agree))

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import AutodiffError, ParamStore, Tape, rng_for
-from .layers import DenseLayer, GateNet, LoRAAdapter, MoELayer
+from .layers import DenseLayer, MoELayer
 
 __all__ = [
     "ARCHS",
@@ -163,18 +163,12 @@ class CtrModel:
                 for k in range(self.adapter_cfg.experts_per_domain)]
 
     def _make_layer(self, name: str, d_in: int, d_out: int, activation: str):
-        base = DenseLayer(self.store, name, d_in, d_out, activation, "backbone", self.seed)
+        base = DenseLayer(self.store, name, d_in, d_out, activation, self.seed)
         if self.mode == "plain":
             return base
         cfg = self.adapter_cfg
-        experts = []
-        for d, k in self.expert_keys():
-            ad = LoRAAdapter(self.store, f"{name}.e{d}.{k}", d_in, d_out,
-                             cfg.rank, cfg.alpha, f"expert({d},{k},{name})", self.seed)
-            experts.append((d, k, ad))
-        gate = (GateNet(self.store, f"{name}.gate", self.schema.n_domains, len(experts))
-                if self.mode == "moe" else None)
-        return MoELayer(base, experts, gate=gate, n_domains=self.schema.n_domains)
+        return MoELayer(self.store, base, self.expert_keys(), cfg.rank, cfg.alpha,
+                        self.schema.n_domains, gated=self.mode == "moe", seed=self.seed)
 
     def _build(self) -> None:
         sch = self.schema

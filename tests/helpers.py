@@ -1,12 +1,89 @@
-"""Shared test utilities: FD harness for whole models, brute-force AUC,
-numpy oracles for the model terms and the pair sampler, and a one-layer
+"""Shared test utilities: the central-difference gradient check and its
+harness for whole models, brute-force AUC, numpy oracles for the model
+terms, the pair sampler and the generator's rule agreement, and a one-layer
 forward on a fresh tape."""
 
 import numpy as np
 
 from moectr.autodiff import ParamStore, Tape
-from moectr.data import SyntheticSpec
+from moectr.data import _CLUSTERS, SyntheticSpec, _latents
+from moectr.layers import DenseLayer, MoELayer
 from moectr.models import CtrModel
+
+
+def grad_check(f, theta: np.ndarray, eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f(theta) -> (value, grad)`` must be a scalar function returning its
+    analytic gradient alongside the value.  The error per coordinate is
+    |analytic - numeric| / max(1, |numeric|); the max over coordinates is
+    returned.
+    """
+    if not (1e-6 <= eps <= 1e-4):
+        raise ValueError(f"eps {eps} outside [1e-6, 1e-4]")
+    theta = np.asarray(theta, dtype=np.float64)
+    val, grad = f(theta)
+    if not np.isfinite(val):
+        raise ValueError("function value is not finite at theta")
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} != theta shape {theta.shape}")
+    flat = theta.reshape(-1)
+    worst = 0.0
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi, _ = f(theta)
+        flat[i] = orig - eps
+        lo, _ = f(theta)
+        flat[i] = orig
+        num = (hi - lo) / (2.0 * eps)
+        if not np.isfinite(num):
+            raise ValueError(f"non-finite central difference at coordinate {i}")
+        rel = abs(grad.reshape(-1)[i] - num) / max(1.0, abs(num))
+        worst = max(worst, rel)
+    return worst
+
+
+def composite_layer_grad_err() -> float:
+    """``grad_check`` of one graph touching every layer type.
+
+    A relu base layer with two rank-2 experts mixed by a softmax gate, then
+    a dense head, sigmoid and bce, every tensor drawn from one seed.
+    """
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(6, 3)) + 0.2
+    y = (rng.random(6) > 0.5).astype(float).reshape(6, 1)
+    layout = [
+        ("l0.W", (4, 3)), ("l0.b", (4,)),
+        ("l0.e0.0.A", (2, 3)), ("l0.e0.0.B", (4, 2)),
+        ("l0.e1.0.A", (2, 3)), ("l0.e1.0.B", (4, 2)),
+        ("l0.gate.logits", (2, 2)),
+        ("head.W", (1, 4)), ("head.b", (1,)),
+    ]
+    sizes = [int(np.prod(s)) for _, s in layout]
+
+    def f(theta):
+        store = ParamStore()
+        base = DenseLayer(store, "l0", 3, 4, "relu")
+        layer = MoELayer(store, base, [(0, 0), (1, 0)], rank=2, alpha=2.0, n_domains=2,
+                         gated=True, seed=0)
+        head = DenseLayer(store, "head", 4, 1, "identity")
+        off = 0
+        for (name, shape), size in zip(layout, sizes):
+            store.set(name, theta[off : off + size].reshape(shape))
+            off += size
+        tape = Tape(store)
+        h = layer.emit(tape, tape.input("x"), tape.input("domain"))
+        p = tape.sigmoid(head.emit(tape, h))
+        loss = tape.bce(p, tape.input("y"))
+        v = tape.forward({"x": x, "domain": np.array([1]), "y": y}, output=loss)
+        grads = tape.backward(loss)
+        flat = [np.asarray(grads.get(n, np.zeros(s))).reshape(-1) for n, s in layout]
+        return float(v), np.concatenate(flat)
+
+    theta0 = rng.normal(size=sum(sizes)) * 0.4
+    return grad_check(f, theta0, eps=1e-5)
 
 
 def layer_forward(store: ParamStore, emit, x=None, domain: int | None = None) -> np.ndarray:
@@ -84,6 +161,39 @@ def sample_pairs_loop(spec: SyntheticSpec, domain: int) -> tuple[np.ndarray, np.
                     break
     arr = np.asarray(codes, dtype=np.int64)
     return arr // spec.n_items, arr % spec.n_items
+
+
+def rule_agreement(spec: SyntheticSpec) -> float:
+    """Mean pairwise agreement of the domains' noise-free labeling rules.
+
+    The oracle for the generator's divergence dial: 1 at divergence 0, and
+    lower as the domains' tables drift apart.
+
+    Evaluated over every (user cluster, item cluster) combination weighted
+    by its population, with each domain thresholding its own table at the
+    quantile matching the target positive rate.
+    """
+    user_cluster, item_cluster, tables = _latents(spec)
+    u_w = np.bincount(user_cluster, minlength=_CLUSTERS).astype(float)
+    i_w = np.bincount(item_cluster, minlength=_CLUSTERS).astype(float)
+    w = np.outer(u_w, i_w)
+    w /= w.sum()
+    rules = []
+    for tab in tables:
+        order = np.argsort(tab, axis=None)
+        flat_w = w.reshape(-1)[order]
+        cum = np.cumsum(flat_w)
+        # Smallest threshold whose upper tail mass is the positive rate.
+        cut = np.searchsorted(cum, 1.0 - spec.positive_rate)
+        tau = tab.reshape(-1)[order][min(cut, tab.size - 1)]
+        rules.append(tab > tau)
+    if spec.n_domains == 1:
+        return 1.0
+    agree = []
+    for a in range(spec.n_domains):
+        for b in range(a + 1, spec.n_domains):
+            agree.append(((rules[a] == rules[b]) * w).sum())
+    return float(np.mean(agree))
 
 
 def param_layout(model: CtrModel) -> list[tuple[str, tuple[int, ...]]]:

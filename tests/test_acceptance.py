@@ -13,11 +13,15 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import auc_bruteforce, model_loss_fn, sample_inputs
+from helpers import (
+    auc_bruteforce,
+    composite_layer_grad_err,
+    grad_check,
+    model_loss_fn,
+    sample_inputs,
+)
 from moectr import cli
-from moectr.autodiff import ParamStore, Tape, grad_check
 from moectr.data import SyntheticSpec, generate_synthetic, split_dataset
-from moectr.layers import DenseLayer, GateNet, LoRAAdapter, MoELayer
 from moectr.metrics import auc, sparsity, wauc
 from moectr.models import (
     ARCHS,
@@ -71,56 +75,9 @@ def _model_grad_err(arch, mode, **adapter_kw):
     return grad_check(f, theta0, eps=1e-5)
 
 
-def _composite_layer_grad_err():
-    # One graph touching every layer type: dense base and head, two rank-2
-    # adapters, a softmax gate, mixture, sigmoid, bce.
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(6, 3)) + 0.2
-    y = (rng.random(6) > 0.5).astype(float).reshape(6, 1)
-    layout = [
-        ("l0.W", (4, 3)), ("l0.b", (4,)),
-        ("l0.e0.A", (2, 3)), ("l0.e0.B", (4, 2)),
-        ("l0.e1.A", (2, 3)), ("l0.e1.B", (4, 2)),
-        ("l0.gate.logits", (2, 2)),
-        ("head.W", (1, 4)), ("head.b", (1,)),
-    ]
-    sizes = [int(np.prod(s)) for _, s in layout]
-
-    def f(theta):
-        store = ParamStore()
-        off = 0
-        vals = {}
-        for (name, shape), size in zip(layout, sizes):
-            vals[name] = theta[off: off + size].reshape(shape)
-            off += size
-        base = DenseLayer.from_arrays(store, "l0", vals["l0.W"], vals["l0.b"], "relu")
-        ads = []
-        for d in range(2):
-            ad = LoRAAdapter(store, f"l0.e{d}", 3, 4, rank=2, alpha=2.0,
-                             group=f"expert({d},0,l0)", seed=d)
-            store.set(f"l0.e{d}.A", vals[f"l0.e{d}.A"])
-            store.set(f"l0.e{d}.B", vals[f"l0.e{d}.B"])
-            ads.append((d, 0, ad))
-        gate = GateNet(store, "l0.gate", n_domains=2, n_cols=2)
-        store.set("l0.gate.logits", vals["l0.gate.logits"])
-        layer = MoELayer(base, ads, gate=gate)
-        head = DenseLayer.from_arrays(store, "head", vals["head.W"], vals["head.b"])
-        tape = Tape(store)
-        h = layer.emit(tape, tape.input("x"), tape.input("domain"))
-        p = tape.sigmoid(head.emit(tape, h))
-        loss = tape.bce(p, tape.input("y"))
-        v = tape.forward({"x": x, "domain": np.array([1]), "y": y}, output=loss)
-        grads = tape.backward(loss)
-        flat = [np.asarray(grads.get(n, np.zeros(s))).reshape(-1) for n, s in layout]
-        return float(v), np.concatenate(flat)
-
-    theta0 = rng.normal(size=sum(sizes)) * 0.4
-    return grad_check(f, theta0, eps=1e-5)
-
-
 def test_criterion_1_gradient_suite(report):
     t0 = time.monotonic()
-    errs = [_composite_layer_grad_err()]
+    errs = [composite_layer_grad_err()]
     for arch in ARCHS:
         for mode in MODES:
             kw = {"experts_per_domain": 2} if mode == "moe" else {}

@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from moectr.autodiff import (
     BCE_EPS,
     AutodiffError,
     ParamStore,
     ShapeError,
     Tape,
-    grad_check,
     rng_for,
 )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import sample_pairs_loop
+from helpers import rule_agreement, sample_pairs_loop
 from moectr.data import (
     Dataset,
     SyntheticSpec,
@@ -9,7 +9,6 @@ from moectr.data import (
     domain_batches,
     generate_synthetic,
     load_csv,
-    rule_agreement,
     split_dataset,
     write_csv,
     write_synthetic,

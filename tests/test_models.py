@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import byte_identity
-from helpers import fm_pairwise, model_loss_fn, sample_inputs, wide_logit
-from moectr.autodiff import AutodiffError, Tape, grad_check
+from helpers import fm_pairwise, grad_check, model_loss_fn, sample_inputs, wide_logit
+from moectr.autodiff import AutodiffError, Tape
 from moectr.models import (
     PREDICT_BLOCK_ROWS,
     AdapterConfig,
@@ -123,6 +123,63 @@ def test_moe_param_group_counts():
     # tower depth 2 plus head: 3 adapted layers, 2 domains x 2 replicas each.
     assert len(expert_tags) == 12
     assert len(gate_params) == 3
+
+
+PINNED_PARAMS = {
+    "moe": [
+        ("emb.u", "backbone", (5, 2)),
+        ("emb.i", "backbone", (4, 2)),
+        ("tower.0.W", "backbone", (3, 4)),
+        ("tower.0.b", "backbone", (3,)),
+        ("tower.0.e0.0.A", "expert(0,0,tower.0)", (2, 4)),
+        ("tower.0.e0.0.B", "expert(0,0,tower.0)", (3, 2)),
+        ("tower.0.e0.1.A", "expert(0,1,tower.0)", (2, 4)),
+        ("tower.0.e0.1.B", "expert(0,1,tower.0)", (3, 2)),
+        ("tower.0.e1.0.A", "expert(1,0,tower.0)", (2, 4)),
+        ("tower.0.e1.0.B", "expert(1,0,tower.0)", (3, 2)),
+        ("tower.0.e1.1.A", "expert(1,1,tower.0)", (2, 4)),
+        ("tower.0.e1.1.B", "expert(1,1,tower.0)", (3, 2)),
+        ("tower.0.gate.logits", "gate", (2, 4)),
+        ("head.W", "backbone", (1, 3)),
+        ("head.b", "backbone", (1,)),
+        ("head.e0.0.A", "expert(0,0,head)", (2, 3)),
+        ("head.e0.0.B", "expert(0,0,head)", (1, 2)),
+        ("head.e0.1.A", "expert(0,1,head)", (2, 3)),
+        ("head.e0.1.B", "expert(0,1,head)", (1, 2)),
+        ("head.e1.0.A", "expert(1,0,head)", (2, 3)),
+        ("head.e1.0.B", "expert(1,0,head)", (1, 2)),
+        ("head.e1.1.A", "expert(1,1,head)", (2, 3)),
+        ("head.e1.1.B", "expert(1,1,head)", (1, 2)),
+        ("head.gate.logits", "gate", (2, 4)),
+    ],
+    "mlora": [
+        ("emb.u", "backbone", (5, 2)),
+        ("emb.i", "backbone", (4, 2)),
+        ("tower.0.W", "backbone", (3, 4)),
+        ("tower.0.b", "backbone", (3,)),
+        ("tower.0.e0.0.A", "expert(0,0,tower.0)", (2, 4)),
+        ("tower.0.e0.0.B", "expert(0,0,tower.0)", (3, 2)),
+        ("tower.0.e1.0.A", "expert(1,0,tower.0)", (2, 4)),
+        ("tower.0.e1.0.B", "expert(1,0,tower.0)", (3, 2)),
+        ("head.W", "backbone", (1, 3)),
+        ("head.b", "backbone", (1,)),
+        ("head.e0.0.A", "expert(0,0,head)", (2, 3)),
+        ("head.e0.0.B", "expert(0,0,head)", (1, 2)),
+        ("head.e1.0.A", "expert(1,0,head)", (2, 3)),
+        ("head.e1.0.B", "expert(1,0,head)", (1, 2)),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode,experts_per_domain", [("moe", 2), ("mlora", 1)])
+def test_param_registration_order_is_pinned(mode, experts_per_domain):
+    # Checkpoint keys p00000, p00001, ... follow this order, so a reordered
+    # registration changes every checkpoint's bytes on any platform.
+    m = build_model(FeatureSchema((("u", 5), ("i", 4)), 2, n_domains=2), "mlp", mode,
+                    AdapterConfig(rank=2, alpha=2.0, experts_per_domain=experts_per_domain),
+                    hidden=(3,))
+    got = [(n, g, m.store.get(n).shape) for n, g, _ in m.store.param_groups()]
+    assert got == PINNED_PARAMS[mode]
 
 
 def test_mixture_tape_size_does_not_grow_with_experts():
