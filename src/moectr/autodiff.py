@@ -21,11 +21,11 @@ Gradients flow back in reverse node order and accumulate additively, so a
 parameter used in several places receives the sum of its contributions.
 Backward work is pruned to what the trainable parameters need: a node needs
 a gradient iff a trainable parameter lies upstream of it, and the backward
-plan, compiled per set of trainable flags, holds no VJP for an operand that
-needs none.  So frozen weights, embedding tables and the branches that only
-feed them cost nothing on the way back, and only parameters currently
-flagged trainable are returned by ``Tape.backward``, which is what the
-phase-wise freeze logic relies on.
+plan, compiled per loss and set of trainable flags, holds no VJP for an
+operand that needs none.  So frozen weights, embedding tables and the
+branches that only feed them cost nothing on the way back, and only
+parameters currently flagged trainable are returned by ``Tape.backward``,
+which is what the phase-wise freeze logic relies on.
 """
 
 from __future__ import annotations
@@ -358,6 +358,7 @@ class _ForwardPlan:
 class _BackwardPlan:
     """VJP edges on the needs-grad mask, in reverse node order."""
 
+    key: tuple  # (loss, trainable flags of the tape's params)
     # (node, operand position, operand, fn, specs, first contribution?)
     edges: list[tuple[int, int, int, object, tuple, bool]]
     params: list[tuple[str, int]]
@@ -379,8 +380,6 @@ class Tape:
         self.nodes: list[_Node] = []
         self._inputs: dict[str, int] = {}
         self._param_nodes: dict[str, int] = {}
-        self._need_key: tuple | None = None
-        self._need: list[bool] = []
         self._forward_plans: dict[int, _ForwardPlan] = {}
         self._backward_plans: dict[tuple, _BackwardPlan] = {}
         # Training state: flat buffers by (slot, dtype), the arena views
@@ -619,40 +618,26 @@ class Tape:
                 grad = grad.sum(axis=ax, keepdims=True)
         return grad.reshape(shape)
 
-    def _needs_grad(self) -> list[bool]:
-        """Per node, whether a trainable parameter lies upstream of it.
+    def _backward_plan(self, loss: int) -> _BackwardPlan:
+        """Compile, once per loss and trainable flags, the VJP edges the loss reaches.
 
-        Params need a gradient iff trainable, inputs and consts never, and
-        any other node iff one of its operands does.  The mask is cached
-        under the trainable flags of the tape's params (read afresh on every
-        call, since they are set directly), so it is rebuilt only when they
-        or the graph change.
+        The flags of the tape's params are read afresh on every call, since
+        they are set directly.  A node needs a gradient iff a trainable param
+        lies upstream of it; an edge into an operand that needs none is left
+        out, and a node that receives no gradient sends none.  An operand's
+        first contribution is kept as it is; later ones are added into its
+        accumulator in this same order.
         """
         store = self.store
-        key = (len(self.nodes), tuple([store[n].trainable for n in self._param_nodes]))
-        if key != self._need_key:
-            need = [False] * len(self.nodes)
-            for nid, node in enumerate(self.nodes):
-                if node.op == "param":
-                    need[nid] = store[node.meta["name"]].trainable
-                else:
-                    need[nid] = any(need[a] for a in node.args)
-            self._need_key, self._need = key, need
-        return self._need
-
-    def _backward_plan(self, loss: int, need: list[bool]) -> _BackwardPlan:
-        """Compile, once per loss and mask, the VJP edges the loss reaches.
-
-        Only operands on the mask ever receive a gradient, so an edge into
-        an operand off the mask is left out, and a node that receives no
-        gradient sends none.  An operand's first contribution is kept as it
-        is; later ones are added into its accumulator in this same order.
-        """
-        key = (loss, self._need_key)
+        key = (loss, tuple([store[n].trainable for n in self._param_nodes]))
         plan = self._backward_plans.get(key)
         if plan is None:
+            need: list[bool] = []
+            for node in self.nodes[:loss + 1]:
+                need.append(store[node.meta["name"]].trainable if node.op == "param"
+                            else any(need[a] for a in node.args))
             reached = [False] * (loss + 1)
-            reached[loss] = True
+            reached[loss] = need[loss]
             edges = []
             for nid in range(loss, -1, -1):
                 node = self.nodes[nid]
@@ -665,7 +650,7 @@ class Tape:
                         reached[x] = True
             params = [(name, nid) for name, nid in self._param_nodes.items()
                       if nid <= loss and reached[nid]]
-            plan = self._backward_plans[key] = _BackwardPlan(edges, params)
+            plan = self._backward_plans[key] = _BackwardPlan(key, edges, params)
         return plan
 
     def backward(self, loss: int) -> dict[str, np.ndarray]:
@@ -689,11 +674,8 @@ class Tape:
         if loss != plan.output:
             raise AutodiffError(f"backward from node {loss}, but the last training "
                                 f"forward computed node {plan.output}")
-        need = self._needs_grad()
-        if not need[loss]:
-            return {}
-        bplan = self._backward_plan(loss, need)
-        key = ("backward", loss, self._need_key, sig)
+        bplan = self._backward_plan(loss)
+        key = ("backward", bplan.key, sig)
         bound = self._bound.get(key)
         if bound is None:
             bound = []

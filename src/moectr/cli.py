@@ -55,14 +55,15 @@ def _refuse_repeats(where: str, values: list) -> None:
             raise ConfigError(f"{where} lists {v!r} more than once")
 
 
-def _check_seeds(where: str, seeds) -> list:
-    """``seeds`` if it is a non-empty list of distinct non-negative integers."""
-    if not isinstance(seeds, list) or not seeds or any(
-            not _is_number(s, whole=True) or s < 0 for s in seeds):
-        raise ConfigError(f"{where} must be a non-empty list of non-negative integers, "
-                          f"got {json.dumps(seeds)}")
-    _refuse_repeats(where, seeds)
-    return seeds
+def _check_ints(where: str, values, least: int) -> list:
+    """``values`` if it is a non-empty list of distinct integers, each at least ``least``."""
+    if not isinstance(values, list) or not values or any(
+            not _is_number(v, whole=True) or v < least for v in values):
+        kind = {0: "non-negative", 1: "positive"}[least]
+        raise ConfigError(f"{where} must be a non-empty list of {kind} integers, "
+                          f"got {json.dumps(values)}")
+    _refuse_repeats(where, values)
+    return values
 
 
 def _section(parent: dict, key: str, defaults: dict, where: str) -> dict:
@@ -165,15 +166,8 @@ def resolve_config(cfg: dict, command: str) -> dict:
     out["ratios"] = cfg.get("ratios", list(DEFAULT_RATIOS))
     _named("", _check_ratios, out["ratios"])
 
-    out["seeds"] = _check_seeds("seeds", cfg.get("seeds", [0]))
-
-    counts = cfg.get("expert_counts", [2, 4, 6, 8])
-    if not isinstance(counts, list) or not counts or any(
-            not _is_number(c, whole=True) or c < 1 for c in counts):
-        raise ConfigError("expert_counts must be a non-empty list of positive integers, "
-                          f"got {json.dumps(counts)}")
-    _refuse_repeats("expert_counts", counts)
-    out["expert_counts"] = counts
+    out["seeds"] = _check_ints("seeds", cfg.get("seeds", [0]), 0)
+    out["expert_counts"] = _check_ints("expert_counts", cfg.get("expert_counts", [2, 4, 6, 8]), 1)
     return out
 
 
@@ -189,7 +183,7 @@ def _parse_seeds(arg: str | None, resolved: dict) -> list[int]:
         seeds = [int(s) for s in arg.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"--seed expects comma-separated integers, got {arg!r}")
-    return _check_seeds("--seed", seeds)
+    return _check_ints("--seed", seeds, 0)
 
 
 def _prepare_out(path: str, force: bool) -> str:
@@ -223,31 +217,32 @@ def _write_resolved(resolved: dict, out: str) -> None:
         fh.write("\n")
 
 
-def _run_one(resolved: dict, mode: str, seed: int, out_dir: str | None,
-             experts_per_domain: int | None = None):
-    ds = _dataset_for_seed(resolved, seed)
-    cfg = TrainConfig(**resolved["train"], seed=seed)
-    a = resolved["adapter"]
-    if experts_per_domain is not None:
-        a = {**a, "experts_per_domain": experts_per_domain}
-    adapter = AdapterConfig(**a)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    result = train_pipeline(cfg, ds, resolved["arch"], mode, adapter,
-                            hidden=resolved["hidden"], ratios=resolved["ratios"],
-                            out_dir=out_dir, embedding_dim=resolved["embedding_dim"])
-    result.metrics.context = {
-        "arch": resolved["arch"], "mode": mode, "seed": seed,
-        "config_hash": config_hash(resolved),
-    }
-    if experts_per_domain is not None:
-        result.metrics.context["experts_per_domain"] = experts_per_domain
-    if out_dir is not None:
-        result.metrics.write_jsonl(os.path.join(out_dir, "metrics.jsonl"))
-        with open(os.path.join(out_dir, "phases.jsonl"), "w", encoding="utf-8") as fh:
-            for rep in result.phases:
-                fh.write(json.dumps(rep.to_record(), sort_keys=True) + "\n")
-    return result
+def _run_grid(resolved: dict, seeds: list[int], out: str, cells: list):
+    """Train each cell at each seed and write the run's directory; yield its metrics.
+
+    A cell is (directory prefix, mode, adapter overrides).  Runs go cell by
+    cell and, within a cell, seed by seed.  Each writes its checkpoints,
+    ``metrics.jsonl`` and ``phases.jsonl`` into ``out/<prefix>seed<S>/``, its
+    metrics context naming the overrides, and then yields
+    (cell index, seed, MetricsReport).
+    """
+    chash = config_hash(resolved)
+    for i, (prefix, mode, overrides) in enumerate(cells):
+        adapter = AdapterConfig(**{**resolved["adapter"], **overrides})
+        for seed in seeds:
+            ds = _dataset_for_seed(resolved, seed)
+            run_dir = os.path.join(out, f"{prefix}seed{seed}")
+            os.makedirs(run_dir, exist_ok=True)
+            result = train_pipeline(TrainConfig(**resolved["train"], seed=seed), ds,
+                                    resolved["arch"], mode, adapter,
+                                    hidden=resolved["hidden"], ratios=resolved["ratios"],
+                                    out_dir=run_dir, embedding_dim=resolved["embedding_dim"])
+            result.metrics.context.update(config_hash=chash, **overrides)
+            result.metrics.write_jsonl(os.path.join(run_dir, "metrics.jsonl"))
+            with open(os.path.join(run_dir, "phases.jsonl"), "w", encoding="utf-8") as fh:
+                for rep in result.phases:
+                    fh.write(json.dumps(rep.to_record(), sort_keys=True) + "\n")
+            yield i, seed, result.metrics
 
 
 # ---- commands --------------------------------------------------------------
@@ -277,12 +272,10 @@ def cmd_train(args) -> int:
     out = _prepare_out(args.out, args.force)
     _write_resolved(resolved, out)
     waucs = []
-    for seed in seeds:
-        res = _run_one(resolved, resolved["mode"], seed,
-                       os.path.join(out, f"seed{seed}"))
-        for rec in res.metrics.to_records():
+    for _, _, metrics in _run_grid(resolved, seeds, out, [("", resolved["mode"], {})]):
+        for rec in metrics.to_records():
             _emit(rec)
-        waucs.append(res.metrics.wauc)
+        waucs.append(metrics.wauc)
     _emit({"record": "seed_mean", "arch": resolved["arch"],
            "mode": resolved["mode"], "seeds": seeds,
            "wauc_mean": float(np.mean(waucs)),
@@ -296,22 +289,17 @@ def cmd_compare(args) -> int:
     out = _prepare_out(args.out, args.force)
     _write_resolved(resolved, out)
     chash = config_hash(resolved)
-    rows = []
-    for mode in resolved["modes"]:
-        for seed in seeds:
-            res = _run_one(resolved, mode, seed,
-                           os.path.join(out, f"{mode}_seed{seed}"))
-            rows.append({"arch": resolved["arch"], "mode": mode, "seed": seed,
-                         "wauc": res.metrics.wauc})
-    means = {m: float(np.mean([r["wauc"] for r in rows if r["mode"] == m]))
-             for m in resolved["modes"]}
+    modes = resolved["modes"]
+    cells = [(f"{mode}_", mode, {}) for mode in modes]
+    rows = [(modes[i], seed, m.wauc) for i, seed, m in _run_grid(resolved, seeds, out, cells)]
+    means = {m: float(np.mean([v for mode, _, v in rows if mode == m])) for m in modes}
     baseline = means.get("mlora")
     with open(os.path.join(out, "compare.csv"), "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["arch", "mode", "seed", "wauc", "config_hash"])
-        for r in rows:
-            w.writerow([r["arch"], r["mode"], r["seed"], repr(r["wauc"]), chash])
-    for mode in resolved["modes"]:
+        for mode, seed, value in rows:
+            w.writerow([resolved["arch"], mode, seed, repr(value), chash])
+    for mode in modes:
         rec = {"record": "mode_mean", "arch": resolved["arch"], "mode": mode,
                "seeds": seeds, "wauc_mean": means[mode], "config_hash": chash}
         if baseline is not None and mode != "mlora":
@@ -324,27 +312,22 @@ def cmd_sweep_experts(args) -> int:
     resolved = resolve_config(load_config(args.config), "sweep-experts")
     seeds = _parse_seeds(args.seed, resolved)
     n_domains = _dataset_for_seed(resolved, seeds[0]).schema.n_domains
-    for count in resolved["expert_counts"]:
+    counts = resolved["expert_counts"]
+    for count in counts:
         if count % n_domains != 0:
             raise ConfigError(
                 f"expert count {count} is not a multiple of the {n_domains} domains")
     out = _prepare_out(args.out, args.force)
     _write_resolved(resolved, out)
     chash = config_hash(resolved)
-    rows = []
-    for count in resolved["expert_counts"]:
-        per_domain = count // n_domains
-        for seed in seeds:
-            res = _run_one(resolved, "moe", seed,
-                           os.path.join(out, f"experts{count}_seed{seed}"),
-                           experts_per_domain=per_domain)
-            rows.append((count, seed, res.metrics.wauc))
+    cells = [(f"experts{n}_", "moe", {"experts_per_domain": n // n_domains}) for n in counts]
+    rows = [(counts[i], seed, m.wauc) for i, seed, m in _run_grid(resolved, seeds, out, cells)]
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["experts_total", "experts_per_domain", "seed", "wauc", "config_hash"])
         for count, seed, value in rows:
             w.writerow([count, count // n_domains, seed, repr(value), chash])
-    for count in resolved["expert_counts"]:
+    for count in counts:
         mean = float(np.mean([v for c, _, v in rows if c == count]))
         _emit({"record": "sweep_point", "experts_total": count,
                "wauc_mean": mean, "seeds": seeds, "config_hash": chash})

@@ -111,14 +111,9 @@ class Dataset:
 def write_csv(ds: Dataset, path) -> None:
     """Serialize a dataset; the same dataset always yields identical bytes."""
     header = list(BASE_COLUMNS) + [n for n, _ in ds.schema.fields[2:]]
+    cols = np.column_stack([ds.ids[:, :2], ds.domains, ds.labels, ds.ids[:, 2:]])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for r in range(len(ds)):
-            row = [int(ds.ids[r, 0]), int(ds.ids[r, 1]),
-                   int(ds.domains[r]), int(ds.labels[r])]
-            row += [int(v) for v in ds.ids[r, 2:]]
-            w.writerow(row)
+        np.savetxt(fh, cols, fmt="%d", delimiter=",", header=",".join(header), comments="")
 
 
 def load_csv(path) -> Dataset:

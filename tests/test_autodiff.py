@@ -331,6 +331,41 @@ def test_backward_with_nothing_trainable_returns_empty_at_once(monkeypatch):
     assert list(t.backward(loss)) == ["W"] and calls
 
 
+def test_backward_after_the_tape_grows_matches_a_fresh_tape():
+    rng = np.random.default_rng(5)
+    inputs = {"x": rng.normal(size=(4, 3))}
+    store = ParamStore()
+    store.add("W", rng.normal(size=(2, 3)), "backbone")
+    store.add("V", rng.normal(size=(2, 2)), "gate")
+
+    def hidden(t):
+        return t.relu(t.matmul(t.input("x"), t.param("W"), transpose_b=True))
+
+    def loss2(t, h):
+        return t.reduce_sum(t.sigmoid(t.matmul(h, t.param("V"))))
+
+    t = Tape(store)
+    h = hidden(t)
+    loss1 = t.reduce_sum(h)
+    t.forward(inputs, output=loss1)
+    first = t.backward(loss1)
+    loss2_node = loss2(t, h)  # a new param node and a loss reading it
+    t.forward(inputs, output=loss2_node)
+    grown = t.backward(loss2_node)
+
+    fresh = Tape(store)
+    fresh_loss = loss2(fresh, hidden(fresh))
+    fresh.forward(inputs, output=fresh_loss)
+    want = fresh.backward(fresh_loss)
+    assert sorted(grown) == sorted(want) == ["V", "W"]
+    for name in want:
+        np.testing.assert_array_equal(grown[name], want[name])
+    t.forward(inputs, output=loss1)
+    again = t.backward(loss1)
+    assert list(again) == list(first) == ["W"]
+    np.testing.assert_array_equal(again["W"], first["W"])
+
+
 def test_unbound_input_rejected_by_name():
     t = Tape(ParamStore())
     y = t.relu(t.input("missing"))

@@ -339,6 +339,38 @@ def test_sweep_experts_csv_and_determinism(tmp_path, capsys):
     assert (out / "sweep.csv").read_text() == csv_text
 
 
+def test_train_compare_and_sweep_run_the_same_pipeline(tmp_path, capsys):
+    body = {"data": {"synthetic": TINY_SYNTH}, "train": FAST_TRAIN, "hidden": [8, 6],
+            "expert_counts": [2]}
+
+    def out_of(command, name, **extra):
+        out = tmp_path / name
+        cfg = write_cfg(tmp_path, {**body, **extra}, f"{name}.json")
+        assert run([command, "--config", cfg, "--out", str(out)], capsys)[0] == 0
+        return out
+
+    def metrics(run_dir, *drop):
+        recs = [json.loads(ln) for ln in (run_dir / "metrics.jsonl").read_text().splitlines()]
+        assert all(key in rec for rec in recs for key in drop)
+        return [{k: v for k, v in rec.items() if k not in ("config_hash", *drop)}
+                for rec in recs]
+
+    def assert_same_run(want, got, *drop):
+        files = sorted(p.name for p in want.glob("phase*.npz"))
+        assert files and files == sorted(p.name for p in got.glob("phase*.npz"))
+        for name in files + ["phases.jsonl"]:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+        assert metrics(got, *drop) == metrics(want)
+
+    compare = out_of("compare", "compare")
+    sweep = out_of("sweep-experts", "sweep")
+    trains = {mode: out_of("train", f"train_{mode}", mode=mode) / "seed0"
+              for mode in ("plain", "mlora", "moe")}
+    for mode, train in trains.items():
+        assert_same_run(train, compare / f"{mode}_seed0")
+    assert_same_run(trains["moe"], sweep / "experts2_seed0", "experts_per_domain")
+
+
 def test_sweep_rejects_indivisible_counts(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "data": {"synthetic": TINY_SYNTH}, "expert_counts": [3],

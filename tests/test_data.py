@@ -127,6 +127,17 @@ def test_csv_round_trips_a_context_field_and_trains_on_it(tmp_path):
     assert np.isfinite(result.metrics.wauc)
 
 
+def test_csv_bytes_are_pinned(tmp_path):
+    fields = (("user_id", 20), ("item_id", 15), ("hour", 24))
+    ds = Dataset(FeatureSchema(fields, n_domains=3), np.array([[3, 14, 0], [19, 0, 23]]),
+                 np.array([1, 0]), np.array([2, 0]))
+    path = tmp_path / "two.csv"
+    write_csv(ds, path)
+    assert path.read_bytes() == (b"user_id,item_id,domain_id,label,hour\n"
+                                 b"3,14,2,1,0\n"
+                                 b"19,0,0,0,23\n")
+
+
 def test_csv_byte_identical_per_spec(tmp_path):
     spec = SyntheticSpec(n_domains=2, n_users=50, n_items=40, rows_per_domain=100, seed=9)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
