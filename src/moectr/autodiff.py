@@ -6,16 +6,16 @@ batch.  Nothing is traced per step, so a run is fully determined by the
 parameter values and the bound inputs.  All math is float64.
 
 Each output node is compiled once into a plan: one bound kernel per node it
-depends on, with its operand slots.  A forward to a scalar loss is a
-training forward.  It writes every value into the tape's arena, one reused
-buffer per node grown to the largest row count seen (a smaller batch uses
-leading-row views), and keeps them for a ``backward`` from that loss, whose
-plan writes each VJP into the arena as well.  The arena lives until
-``Tape.release`` drops it; a later training forward grows it again.  Any
-other forward is forward-only: a value is dropped, or its buffer reused in
-place, after its last reader, and nothing is kept once the call returns.
-Whatever a call hands out (outputs, losses, gradients) is its own array,
-never a view into the arena.
+depends on, with its operand slots.  A forward to a loss, a ``bce`` or a
+full ``reduce_sum`` node, is a training forward.  It writes every value into
+the tape's arena, one reused float64 buffer per node grown to the largest
+row count seen (a smaller batch uses leading-row views), and keeps them for
+a ``backward`` from that loss, whose plan writes each VJP into the arena as
+well.  The arena lives until ``Tape.release`` drops it; a later training
+forward grows it again.  Any other forward is forward-only: a value is
+dropped, or its buffer reused in place, after its last reader, and nothing
+is kept once the call returns.  Whatever a call hands out (outputs, losses,
+gradients) is its own array, never a view into the arena.
 
 Gradients flow back in reverse node order and accumulate additively, so a
 parameter used in several places receives the sum of its contributions.
@@ -92,7 +92,7 @@ class ParamStore:
             raise AutodiffError(f"duplicate parameter name {name!r}")
         if not group:
             raise AutodiffError(f"parameter {name!r} has no group tag")
-        arr = np.require(value, np.float64, "C")  # keeps a 0-d value 0-d
+        arr = np.array(value, dtype=np.float64, order="C")  # the store's own copy; 0-d stays 0-d
         self._params[name] = Param(name, arr, group)
         return name
 
@@ -110,7 +110,7 @@ class ParamStore:
 
     def set(self, name: str, value: np.ndarray) -> None:
         p = self._params[name]
-        arr = np.require(value, np.float64, "C")
+        arr = np.array(value, dtype=np.float64, order="C")
         if arr.shape != p.value.shape:
             raise ShapeError(
                 f"parameter {name!r} has shape {p.value.shape}, got {arr.shape}"
@@ -163,16 +163,12 @@ class _Node:
     op: str
     args: tuple[int, ...]
     meta: dict = field(default_factory=dict)
-    # True when the value is 0-d by construction; a forward to such a node
-    # is a training forward (see ``Tape.forward``).
-    scalar: bool = False
 
 
 _F8 = np.dtype(np.float64)
 _LEAVES = ("input", "param", "const")
-# Ops whose output has the broadcast shape of their operands: scalar when
-# they are, and a forward-only call may write their output into the buffer
-# of an operand it reads last.
+# Ops whose output has the broadcast shape of their operands: a forward-only
+# call may write their output into the buffer of an operand it reads last.
 _ELEMENTWISE = ("add", "mul", "scale", "relu", "sigmoid", "softmax")
 
 
@@ -263,9 +259,10 @@ def _forward_kernel(nid: int, node: _Node):
 # ``_vjp(nid, node, k)`` gives ``(fn, specs)`` for the gradient that node
 # ``nid`` sends to its k-th operand, or None when that operand gets none
 # (gather indices, bce labels).  ``fn(g, vals, bufs)`` returns the
-# contribution; ``specs`` lists the buffers it writes, each as (node whose
-# value has the buffer's shape, dtype).  Contributions may be views of ``g``
-# or of their own buffers, which nothing overwrites until the next backward.
+# contribution; ``specs`` lists the float64 buffers it writes, each as the
+# node whose value has the buffer's shape.  Contributions may be views of
+# ``g`` or of their own buffers, which nothing overwrites until the next
+# backward.
 
 
 def _vjp(nid: int, node: _Node, k: int):
@@ -275,35 +272,34 @@ def _vjp(nid: int, node: _Node, k: int):
         a, b = args
         if m["tb"]:
             if k == 0:
-                return (lambda g, v, o: np.matmul(g, v[b], out=o[0])), ((a, _F8),)
-            return (lambda g, v, o: np.matmul(g.T, v[a], out=o[0])), ((b, _F8),)
+                return (lambda g, v, o: np.matmul(g, v[b], out=o[0])), (a,)
+            return (lambda g, v, o: np.matmul(g.T, v[a], out=o[0])), (b,)
         if k == 0:
-            return (lambda g, v, o: np.matmul(g, v[b].T, out=o[0])), ((a, _F8),)
-        return (lambda g, v, o: np.matmul(v[a].T, g, out=o[0])), ((b, _F8),)
+            return (lambda g, v, o: np.matmul(g, v[b].T, out=o[0])), (a,)
+        return (lambda g, v, o: np.matmul(v[a].T, g, out=o[0])), (b,)
     if op == "add":
         return (lambda g, v, o: Tape._unbroadcast(g, v[x].shape)), ()
     if op == "mul":
         other = args[1 - k]
         return (lambda g, v, o: Tape._unbroadcast(np.multiply(g, v[other], out=o[0]),
-                                                  v[x].shape)), ((nid, _F8),)
+                                                  v[x].shape)), (nid,)
     if op == "scale":
         c = m["c"]
-        return (lambda g, v, o: np.multiply(g, c, out=o[0])), ((nid, _F8),)
-    if op == "relu":  # g * (a > 0)
-        return (lambda g, v, o: np.multiply(g, np.greater(v[x], 0.0, out=o[0]), out=o[1]),
-                ((nid, np.dtype(bool)), (nid, _F8)))
+        return (lambda g, v, o: np.multiply(g, c, out=o[0])), (nid,)
+    if op == "relu":  # g * (a > 0); a 0.0/1.0 mask gives the bits of a bool one
+        return (lambda g, v, o: np.multiply(g, np.greater(v[x], 0.0, out=o[0]), out=o[0])), (nid,)
     if op == "sigmoid":  # g * s * (1 - s)
         def sigmoid(g, v, o):
             gs = np.multiply(g, v[nid], out=o[0])
             return np.multiply(gs, np.subtract(1.0, v[nid], out=o[1]), out=o[0])
-        return sigmoid, ((nid, _F8), (nid, _F8))
+        return sigmoid, (nid, nid)
     if op == "softmax":  # g*s - s * sum(g*s)
         def softmax(g, v, o):
             s = v[nid]
             gs = np.multiply(g, s, out=o[0])
             return np.subtract(gs, np.multiply(s, gs.sum(axis=-1, keepdims=True), out=o[1]),
                                out=o[1])
-        return softmax, ((nid, _F8), (nid, _F8))
+        return softmax, (nid, nid)
     if op == "concat":
         axis = m["axis"]
 
@@ -323,7 +319,7 @@ def _vjp(nid: int, node: _Node, k: int):
             o[0].fill(0.0)
             np.add.at(o[0], v[idx].reshape(-1), g)
             return o[0]
-        return gather, ((x, _F8),)
+        return gather, (x,)
     if op == "bce":
         if k == 1:  # labels are treated as constants
             return None
@@ -369,7 +365,7 @@ class Tape:
 
     Build the graph once with the op methods (each returns an integer node
     id), then call ``forward`` with a dict of input arrays and ``backward``
-    from a scalar loss node.  A tape keeps the values of its last training
+    from a loss node.  A tape keeps the values of its last training
     forward, in its arena, until the next forward of any kind, and the
     arena itself until ``release``; a forward-only call keeps nothing.  A
     tape is not safe to share across threads.
@@ -382,7 +378,7 @@ class Tape:
         self._param_nodes: dict[str, int] = {}
         self._forward_plans: dict[int, _ForwardPlan] = {}
         self._backward_plans: dict[tuple, _BackwardPlan] = {}
-        # Training state: flat buffers by (slot, dtype), the arena views
+        # Training state: flat float64 buffers by slot, the arena views
         # bound per (plan, input shapes), and the last training forward's
         # (plan, values, input shapes).
         self._arena: dict[tuple, np.ndarray] = {}
@@ -395,15 +391,7 @@ class Tape:
         for a in args:
             if not (0 <= a < len(self.nodes)):
                 raise AutodiffError(f"op {op!r} references unknown node {a}")
-        if op == "param":
-            scalar = self.store.get(meta["name"]).ndim == 0
-        elif op == "const":
-            scalar = meta["value"].ndim == 0
-        elif op in _ELEMENTWISE:
-            scalar = all(self.nodes[a].scalar for a in args)
-        else:
-            scalar = op == "bce" or (op == "reduce_sum" and meta["axis"] is None)
-        self.nodes.append(_Node(op, args, meta, scalar))
+        self.nodes.append(_Node(op, args, meta))
         return len(self.nodes) - 1
 
     def input(self, name: str) -> int:
@@ -518,32 +506,32 @@ class Tape:
         return ShapeError(f"node {nid} ({node.op}): incompatible shapes {shapes}")
 
     def _views(self, specs) -> list[np.ndarray]:
-        """Arena views for (slot, shape, dtype) specs, growing slots as needed.
+        """Float64 arena views for (slot, shape) specs, growing slots as needed.
 
         A slot is one flat buffer, so every shape it serves is a view of its
         leading elements: a batch with fewer rows uses the leading rows.
         """
         views = []
-        for slot, shape, dtype in specs:
+        for slot, shape in specs:
             size = math.prod(shape)
-            flat = self._arena.get((slot, dtype))
+            flat = self._arena.get(slot)
             if flat is None or flat.size < size:
                 if flat is not None:
                     self._bound.clear()  # views of the smaller buffer are stale
-                flat = self._arena[(slot, dtype)] = np.empty(size, dtype)
+                flat = self._arena[slot] = np.empty(size)
             views.append(flat[:size].reshape(shape))
         return views
 
     def forward(self, inputs: dict[str, np.ndarray], output: int) -> np.ndarray:
         """Execute the nodes ``output`` depends on and return its value.
 
-        A forward to a scalar node (a loss: ``bce``, a full ``reduce_sum``,
-        or elementwise ops of scalars) is a training forward: values are
-        written into the arena and kept for ``backward``.  Any other forward
-        is forward-only and keeps nothing: each value is dropped, or its
-        buffer reused, after its last reader.  Either kind ends the values
-        of an earlier training forward.  The result is the caller's own
-        array.  Inputs that ``output`` does not depend on need not be bound.
+        A forward to a loss, a ``bce`` or a full ``reduce_sum`` node, is a
+        training forward: values are written into the arena and kept for
+        ``backward``.  Any other forward, a 0-d one included, is
+        forward-only and keeps nothing: each value is dropped, or its buffer
+        reused, after its last reader.  Either kind ends the values of an
+        earlier training forward.  The result is the caller's own array.
+        Inputs that ``output`` does not depend on need not be bound.
         """
         if not (0 <= output < len(self.nodes)):
             raise AutodiffError(f"output node {output} out of range")
@@ -556,10 +544,11 @@ class Tape:
             arr = np.asarray(inputs[name])
             vals[nid] = arr if arr.dtype.kind in "iu" else arr.astype(_F8, copy=False)
         for nid, p in plan.params:
-            vals[nid] = p.value  # read at every call: updates replace the array
+            vals[nid] = p.value  # read at every call: ``set`` replaces the array
         for nid, c in plan.consts:
             vals[nid] = c
-        if not self.nodes[output].scalar:
+        node = self.nodes[output]
+        if not (node.op == "bce" or (node.op == "reduce_sum" and node.meta["axis"] is None)):
             return self._forward_only(plan, vals)
         # Output shapes follow from the input shapes, so views are bound per
         # input signature; the first call of a signature allocates and
@@ -576,7 +565,7 @@ class Tape:
             raise self._shape_error(nid, vals) from e
         if views is None:
             self._bound[key] = self._views(
-                [(("value", nid), vals[nid].shape, vals[nid].dtype) for nid, _ in plan.steps])
+                [(("value", nid), vals[nid].shape) for nid, _ in plan.steps])
         self._train = (plan, vals, sig)
         return vals[output].copy()
 
@@ -662,14 +651,15 @@ class Tape:
         operands with a trainable parameter upstream, and with none the
         result is ``{}`` at once.  Pruning must not reorder how a returned
         gradient accumulates, so it matches a backward with every tensor
-        trainable bit for bit.  Must follow the training forward to ``loss``,
-        with no other forward in between; any other node is refused.  The
+        trainable bit for bit.  Must follow the training forward to ``loss``
+        (a ``bce`` or full ``reduce_sum`` node), with no other forward in
+        between; any other node is refused.  The
         gradients returned are the caller's own arrays.
         """
         if self._train is None:
             raise AutodiffError(
                 "backward needs the values of a training forward (a forward to a "
-                "scalar loss node) and the last forward kept none")
+                "scalar loss: bce or a full reduce_sum) and the last forward kept none")
         plan, vals, sig = self._train
         if loss != plan.output:
             raise AutodiffError(f"backward from node {loss}, but the last training "
@@ -680,9 +670,9 @@ class Tape:
         if bound is None:
             bound = []
             for nid, k, x, _, bufs, first in bplan.edges:
-                views = self._views([(("vjp", nid, k, j), vals[ref].shape, dtype)
-                                     for j, (ref, dtype) in enumerate(bufs)])
-                acc = None if first else self._views([(("acc", x), vals[x].shape, _F8)])[0]
+                views = self._views([(("vjp", nid, k, j), vals[ref].shape)
+                                     for j, ref in enumerate(bufs)])
+                acc = None if first else self._views([(("acc", x), vals[x].shape)])[0]
                 bound.append((views, acc))
             self._bound[key] = bound
         grads: list = [None] * (loss + 1)

@@ -200,11 +200,13 @@ def _synthetic_spec(resolved: dict, seed: int) -> SyntheticSpec:
     return SyntheticSpec(**{"seed": seed, **resolved["data"]["synthetic"]})
 
 
-def _dataset_for_seed(resolved: dict, seed: int):
+def _dataset_source(resolved: dict):
+    """seed -> Dataset.  A CSV source is parsed here, once per command."""
     data = resolved["data"]
     if "csv" in data:
-        return load_csv(data["csv"])
-    return generate_synthetic(_synthetic_spec(resolved, seed))
+        ds = load_csv(data["csv"])
+        return lambda seed: ds
+    return lambda seed: generate_synthetic(_synthetic_spec(resolved, seed))
 
 
 def _emit(record: dict) -> None:
@@ -217,20 +219,20 @@ def _write_resolved(resolved: dict, out: str) -> None:
         fh.write("\n")
 
 
-def _run_grid(resolved: dict, seeds: list[int], out: str, cells: list):
+def _run_grid(resolved: dict, seeds: list[int], out: str, cells: list, dataset):
     """Train each cell at each seed and write the run's directory; yield its metrics.
 
-    A cell is (directory prefix, mode, adapter overrides).  Runs go cell by
-    cell and, within a cell, seed by seed.  Each writes its checkpoints,
-    ``metrics.jsonl`` and ``phases.jsonl`` into ``out/<prefix>seed<S>/``, its
-    metrics context naming the overrides, and then yields
-    (cell index, seed, MetricsReport).
+    ``dataset`` maps a seed to its data.  A cell is (directory prefix, mode,
+    adapter overrides).  Runs go cell by cell and, within a cell, seed by
+    seed.  Each writes its checkpoints, ``metrics.jsonl`` and
+    ``phases.jsonl`` into ``out/<prefix>seed<S>/``, its metrics context
+    naming the overrides, and then yields (cell index, seed, MetricsReport).
     """
     chash = config_hash(resolved)
     for i, (prefix, mode, overrides) in enumerate(cells):
         adapter = AdapterConfig(**{**resolved["adapter"], **overrides})
         for seed in seeds:
-            ds = _dataset_for_seed(resolved, seed)
+            ds = dataset(seed)
             run_dir = os.path.join(out, f"{prefix}seed{seed}")
             os.makedirs(run_dir, exist_ok=True)
             result = train_pipeline(TrainConfig(**resolved["train"], seed=seed), ds,
@@ -272,7 +274,8 @@ def cmd_train(args) -> int:
     out = _prepare_out(args.out, args.force)
     _write_resolved(resolved, out)
     waucs = []
-    for _, _, metrics in _run_grid(resolved, seeds, out, [("", resolved["mode"], {})]):
+    cells = [("", resolved["mode"], {})]
+    for _, _, metrics in _run_grid(resolved, seeds, out, cells, _dataset_source(resolved)):
         for rec in metrics.to_records():
             _emit(rec)
         waucs.append(metrics.wauc)
@@ -291,7 +294,8 @@ def cmd_compare(args) -> int:
     chash = config_hash(resolved)
     modes = resolved["modes"]
     cells = [(f"{mode}_", mode, {}) for mode in modes]
-    rows = [(modes[i], seed, m.wauc) for i, seed, m in _run_grid(resolved, seeds, out, cells)]
+    grid = _run_grid(resolved, seeds, out, cells, _dataset_source(resolved))
+    rows = [(modes[i], seed, m.wauc) for i, seed, m in grid]
     means = {m: float(np.mean([v for mode, _, v in rows if mode == m])) for m in modes}
     baseline = means.get("mlora")
     with open(os.path.join(out, "compare.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -311,7 +315,8 @@ def cmd_compare(args) -> int:
 def cmd_sweep_experts(args) -> int:
     resolved = resolve_config(load_config(args.config), "sweep-experts")
     seeds = _parse_seeds(args.seed, resolved)
-    n_domains = _dataset_for_seed(resolved, seeds[0]).schema.n_domains
+    dataset = _dataset_source(resolved)
+    n_domains = dataset(seeds[0]).schema.n_domains
     counts = resolved["expert_counts"]
     for count in counts:
         if count % n_domains != 0:
@@ -321,7 +326,8 @@ def cmd_sweep_experts(args) -> int:
     _write_resolved(resolved, out)
     chash = config_hash(resolved)
     cells = [(f"experts{n}_", "moe", {"experts_per_domain": n // n_domains}) for n in counts]
-    rows = [(counts[i], seed, m.wauc) for i, seed, m in _run_grid(resolved, seeds, out, cells)]
+    grid = _run_grid(resolved, seeds, out, cells, dataset)
+    rows = [(counts[i], seed, m.wauc) for i, seed, m in grid]
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["experts_total", "experts_per_domain", "seed", "wauc", "config_hash"])

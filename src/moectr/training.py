@@ -160,8 +160,8 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
     Parameters without a gradient entry stay put; frozen parameters never
     move even if a gradient is supplied.  Adam is elementwise, so the
     trainable gradients are concatenated in ``grads`` order and the whole
-    update runs as one fixed sequence of in-place numpy calls over flat
-    buffers, with each tensor's bits as a per-tensor update would give.
+    update, the store's parameters included, runs in place as one fixed
+    sequence of numpy calls that gives the bits of a per-tensor update.
     The first step lays ``state`` out for its trainable names, and a later
     step whose trainable names differ raises ``ValueError`` naming both.
     Every step checks that each gradient has its parameter's shape, or
@@ -208,7 +208,7 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
     np.add(g, _EPS, out=g)
     np.divide(u, g, out=u)
     for name, update in state._updates:
-        store.set(name, store.get(name) - update)
+        np.subtract(store.get(name), update, out=store.get(name))
 
 
 def _stop_early(history: list[float], patience: int) -> bool:

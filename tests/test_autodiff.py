@@ -124,7 +124,7 @@ def test_primitive_backward_against_central_differences(seed):
         mix = t.mul(w, t.scale(t.add(g, h), 0.7))
         row = t.reduce_sum(mix, axis=-1)
         prods = t.matmul(row, t.param("V"), transpose_b=False)
-        loss = t.scale(t.reduce_sum(t.mul(prods, prods)), 1.0 / 20)  # mean of (5, 4)
+        loss = t.reduce_sum(t.scale(t.mul(prods, prods), 1.0 / 20))  # mean of (5, 4)
         return t, loss, {"x": x, "idx": idx}
 
     rng2const = rng.normal(size=(12, 4))
@@ -150,7 +150,7 @@ def test_concat_rows_feeding_matmul_against_central_differences():
         h = t.matmul(t.input("x"), stacked, transpose_b=True)
         other = t.concat([t.param("Q"), t.param("R")], axis=0)
         out = t.matmul(t.sigmoid(h), t.matmul(stacked, other, transpose_b=True))
-        loss = t.scale(t.reduce_sum(t.mul(out, out)), 1.0 / 25)  # mean of (5, 5)
+        loss = t.reduce_sum(t.scale(t.mul(out, out), 1.0 / 25))  # mean of (5, 5)
         return t, loss, {"x": x}
 
     theta0 = rng.normal(size=sum(sizes.values())) * 0.5
@@ -205,8 +205,8 @@ def test_backward_linearity_exact_doubling():
     store.add("W", np.arange(6.0).reshape(2, 3) / 7.0, "backbone")
     t = Tape(store)
     h = t.matmul(t.input("x"), t.param("W"), transpose_b=True)
-    loss = t.scale(t.reduce_sum(t.sigmoid(h)), 1.0 / 8)  # mean of (4, 2)
-    doubled = t.scale(loss, 2.0)
+    loss = t.reduce_sum(t.scale(t.sigmoid(h), 1.0 / 8))  # mean of (4, 2)
+    doubled = t.reduce_sum(t.scale(t.sigmoid(h), 2.0 / 8))
     x = np.random.default_rng(1).normal(size=(4, 3))
     t.forward({"x": x}, output=loss)
     g1 = t.backward(loss)["W"]
@@ -385,8 +385,9 @@ def test_backward_from_a_node_the_forward_did_not_output_is_refused():
     store = ParamStore()
     store.add("W", np.ones((1, 2)), "backbone")
     t = Tape(store)
-    loss = t.reduce_sum(t.matmul(t.input("x"), t.param("W"), transpose_b=True))
-    doubled = t.scale(loss, 2.0)
+    h = t.matmul(t.input("x"), t.param("W"), transpose_b=True)
+    loss = t.reduce_sum(h)
+    doubled = t.reduce_sum(t.scale(h, 2.0))
     t.forward({"x": np.ones((3, 2))}, output=doubled)
     with pytest.raises(AutodiffError, match=f"backward from node {loss}, but the last "
                                             f"training forward computed node {doubled}$"):
@@ -500,7 +501,7 @@ def test_determinism_bit_identical():
         store.add("W", rng_for(11, "W").normal(size=(3, 4)), "backbone")
         t = Tape(store)
         h = t.softmax(t.matmul(t.input("x"), t.param("W"), transpose_b=True))
-        loss = t.scale(t.reduce_sum(h), 1.0 / 18)  # mean of (6, 3)
+        loss = t.reduce_sum(t.scale(h, 1.0 / 18))  # mean of (6, 3)
         v = t.forward({"x": x}, output=loss)
         return np.asarray(v).tobytes() + t.backward(loss)["W"].tobytes()
 
@@ -546,3 +547,58 @@ def test_param_store_keeps_a_0d_value_0d():
     assert store.get("c").shape == () and store.get("c") == 5.0
     with pytest.raises(ShapeError, match="'c'"):
         store.set("c", np.array([5.0]))
+
+
+def test_graph_construction_refuses_bad_nodes_and_operands():
+    t = Tape(ParamStore())
+    x = t.input("x")
+    with pytest.raises(AutodiffError, match="op 'add' references unknown node 5"):
+        t.add(x, 5)
+    with pytest.raises(AutodiffError, match="op 'relu' references unknown node -1"):
+        t.relu(-1)
+    with pytest.raises(AutodiffError, match="unknown parameter 'nope'"):
+        t.param("nope")
+    with pytest.raises(AutodiffError, match="concat of zero nodes"):
+        t.concat([])
+    with pytest.raises(AutodiffError, match="reduce_sum supports axis None or -1 only"):
+        t.reduce_sum(x, axis=0)
+    assert len(t.nodes) == 1
+
+
+def test_forward_refuses_an_output_out_of_range():
+    t = Tape(ParamStore())
+    t.relu(t.input("x"))
+    for bad in (2, -1):
+        with pytest.raises(AutodiffError, match=f"output node {bad} out of range"):
+            t.forward({"x": np.ones(2)}, output=bad)
+
+
+def test_matmul_of_a_1d_operand_names_the_node():
+    t = Tape(ParamStore())
+    y = t.matmul(t.input("a"), t.input("b"))
+    with pytest.raises(ShapeError, match=rf"node {y} \(matmul\): incompatible shapes"):
+        t.forward({"a": np.ones(2), "b": np.ones((2, 2))}, output=y)
+
+
+def test_gather_refuses_a_float_index():
+    store = ParamStore()
+    store.add("T", np.ones((4, 2)), "backbone")
+    t = Tape(store)
+    rows = t.gather(t.param("T"), t.input("idx"))
+    with pytest.raises(AutodiffError, match=rf"node {rows} \(gather\): index array must be"):
+        t.forward({"idx": np.array([0.0, 1.0])}, output=rows)
+
+
+def test_gather_range_error_in_a_training_forward_keeps_no_values():
+    store = ParamStore()
+    store.add("T", np.ones((4, 2)), "backbone")
+    t = Tape(store)
+    rows = t.gather(t.param("T"), t.input("idx"))
+    loss = t.reduce_sum(rows)
+    t.forward({"idx": np.array([0, 3])}, output=loss)
+    for bad in ([0, 4], [-1, 0]):
+        with pytest.raises(AutodiffError, match=rf"node {rows} \(gather\): index out of "
+                                                r"range for table of 4 rows"):
+            t.forward({"idx": np.array(bad)}, output=loss)
+        with pytest.raises(AutodiffError, match="training forward"):
+            t.backward(loss)

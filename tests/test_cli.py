@@ -445,3 +445,28 @@ def test_console_script_installed():
     script = shutil.which("moectr", path=search)
     assert script, "the installed moectr script should be on PATH"
     _check_help(subprocess.run([script, "--help"], capture_output=True, text=True))
+
+
+def test_hidden_that_is_not_a_list_is_a_config_error():
+    with pytest.raises(ConfigError, match="hidden must be a list of tower widths, got 8"):
+        resolve_config({"data": {"csv": "x.csv"}, "hidden": 8}, "train")
+
+
+@pytest.mark.parametrize("command,extra,runs", [
+    ("compare", {"modes": ["plain", "mlora", "moe"]}, 6),
+    ("sweep-experts", {"expert_counts": [2, 4]}, 4),
+])
+def test_a_csv_source_is_parsed_once_per_command(tmp_path, capsys, monkeypatch, command,
+                                                  extra, runs):
+    gen_cfg = write_cfg(tmp_path, {"data": {"synthetic": TINY_SYNTH}}, "g.json")
+    assert cli.main(["generate", "--config", gen_cfg, "--out", str(tmp_path / "gen")]) == 0
+    calls = []
+    load = cli.load_csv
+    monkeypatch.setattr(cli, "load_csv", lambda path: calls.append(path) or load(path))
+    cfg = write_cfg(tmp_path, {
+        "data": {"csv": str(tmp_path / "gen" / "data_seed0.csv")}, "train": FAST_TRAIN,
+        "hidden": [8, 6], "adapter": {"rank": 2}, "seeds": [0, 1], **extra})
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out)], capsys)[0] == 0
+    assert len(calls) == 1
+    assert len(list(out.glob("*seed*/metrics.jsonl"))) == runs

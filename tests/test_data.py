@@ -298,3 +298,51 @@ def test_domain_batches_are_single_domain_and_cover_epoch():
         np.testing.assert_array_equal(np.sort(np.concatenate([r for _, r in batches])),
                                       np.arange(110))
         assert [sum(d == k for d, _ in batches) for k in (0, 1)] == [10, 1]
+
+
+@pytest.mark.parametrize("ids,labels,domains,named", [
+    (np.zeros(2, dtype=int), [0, 1], [0, 0], r"ids must be \(n, 2\), got \(2,\)"),
+    (np.zeros((2, 3), dtype=int), [0, 1], [0, 0], r"ids must be \(n, 2\), got \(2, 3\)"),
+    (np.zeros((0, 2), dtype=int), [], [], "dataset has no rows"),
+    (np.zeros((2, 2), dtype=int), [0], [0, 0], "must have matching length"),
+    (np.zeros((2, 2), dtype=int), [0, 1], [0], "must have matching length"),
+    ([[5, 0]], [0], [0], r"field 'user_id' has ids outside \[0, 5\)"),
+    ([[0, -1]], [0], [0], r"field 'item_id' has ids outside \[0, 4\)"),
+    ([[0, 0], [1, 1]], [1, 2], [0, 0], "labels must be 0 or 1"),
+])
+def test_dataset_names_each_malformed_input(ids, labels, domains, named):
+    schema = FeatureSchema((("user_id", 5), ("item_id", 4)), n_domains=2)
+    with pytest.raises(ValueError, match=named):
+        Dataset(schema, np.array(ids), np.array(labels), np.array(domains))
+
+
+@pytest.mark.parametrize("text,named", [
+    ("", "empty file"),
+    ("user,item,domain,label\n1,1,0,1\n", "header must start with user_id,item_id,"),
+    ("user_id,item_id,domain_id,label\n1,1,0,1\n1,1,0\n", ":3: expected 4 columns, got 3"),
+    ("user_id,item_id,domain_id,label,hour\n1,1,0,1\n", ":2: expected 5 columns, got 4"),
+])
+def test_load_csv_names_a_bad_header_or_row_shape(tmp_path, text, named):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=named):
+        load_csv(path)
+
+
+def test_load_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("user_id,item_id,domain_id,label\n1,2,0,1\n\n3,0,1,0\n\n")
+    ds = load_csv(path)
+    np.testing.assert_array_equal(ds.ids, [[1, 2], [3, 0]])
+    np.testing.assert_array_equal(ds.labels, [1, 0])
+    np.testing.assert_array_equal(ds.domains, [0, 1])
+
+
+def test_split_of_too_few_rows_names_the_empty_part():
+    with pytest.raises(ValueError, match="split produced an empty part"):
+        split_dataset(small_ds(1))
+
+
+def test_batch_iter_refuses_a_batch_size_below_one():
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        next(batch_iter(small_ds(4), 0))

@@ -250,3 +250,11 @@ def test_evaluate_handles_single_class_domain():
     assert rep.per_domain[0].weight == 0.0
     assert rep.per_domain[1].weight == 1.0
     assert any("single-class" in w for w in rep.warnings)
+
+
+def test_evaluate_refuses_a_dataset_with_another_domain_count():
+    model, test = make_eval_pair()
+    schema = FeatureSchema(test.schema.fields, n_domains=4)
+    other = Dataset(schema, test.ids, test.labels, test.domains)
+    with pytest.raises(ValueError, match="disagree on the number of domains"):
+        evaluate(model, other)

@@ -534,3 +534,46 @@ def test_predict_memory_is_bounded_by_one_block():
     # One pass over all ten blocks' rows would hold several (rows, 64)
     # values at once, 20 MiB each; a block's are a tenth of that.
     assert peak < p.nbytes + 2 * PREDICT_BLOCK_ROWS * 64 * 8
+
+
+@pytest.mark.parametrize("fields,named", [
+    ((), "schema needs at least one feature field"),
+    ((("user_id", 3), ("user_id", 4)), "duplicate field names in schema"),
+])
+def test_schema_refuses_no_fields_and_duplicate_names(fields, named):
+    with pytest.raises(ValueError, match=named):
+        FeatureSchema(fields)
+
+
+def test_build_model_names_an_unknown_mode_or_arch():
+    with pytest.raises(ValueError, match="unknown mode 'mmoe'"):
+        build_model(SCHEMA, "mlp", "mmoe")
+    with pytest.raises(ValueError, match="unknown arch 'tide'"):
+        build_model(SCHEMA, "tide", "plain")
+
+
+def test_predict_refuses_ids_of_the_wrong_shape_or_kind():
+    m = tiny()
+    for bad in (np.zeros(2, dtype=int), np.zeros((3, 3), dtype=int)):
+        named = re.escape(f"ids must be (batch, 2), got {bad.shape}")
+        with pytest.raises(ValueError, match=named):
+            m.predict(bad, 0)
+    with pytest.raises(ValueError, match="ids must be integers"):
+        m.predict(np.zeros((3, 2)), 0)
+
+
+def test_load_refuses_an_unknown_format_and_a_mismatched_parameter_set(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(tiny("mlp", "moe"), path)
+    manifest, arrays = _manifest_and_arrays(path)
+
+    def resave(**changes):
+        body = json.dumps({**manifest, **changes}).encode()
+        np.savez(path, manifest=np.frombuffer(body, dtype=np.uint8), **arrays)
+
+    resave(format="other-checkpoint")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown checkpoint format")):
+        load_checkpoint(path)
+    resave(params=manifest["params"][:-1])
+    with pytest.raises(ValueError, match="parameter set does not match model config"):
+        load_checkpoint(path)

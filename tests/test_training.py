@@ -653,3 +653,21 @@ def test_mlora_predict_runs_the_domain_expert_view():
                                       res.model.predict(rows, d, view=f"expert:{d}:0"))
     with pytest.raises(AutodiffError, match="mixture"):
         res.model.tape("mixture")
+
+
+def test_the_store_owns_its_arrays_and_adam_moves_them_in_place():
+    given = np.array([1.0, 2.0])
+    store = ParamStore()
+    store.add("w", given, "backbone")
+    given[0] = 9.0
+    np.testing.assert_array_equal(store.get("w"), [1.0, 2.0])
+    later = np.array([3.0, 4.0])
+    store.set("w", later)
+    later[1] = 9.0
+    np.testing.assert_array_equal(store.get("w"), [3.0, 4.0])
+    held = store.get("w")
+    adam_step(store, {"w": np.array([1.0, -1.0])}, AdamState(), 0.5)
+    assert store.get("w") is held
+    np.testing.assert_allclose(held, [2.5, 4.5], rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(given, [9.0, 2.0])
+    np.testing.assert_array_equal(later, [3.0, 9.0])
