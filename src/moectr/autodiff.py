@@ -3,7 +3,9 @@
 The engine is deliberately small: a ``Tape`` records a static graph of
 primitive ops once, at model-build time, and is then re-executed for every
 batch.  Nothing is traced per step, so a run is fully determined by the
-parameter values and the bound inputs.  All math is float64.
+parameter values and the bound inputs.  All math is float64: an input that
+the graph reads only as a gather's index is bound as given, and every other
+input is cast to float64 once, as it is bound.
 
 Each output node is compiled once into a plan: one bound kernel per node it
 depends on, with its operand slots.  A forward to a loss, a ``bce`` or a
@@ -181,7 +183,7 @@ _ELEMENTWISE = ("add", "mul", "scale", "relu", "sigmoid", "softmax")
 # called, so all three give the same bits.
 
 
-def _forward_kernel(nid: int, node: _Node):
+def _forward_kernel(nid: int, node: _Node, nodes: list[_Node]):
     op, args, m = node.op, node.args, node.meta
     a, b = args[0], args[-1]
     if op == "matmul":  # a @ (b.T if tb else b)
@@ -227,14 +229,16 @@ def _forward_kernel(nid: int, node: _Node):
                                    else np.sum(v[a], out=out))
         return lambda v, out: np.sum(v[a], axis=-1, keepdims=True, out=out)
     if op == "gather":  # table[idx]
+        named = f" (input {nodes[b].meta['name']!r})" if nodes[b].op == "input" else ""
+
         def gather(v, out):
             table, idx = v[a], v[b]
             if idx.dtype.kind not in "iu":
-                raise AutodiffError(f"node {nid} (gather): index array must be integer")
+                raise AutodiffError(f"node {nid} (gather): index array must be integer{named}")
             idx = idx.reshape(-1)
             if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-                raise AutodiffError(
-                    f"node {nid} (gather): index out of range for table of {table.shape[0]} rows")
+                raise AutodiffError(f"node {nid} (gather): index out of range for table "
+                                    f"of {table.shape[0]} rows{named}")
             # The range is checked above; "clip" lets take write straight
             # into ``out`` instead of through a buffer of its own.
             return np.take(table, idx, axis=0, out=out, mode="clip")
@@ -258,11 +262,12 @@ def _forward_kernel(nid: int, node: _Node):
 #
 # ``_vjp(nid, node, k)`` gives ``(fn, specs)`` for the gradient that node
 # ``nid`` sends to its k-th operand, or None when that operand gets none
-# (gather indices, bce labels).  ``fn(g, vals, bufs)`` returns the
-# contribution; ``specs`` lists the float64 buffers it writes, each as the
-# node whose value has the buffer's shape.  Contributions may be views of
-# ``g`` or of their own buffers, which nothing overwrites until the next
-# backward.
+# (bce labels).  It is asked only for operands that need a gradient, never
+# for a gather's index, which the forward refuses as float64.
+# ``fn(g, vals, bufs)`` returns the contribution; ``specs`` lists the
+# float64 buffers it writes, each as the node whose value has the buffer's
+# shape.  Contributions may be views of ``g`` or of their own buffers,
+# which nothing overwrites until the next backward.
 
 
 def _vjp(nid: int, node: _Node, k: int):
@@ -311,8 +316,6 @@ def _vjp(nid: int, node: _Node, k: int):
     if op == "reduce_sum":  # scalar and keepdims cases both broadcast back
         return (lambda g, v, o: np.broadcast_to(g, v[x].shape)), ()
     if op == "gather":
-        if k == 1:
-            return None
         idx = args[1]
 
         def gather(g, v, o):  # scatter-add into a zeroed table
@@ -340,7 +343,7 @@ class _ForwardPlan:
     """Everything ``output`` depends on, in node order."""
 
     output: int
-    inputs: list[tuple[int, str]]
+    inputs: list[tuple[int, str, np.dtype | None]]  # (node, name, dtype; None: as given)
     params: list[tuple[int, Param]]
     consts: list[tuple[int, np.ndarray]]
     steps: list[tuple[int, object]]  # (node, run)
@@ -476,6 +479,7 @@ class Tape:
                     live[a] = True
         plan = _ForwardPlan(output, [], [], [], [], [], [])
         last: dict[int, int] = {}  # value -> index of the step that reads it last
+        values = set()  # nodes read other than as a gather's index
         for nid in range(output + 1):
             node = self.nodes[nid]
             if not live[nid]:
@@ -489,7 +493,10 @@ class Tape:
             else:
                 for a in node.args:
                     last[a] = len(plan.steps)
-                plan.steps.append((nid, _forward_kernel(nid, node)))
+                values.update(node.args[:1] if node.op == "gather" else node.args)
+                plan.steps.append((nid, _forward_kernel(nid, node, self.nodes)))
+        plan.inputs = [(nid, name, None if nid in last and nid not in values else _F8)
+                       for nid, name in plan.inputs]
         for i, (nid, _) in enumerate(plan.steps):
             node = self.nodes[nid]
             # Leaves belong to the caller or the store: never freed or reused.
@@ -531,18 +538,21 @@ class Tape:
         forward-only and keeps nothing: each value is dropped, or its buffer
         reused, after its last reader.  Either kind ends the values of an
         earlier training forward.  The result is the caller's own array.
-        Inputs that ``output`` does not depend on need not be bound.
+        Inputs that ``output`` does not depend on need not be bound.  An
+        input that the graph reads only as a gather's index is bound as
+        given, and the gather refuses one that is not integer or out of its
+        table's range, naming the input; every other input is cast to
+        float64, so integer inputs never compute in integers.
         """
         if not (0 <= output < len(self.nodes)):
             raise AutodiffError(f"output node {output} out of range")
         plan = self._forward_plan(output)
         self._train = None
         vals: list = [None] * (output + 1)
-        for nid, name in plan.inputs:
+        for nid, name, dtype in plan.inputs:
             if name not in inputs:
                 raise AutodiffError(f"input {name!r} not bound")
-            arr = np.asarray(inputs[name])
-            vals[nid] = arr if arr.dtype.kind in "iu" else arr.astype(_F8, copy=False)
+            vals[nid] = np.asarray(inputs[name], dtype=dtype)
         for nid, p in plan.params:
             vals[nid] = p.value  # read at every call: ``set`` replaces the array
         for nid, c in plan.consts:
@@ -553,7 +563,7 @@ class Tape:
         # Output shapes follow from the input shapes, so views are bound per
         # input signature; the first call of a signature allocates and
         # learns the shapes.
-        sig = tuple((vals[nid].shape, vals[nid].dtype.char) for nid, _ in plan.inputs)
+        sig = tuple(vals[nid].shape for nid, _, _ in plan.inputs)
         key = ("forward", output, sig)
         views = self._bound.get(key)
         try:
@@ -575,8 +585,7 @@ class Tape:
                 out = None
                 if reuse:
                     shape = np.broadcast_shapes(*(vals[a].shape for a in self.nodes[nid].args))
-                    out = next((vals[a] for a in reuse
-                                if vals[a].shape == shape and vals[a].dtype == _F8), None)
+                    out = next((vals[a] for a in reuse if vals[a].shape == shape), None)
                 vals[nid] = run(vals, out)
                 for a in frees:
                     vals[a] = None

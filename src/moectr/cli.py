@@ -83,11 +83,6 @@ def _named(where: str, check, *args, **kwargs) -> None:
         raise ConfigError(f"{where}{e}") from None
 
 
-def _check_adapter(mode: str, adapter: dict) -> None:
-    """Refuse an adapter section that a model of ``mode`` would refuse, naming ``adapter.``."""
-    _named("adapter.", lambda: _check_mode(mode, AdapterConfig(**adapter)))
-
-
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -157,7 +152,7 @@ def resolve_config(cfg: dict, command: str) -> dict:
     out["adapter"] = {**ADAPTER_DEFAULTS, **adapter}
     _named("adapter.", AdapterConfig, **out["adapter"])
     for m in {"train": [mode], "compare": modes}.get(command, []):
-        _check_adapter(m, out["adapter"])
+        _named("adapter.", _check_mode, m, AdapterConfig(**out["adapter"]))
 
     train = _section(cfg, "train", TRAIN_DEFAULTS, "train")
     out["train"] = {**TRAIN_DEFAULTS, **train}

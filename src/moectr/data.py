@@ -45,8 +45,10 @@ DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 
 @dataclass(frozen=True)
 class Batch:
+    """Rows of one training step, as the dataset holds them; the tape casts labels to float64."""
+
     ids: np.ndarray      # (n, n_fields) int64
-    labels: np.ndarray   # (n,) float64
+    labels: np.ndarray   # (n,) int64, 0 or 1
 
 
 def _whole(values, column: str) -> np.ndarray:
@@ -105,7 +107,7 @@ class Dataset:
 
     def batch(self, indices) -> Batch:
         idx = np.asarray(indices, dtype=np.int64)
-        return Batch(self.ids[idx], self.labels[idx].astype(np.float64))
+        return Batch(self.ids[idx], self.labels[idx])
 
 
 def write_csv(ds: Dataset, path) -> None:

@@ -266,13 +266,6 @@ class CtrModel:
         if ids.ndim != 2 or ids.shape[1] != len(self.schema.fields):
             raise ValueError(
                 f"ids must be (batch, {len(self.schema.fields)}), got {ids.shape}")
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise ValueError("ids must be integers")
-        for f, (fname, card) in enumerate(self.schema.fields):
-            col = ids[:, f]
-            if col.size and (col.min() < 0 or col.max() >= card):
-                bad = col[(col < 0) | (col >= card)][0]
-                raise ValueError(f"feature {fname!r}: id {bad} out of range [0, {card})")
         return ids
 
     def bind_inputs(self, ids: np.ndarray, domain: int, y: np.ndarray | None = None) -> dict:
@@ -282,7 +275,7 @@ class CtrModel:
         if self.mode != "plain":
             inputs["domain"] = np.array([domain])
         if y is not None:
-            inputs["y"] = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+            inputs["y"] = np.reshape(y, (-1, 1))
         return inputs
 
     def predict(self, ids: np.ndarray, domain: int, view: str | None = None) -> np.ndarray:
@@ -294,6 +287,9 @@ class CtrModel:
         the block before it.  A BLAS may pick its kernel by row count, and
         OpenBLAS rounds a matmul of up to about 150 rows differently, so
         blocks that never get that small keep the bits of one pass there.
+        Ids that are not integers, or that lie outside their field's range,
+        are refused in every block by the tape's gathers, with a
+        ``ValueError`` naming the input ``ids.<field>``.
         """
         ids = self._validate_ids(ids)
         if not (_is_number(domain, whole=True) and 0 <= domain < self.schema.n_domains):

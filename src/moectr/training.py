@@ -123,31 +123,26 @@ class PipelineResult:
 
 
 class AdamState:
-    """First/second moment estimates plus the shared step counter.
+    """Adam's moment estimates and step counter for the tensors ``names`` of ``store``.
 
-    A state serves one unit, whose trainable names it takes from its first
-    step; ``names`` is None until then.  The first step also lays out
-    ``_rows``, a (4, total) block holding the flat gradient, ``m``, ``v``
+    A unit's state is built when the unit starts, for the tensors it trains.
+    ``_rows`` is a (4, total) block holding the flat gradient, ``m``, ``v``
     and the update, in which each name owns one slice of every row, in
-    order; ``m[name]`` and ``v[name]`` are reshaped views of its moment
-    slices.
+    ``names`` order; ``m[name]`` and ``v[name]`` are reshaped views of its
+    moment slices, zero until the first step.
     """
 
-    def __init__(self):
+    def __init__(self, store: ParamStore, names):
         self.t = 0
-        self.names: tuple[str, ...] | None = None
+        self.names = tuple(names)
+        self._shapes = [store.get(n).shape for n in self.names]
+        ends = np.cumsum([0] + [store.get(n).size for n in self.names])
+        self._rows = tuple(np.zeros((4, ends[-1])))
+        _, m, v, update = self._rows
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self._shapes: list[tuple[int, ...]] = []
-        self._rows: tuple[np.ndarray, ...] = ()
         self._updates: list[tuple[str, np.ndarray]] = []
-
-    def _lay_out(self, names: tuple[str, ...], shapes: list[tuple[int, ...]],
-                 rows: tuple[np.ndarray, ...]) -> None:
-        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
-        self.names, self._shapes, self._rows = names, shapes, rows
-        _, m, v, update = rows
-        for n, shape, lo, hi in zip(names, shapes, ends[:-1], ends[1:]):
+        for n, shape, lo, hi in zip(self.names, self._shapes, ends[:-1], ends[1:]):
             self.m[n] = m[lo:hi].reshape(shape)
             self.v[n] = v[lo:hi].reshape(shape)
             self._updates.append((n, update[lo:hi].reshape(shape)))
@@ -155,43 +150,33 @@ class AdamState:
 
 def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
               lr: float) -> None:
-    """One bias-corrected Adam update at rate ``lr`` over the supplied gradients, fused.
+    """One bias-corrected Adam update at rate ``lr`` of the tensors ``state`` steps, fused.
 
-    Parameters without a gradient entry stay put; frozen parameters never
-    move even if a gradient is supplied.  Adam is elementwise, so the
-    trainable gradients are concatenated in ``grads`` order and the whole
-    update, the store's parameters included, runs in place as one fixed
-    sequence of numpy calls that gives the bits of a per-tensor update.
-    The first step lays ``state`` out for its trainable names, and a later
-    step whose trainable names differ raises ``ValueError`` naming both.
-    Every step checks that each gradient has its parameter's shape, or
-    raises ``ShapeError`` naming the tensor, and a non-finite gradient
-    raises ``NumericError`` naming the first bad tensor.  All three checks
-    come before anything is written: no parameter, moment or step count
-    moves, and a first step that fails leaves ``state`` as it was new.
+    Frozen parameters never move even if a gradient is supplied.  The
+    trainable gradients must name exactly ``state.names``, in any order, or
+    ``ValueError`` names both lists.  Adam is elementwise, so they are
+    concatenated in the state's order and the whole update, the store's
+    parameters included, runs in place as one fixed sequence of numpy calls
+    that gives the bits of a per-tensor update.  Every step checks that
+    each gradient has its parameter's shape, or raises ``ShapeError``
+    naming the tensor, and a non-finite gradient raises ``NumericError``
+    naming the first bad tensor.  All three checks come before anything is
+    written: no parameter, moment or step count moves.
     """
-    names = tuple(n for n in grads if store[n].trainable)
-    first = state.names is None
-    if first:
-        shapes = [store.get(n).shape for n in names]
-        rows = tuple(np.zeros((4, sum(store.get(n).size for n in names))))
-    elif names == state.names:
-        shapes, rows = state._shapes, state._rows
-    else:
+    names = [n for n in grads if store[n].trainable]
+    if set(names) != set(state.names):
         raise ValueError(f"this Adam state steps {list(state.names)}, "
-                         f"but the trainable gradients name {list(names)}")
-    for n, shape in zip(names, shapes):
+                         f"but the trainable gradients name {names}")
+    for n, shape in zip(state.names, state._shapes):
         if grads[n].shape != shape:
             raise ShapeError(f"gradient for {n!r} has shape {grads[n].shape}, "
                              f"its parameter {shape}")
-    g, m, v, u = rows
+    g, m, v, u = state._rows
     if names:
-        np.concatenate([np.ravel(grads[n]) for n in names], out=g)
+        np.concatenate([np.ravel(grads[n]) for n in state.names], out=g)
     if not np.isfinite(g).all():
         bad = next(n for n in names if not np.isfinite(grads[n]).all())
         raise NumericError(f"non-finite gradient for parameter {bad!r}")
-    if first:
-        state._lay_out(names, shapes, rows)
     state.t += 1
     t = state.t
     # m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*(g*g)
@@ -230,19 +215,20 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
     """Train one unit, the tensors whose group tag starts with ``own``.
 
     Every tensor outside ``own`` is hashed before and after, and a moved
-    byte aborts with ``NumericError``.  The unit gets its own ``AdamState``
-    and steps once per ``(domain, batch)`` of ``batches(epoch)`` through the
-    one tape of ``view``, for at most the phase's epoch count, and releases
-    that tape's training arena when it ends, also on an error; early
-    stopping watches ``val_metric()``, which gives None when the unit has
-    no validation rows to score.  ``frozen_groups`` goes to the report: a
-    phase names the groups it froze, an expert of phase 2 leaves it empty.
+    byte aborts with ``NumericError``.  The unit gets an ``AdamState`` for
+    its own tensors and steps once per ``(domain, batch)`` of
+    ``batches(epoch)`` through the one tape of ``view``, for at most the
+    phase's epoch count, and releases that tape's training arena when it
+    ends, also on an error; early stopping watches ``val_metric()``, which
+    gives None when the unit has no validation rows to score.
+    ``frozen_groups`` goes to the report: a phase names the groups it
+    froze, an expert of phase 2 leaves it empty.
     """
     store = model.store
     outside = lambda g: not g.startswith(own)  # noqa: E731
     before = store.group_checksum(outside)
     tape, _, loss_node = model.tape(view)
-    adam = AdamState()
+    adam = AdamState(store, [n for n, g, _ in store.param_groups() if not outside(g)])
     lr = cfg.gate_lr if phase == 3 else cfg.lr
     losses: list[float] = []
     waucs: list[float] = []

@@ -602,3 +602,34 @@ def test_gather_range_error_in_a_training_forward_keeps_no_values():
             t.forward({"idx": np.array(bad)}, output=loss)
         with pytest.raises(AutodiffError, match="training forward"):
             t.backward(loss)
+
+
+def test_integer_inputs_compute_in_float64():
+    t = Tape(ParamStore())
+    total = t.add(t.input("a"), t.input("b"))
+    loss = t.reduce_sum(total)
+    feed = {"a": np.array([1, 2]), "b": np.array([3, 4])}
+    out = t.forward(feed, output=total)
+    first = t.forward(feed, output=loss)
+    second = t.forward(feed, output=loss)
+    assert out.dtype == first.dtype == second.dtype == np.float64
+    np.testing.assert_array_equal(out, [4.0, 6.0])
+    assert first == second == 10.0
+
+
+def test_an_input_read_only_as_a_gather_index_is_bound_as_given():
+    store = ParamStore()
+    store.add("T", np.arange(8.0).reshape(4, 2), "backbone")
+    t = Tape(store)
+    idx = t.input("idx")
+    rows = t.gather(t.param("T"), idx)
+    got = t.forward({"idx": np.array([3, 0], dtype=np.int32)}, output=rows)
+    np.testing.assert_array_equal(got, [[6.0, 7.0], [0.0, 1.0]])
+    with pytest.raises(AutodiffError, match=r"index array must be integer \(input 'idx'\)$"):
+        t.forward({"idx": np.array([3.0, 0.0])}, output=rows)
+    with pytest.raises(AutodiffError, match=r"table of 4 rows \(input 'idx'\)$"):
+        t.forward({"idx": np.array([4, 0])}, output=rows)
+    # Read as a value as well, the input is cast to float64, which no gather takes.
+    both = t.add(rows, idx)
+    with pytest.raises(AutodiffError, match=r"index array must be integer \(input 'idx'\)$"):
+        t.forward({"idx": np.array([3, 0])}, output=both)

@@ -452,7 +452,7 @@ def test_handed_out_arrays_survive_later_calls_at_the_same_row_count():
     loss, grads = _step(m, "mixture", ids_a, y, 0)
     kept = [p.tobytes(), out.tobytes()] + _bits(loss, grads)
     # The next training step, at the same row count, then forward-only calls.
-    adam = AdamState()
+    adam = AdamState(m.store, grads)
     adam_step(m.store, grads, adam, 1e-2)
     adam_step(m.store, _step(m, "mixture", ids_b, 1.0 - y, 0)[1], adam, 1e-2)
     m.predict(ids_b, 0)
@@ -558,7 +558,7 @@ def test_predict_refuses_ids_of_the_wrong_shape_or_kind():
         named = re.escape(f"ids must be (batch, 2), got {bad.shape}")
         with pytest.raises(ValueError, match=named):
             m.predict(bad, 0)
-    with pytest.raises(ValueError, match="ids must be integers"):
+    with pytest.raises(ValueError, match=r"index array must be integer \(input 'ids.user_id'\)"):
         m.predict(np.zeros((3, 2)), 0)
 
 
