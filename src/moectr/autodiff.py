@@ -21,13 +21,12 @@ gradients) is its own array, never a view into the arena.
 
 Gradients flow back in reverse node order and accumulate additively, so a
 parameter used in several places receives the sum of its contributions.
-Backward work is pruned to what the trainable parameters need: a node needs
-a gradient iff a trainable parameter lies upstream of it, and the backward
-plan, compiled per loss and set of trainable flags, holds no VJP for an
-operand that needs none.  So frozen weights, embedding tables and the
-branches that only feed them cost nothing on the way back, and only
-parameters currently flagged trainable are returned by ``Tape.backward``,
-which is what the phase-wise freeze logic relies on.
+``Tape.backward(loss, wrt)`` differentiates only the parameters named in
+``wrt``: a node needs a gradient iff one of them lies upstream of it, and
+the backward plan, compiled per loss and ``wrt``, holds no VJP for an
+operand that needs none.  So every other weight, the embedding tables and
+the branches that only feed them cost nothing on the way back, and only
+names in ``wrt`` are returned.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
     never on construction order.  Two models built with the same seed draw
     identical values for identically named parameters.
     """
-    return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode("utf-8"))])
+    return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
 
 
 @dataclass
@@ -75,15 +74,14 @@ class Param:
     name: str
     value: np.ndarray
     group: str
-    trainable: bool = True
 
 
 class ParamStore:
     """Named parameter tensors, each carrying exactly one group tag.
 
     Group tags are plain strings ("backbone", "gate", "expert(d,k,layer)").
-    Trainable flags are toggled wholesale via predicates so that training
-    phases can freeze and thaw entire groups atomically.
+    The store says nothing about what trains: the caller of
+    ``Tape.backward`` names the tensors it differentiates.
     """
 
     def __init__(self):
@@ -119,33 +117,20 @@ class ParamStore:
             )
         p.value = arr
 
-    def param_groups(self) -> list[tuple[str, str, bool]]:
-        """(name, group, trainable) for every parameter, in insertion order."""
-        return [(p.name, p.group, p.trainable) for p in self._params.values()]
-
-    @staticmethod
-    def _selector(groups) -> "callable":
-        # A tag matches by prefix, so "expert(0," selects every replica and
-        # layer of domain 0's experts; a tuple matches any of its prefixes.
-        return groups if callable(groups) else (lambda g: g.startswith(groups))
-
-    def set_trainable_only(self, groups) -> list[str]:
-        """Mark exactly the parameters whose group matches; freeze the rest."""
-        match = self._selector(groups)
-        hit = []
-        for p in self._params.values():
-            p.trainable = bool(match(p.group))
-            if p.trainable:
-                hit.append(p.name)
-        return hit
+    def param_groups(self) -> list[tuple[str, str]]:
+        """(name, group) for every parameter, in insertion order."""
+        return [(p.name, p.group) for p in self._params.values()]
 
     def group_bytes(self, groups) -> bytes:
         """Canonical serialization of all parameters in the matched groups.
 
-        Sorted by name; each record carries the name, shape and raw little
-        endian values, so equal bytes mean bit-equal tensors.
+        A tag matches by prefix, so "expert(0," selects every replica and
+        layer of domain 0's experts; a tuple matches any of its prefixes,
+        and a callable is a predicate on the tag.  Sorted by name; each
+        record carries the name, shape and raw little endian values, so
+        equal bytes mean bit-equal tensors.
         """
-        match = self._selector(groups)
+        match = groups if callable(groups) else (lambda g: g.startswith(groups))
         chunks = []
         for name in sorted(self._params):
             p = self._params[name]
@@ -357,7 +342,7 @@ class _ForwardPlan:
 class _BackwardPlan:
     """VJP edges on the needs-grad mask, in reverse node order."""
 
-    key: tuple  # (loss, trainable flags of the tape's params)
+    key: tuple  # (loss, the names differentiated)
     # (node, operand position, operand, fn, specs, first contribution?)
     edges: list[tuple[int, int, int, object, tuple, bool]]
     params: list[tuple[str, int]]
@@ -616,23 +601,22 @@ class Tape:
                 grad = grad.sum(axis=ax, keepdims=True)
         return grad.reshape(shape)
 
-    def _backward_plan(self, loss: int) -> _BackwardPlan:
-        """Compile, once per loss and trainable flags, the VJP edges the loss reaches.
+    def _backward_plan(self, loss: int, wrt) -> _BackwardPlan:
+        """Compile, once per loss and ``wrt``, the VJP edges the loss reaches.
 
-        The flags of the tape's params are read afresh on every call, since
-        they are set directly.  A node needs a gradient iff a trainable param
-        lies upstream of it; an edge into an operand that needs none is left
-        out, and a node that receives no gradient sends none.  An operand's
-        first contribution is kept as it is; later ones are added into its
+        A node needs a gradient iff a param named in ``wrt`` lies upstream
+        of it; an edge into an operand that needs none is left out, and a
+        node that receives no gradient sends none.  An operand's first
+        contribution is kept as it is; later ones are added into its
         accumulator in this same order.
         """
-        store = self.store
-        key = (loss, tuple([store[n].trainable for n in self._param_nodes]))
+        key = (loss, tuple(wrt))
         plan = self._backward_plans.get(key)
         if plan is None:
+            wanted = set(key[1])
             need: list[bool] = []
             for node in self.nodes[:loss + 1]:
-                need.append(store[node.meta["name"]].trainable if node.op == "param"
+                need.append(node.meta["name"] in wanted if node.op == "param"
                             else any(need[a] for a in node.args))
             reached = [False] * (loss + 1)
             reached[loss] = need[loss]
@@ -651,19 +635,19 @@ class Tape:
             plan = self._backward_plans[key] = _BackwardPlan(key, edges, params)
         return plan
 
-    def backward(self, loss: int) -> dict[str, np.ndarray]:
-        """Accumulate gradients from ``loss``, the output of the last training forward.
+    def backward(self, loss: int, wrt) -> dict[str, np.ndarray]:
+        """Gradients of ``loss``, the output of the last training forward, for ``wrt``.
 
-        Returns gradients for the store's trainable parameters that are
-        reachable from the loss; frozen or unreachable parameters are absent.
-        Work that only feeds frozen tensors is skipped: a VJP runs only for
-        operands with a trainable parameter upstream, and with none the
-        result is ``{}`` at once.  Pruning must not reorder how a returned
-        gradient accumulates, so it matches a backward with every tensor
-        trainable bit for bit.  Must follow the training forward to ``loss``
-        (a ``bce`` or full ``reduce_sum`` node), with no other forward in
-        between; any other node is refused.  The
-        gradients returned are the caller's own arrays.
+        ``wrt`` names the parameters to differentiate; of them, those the
+        loss reaches are returned, and any other name is absent.  Work that
+        only feeds other tensors is skipped: a VJP runs only for operands
+        with a name of ``wrt`` upstream, and with none the result is ``{}``
+        at once.  Pruning must not reorder how a returned gradient
+        accumulates, so it matches a backward over every parameter bit for
+        bit.  Must follow the training forward to ``loss`` (a ``bce`` or
+        full ``reduce_sum`` node), with no other forward in between; any
+        other node is refused.  The gradients returned are the caller's
+        own arrays.
         """
         if self._train is None:
             raise AutodiffError(
@@ -673,7 +657,7 @@ class Tape:
         if loss != plan.output:
             raise AutodiffError(f"backward from node {loss}, but the last training "
                                 f"forward computed node {plan.output}")
-        bplan = self._backward_plan(loss)
+        bplan = self._backward_plan(loss, wrt)
         key = ("backward", bplan.key, sig)
         bound = self._bound.get(key)
         if bound is None:

@@ -318,8 +318,7 @@ def build_model(schema: FeatureSchema, arch: str, mode: str,
 
 # Three gate options that format 1 records in its adapter section, and that no
 # longer exist.  Readers of the format look all three keys up (the benchmark's
-# forward check among them), so every checkpoint still writes them, false,
-# which also keeps its bytes what they were.
+# forward check among them), so every checkpoint still writes them, false.
 RETIRED_GATE_OPTIONS = {"gate_force_one_hot": False, "gate_includes_backbone": False,
                         "gate_input_conditioned": False}
 
@@ -342,10 +341,9 @@ def save_checkpoint(model: CtrModel, path) -> None:
         "params": [],
     }
     arrays = {}
-    for i, (name, group, trainable) in enumerate(model.store.param_groups()):
+    for i, (name, group) in enumerate(model.store.param_groups()):
         key = f"p{i:05d}"
-        manifest["params"].append(
-            {"name": name, "group": group, "trainable": trainable, "key": key})
+        manifest["params"].append({"name": name, "group": group, "key": key})
         arrays[key] = model.store.get(name)
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest, sort_keys=True).encode("utf-8"), dtype=np.uint8)
@@ -354,7 +352,11 @@ def save_checkpoint(model: CtrModel, path) -> None:
 
 
 def load_checkpoint(path) -> CtrModel:
-    """Rebuild a model from a checkpoint; parameters round-trip bit-exactly."""
+    """Rebuild a model from a checkpoint; parameters round-trip bit-exactly.
+
+    A parameter record's ``trainable`` key, written by older checkpoints, is
+    ignored: the store keeps no such flag.
+    """
     with np.load(path) as z:
         try:
             manifest = json.loads(bytes(z["manifest"].tobytes()).decode("utf-8"))
@@ -379,5 +381,4 @@ def load_checkpoint(path) -> CtrModel:
             raise ValueError(f"{path}: parameter set does not match model config")
         for rec in manifest["params"]:
             model.store.set(rec["name"], z[rec["key"]])
-            model.store[rec["name"]].trainable = bool(rec["trainable"])
     return model

@@ -11,14 +11,16 @@ The model's mode picks the phases: ``plain`` runs phase 1 alone, ``mlora``
 builds no gate tables and stops after phase 2, and ``moe`` runs all three.
 
 The backbone, each expert and the gates are units, and one trainer runs
-them all.  It hashes every tensor outside the unit's own groups before and
-after, and aborts if a byte moved; each phase does the same around the
-groups it froze.  Each unit gets its own Adam state and one tape, whose
-training arena it releases when it ends, aborted or not, so training holds
-one unit's arena at a time however many experts there are.  Early stopping
-watches the weighted validation AUC with a fixed patience.
+them all.  A unit names the tensors it trains, those whose group tag
+starts with its prefix, once: its Adam state holds them, and the tape
+differentiates exactly those.  The trainer hashes every tensor outside
+them before and after, and aborts if a byte moved; phase 2 does the same
+around all of its experts.  Each unit gets one tape, whose training arena
+it releases when it ends, aborted or not, so training holds one unit's
+arena at a time however many experts there are.  Early stopping watches
+the weighted validation AUC with a fixed patience.
 
-Every batch takes one fused Adam step: the trainable gradients are
+Every batch takes one fused Adam step: the unit's gradients are
 concatenated into one flat buffer and the moments live in flat buffers
 laid out once per unit, so a step is one fixed sequence of in-place numpy
 calls however many tensors it updates.  The step is atomic: a non-finite
@@ -152,8 +154,7 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
               lr: float) -> None:
     """One bias-corrected Adam update at rate ``lr`` of the tensors ``state`` steps, fused.
 
-    Frozen parameters never move even if a gradient is supplied.  The
-    trainable gradients must name exactly ``state.names``, in any order, or
+    The gradients must name exactly ``state.names``, in any order, or
     ``ValueError`` names both lists.  Adam is elementwise, so they are
     concatenated in the state's order and the whole update, the store's
     parameters included, runs in place as one fixed sequence of numpy calls
@@ -163,19 +164,18 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState,
     naming the first bad tensor.  All three checks come before anything is
     written: no parameter, moment or step count moves.
     """
-    names = [n for n in grads if store[n].trainable]
-    if set(names) != set(state.names):
+    if set(grads) != set(state.names):
         raise ValueError(f"this Adam state steps {list(state.names)}, "
-                         f"but the trainable gradients name {names}")
+                         f"but the gradients name {list(grads)}")
     for n, shape in zip(state.names, state._shapes):
         if grads[n].shape != shape:
             raise ShapeError(f"gradient for {n!r} has shape {grads[n].shape}, "
                              f"its parameter {shape}")
     g, m, v, u = state._rows
-    if names:
+    if state.names:
         np.concatenate([np.ravel(grads[n]) for n in state.names], out=g)
     if not np.isfinite(g).all():
-        bad = next(n for n in names if not np.isfinite(grads[n]).all())
+        bad = next(n for n in grads if not np.isfinite(grads[n]).all())
         raise NumericError(f"non-finite gradient for parameter {bad!r}")
     state.t += 1
     t = state.t
@@ -204,10 +204,9 @@ def _stop_early(history: list[float], patience: int) -> bool:
     return all(v <= best_before for v in history[-patience:])
 
 
-def _freeze_all_but(model: CtrModel, groups: str) -> str:
-    """Make only ``groups`` trainable; returns the frozen group tags, comma-joined."""
-    model.store.set_trainable_only(groups)
-    return ",".join(sorted({g for _, g, t in model.store.param_groups() if not t}))
+def _frozen_groups(model: CtrModel, own: str) -> str:
+    """The group tags that do not start with ``own``, sorted and comma-joined."""
+    return ",".join(sorted({g for _, g in model.store.param_groups() if not g.startswith(own)}))
 
 
 def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: str,
@@ -216,7 +215,8 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
 
     Every tensor outside ``own`` is hashed before and after, and a moved
     byte aborts with ``NumericError``.  The unit gets an ``AdamState`` for
-    its own tensors and steps once per ``(domain, batch)`` of
+    its own tensors, whose names are the ``wrt`` of every backward, and
+    steps once per ``(domain, batch)`` of
     ``batches(epoch)`` through the one tape of ``view``, for at most the
     phase's epoch count, and releases that tape's training arena when it
     ends, also on an error; early stopping watches ``val_metric()``, which
@@ -228,7 +228,7 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
     outside = lambda g: not g.startswith(own)  # noqa: E731
     before = store.group_checksum(outside)
     tape, _, loss_node = model.tape(view)
-    adam = AdamState(store, [n for n, g, _ in store.param_groups() if not outside(g)])
+    adam = AdamState(store, [n for n, g in store.param_groups() if not outside(g)])
     lr = cfg.gate_lr if phase == 3 else cfg.lr
     losses: list[float] = []
     waucs: list[float] = []
@@ -242,7 +242,7 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite training loss in phase {phase}", phase)
                 try:
-                    adam_step(store, tape.backward(loss_node), adam, lr)
+                    adam_step(store, tape.backward(loss_node, adam.names), adam, lr)
                 except NumericError as e:
                     raise NumericError(f"{e} in phase {phase}", phase)
                 total += loss * batch.labels.size
@@ -267,7 +267,7 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
 def run_phase1(model: CtrModel, train: Dataset, val: Dataset,
                cfg: TrainConfig) -> PhaseReport:
     """Fit the backbone on all domains pooled; adapters and gates untouched."""
-    frozen = _freeze_all_but(model, "backbone")
+    frozen = _frozen_groups(model, "backbone")
 
     def batches(epoch):
         for b in batch_iter(train, cfg.batch_size, seed=cfg.seed * 1000 + 1, epoch=epoch):
@@ -313,7 +313,7 @@ def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
     """
     if model.mode == "plain":
         raise ValueError("per-domain expert training needs an adapted model")
-    frozen = _freeze_all_but(model, "expert(")
+    frozen = _frozen_groups(model, "expert(")
     outside = lambda g: not g.startswith("expert(")  # noqa: E731
     before = model.store.group_checksum(outside)
     empty = [(d, k) for d, k in model.expert_keys() if train.rows_of_domain(d).size == 0]
@@ -338,7 +338,7 @@ def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
     if model.mode != "moe":
         raise ValueError("gate training applies only to moe models; "
                          f"this {model.mode} model has no gate tables")
-    frozen = _freeze_all_but(model, "gate")
+    frozen = _frozen_groups(model, "gate")
 
     def batches(epoch):
         for d, rows in domain_batches(train, cfg.batch_size,

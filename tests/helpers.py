@@ -78,7 +78,7 @@ def composite_layer_grad_err() -> float:
         p = tape.sigmoid(head.emit(tape, h))
         loss = tape.bce(p, tape.input("y"))
         v = tape.forward({"x": x, "domain": np.array([1]), "y": y}, output=loss)
-        grads = tape.backward(loss)
+        grads = tape.backward(loss, store.names())
         flat = [np.asarray(grads.get(n, np.zeros(s))).reshape(-1) for n, s in layout]
         return float(v), np.concatenate(flat)
 
@@ -224,7 +224,7 @@ def model_loss_fn(model: CtrModel, ids: np.ndarray, y: np.ndarray, domain: int,
     def f(theta):
         assign_params(model, theta)
         val = tape.forward(inputs, output=loss_node)
-        grads = tape.backward(loss_node)
+        grads = tape.backward(loss_node, model.store.names())
         flat = [np.asarray(grads.get(n, np.zeros(s))).reshape(-1) for n, s in layout]
         return float(val), np.concatenate(flat)
 

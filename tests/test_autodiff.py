@@ -27,7 +27,7 @@ def make_flat_fn(build, layout):
         store = ParamStore()
         tape, loss, inputs = build(store, theta)
         val = tape.forward(inputs, output=loss)
-        grads = tape.backward(loss)
+        grads = tape.backward(loss, store.names())
         flat = []
         for name, shape in layout:
             g = grads.get(name, np.zeros(shape))
@@ -67,7 +67,7 @@ def test_backward_sum_of_squares():
     x = t.param("x")
     loss = t.reduce_sum(t.mul(x, x))
     t.forward({}, output=loss)
-    grads = t.backward(loss)
+    grads = t.backward(loss, ["x"])
     np.testing.assert_allclose(grads["x"], [6.0], rtol=0, atol=0)
 
 
@@ -209,9 +209,9 @@ def test_backward_linearity_exact_doubling():
     doubled = t.reduce_sum(t.scale(t.sigmoid(h), 2.0 / 8))
     x = np.random.default_rng(1).normal(size=(4, 3))
     t.forward({"x": x}, output=loss)
-    g1 = t.backward(loss)["W"]
+    g1 = t.backward(loss, ["W"])["W"]
     t.forward({"x": x}, output=doubled)
-    g2 = t.backward(doubled)["W"]
+    g2 = t.backward(doubled, ["W"])["W"]
     np.testing.assert_array_equal(g2, 2.0 * g1)
 
 
@@ -225,7 +225,7 @@ def test_gradient_accumulation_shared_param():
     # w used twice: d/dw sum(w*x + w*z) = sum(x) + sum(z)
     loss = t.reduce_sum(t.add(t.mul(w, x), t.mul(w, z)))
     t.forward({"x": np.array([[1.0, 2.0]]), "z": np.array([[3.0, 4.0]])}, output=loss)
-    np.testing.assert_array_equal(t.backward(loss)["w"], [[10.0]])
+    np.testing.assert_array_equal(t.backward(loss, ["w"])["w"], [[10.0]])
 
 
 def test_gather_scatter_add_duplicate_indices():
@@ -235,7 +235,7 @@ def test_gather_scatter_add_duplicate_indices():
     rows = t.gather(t.param("T"), t.input("idx"))
     loss = t.reduce_sum(rows)
     t.forward({"idx": np.array([1, 1, 3])}, output=loss)
-    g = t.backward(loss)["T"]
+    g = t.backward(loss, ["T"])["T"]
     np.testing.assert_array_equal(g, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
@@ -245,18 +245,17 @@ def test_broadcast_add_bias_gradient():
     t = Tape(store)
     loss = t.reduce_sum(t.add(t.input("x"), t.param("b")))
     t.forward({"x": np.ones((5, 3))}, output=loss)
-    np.testing.assert_array_equal(t.backward(loss)["b"], [5.0, 5.0, 5.0])
+    np.testing.assert_array_equal(t.backward(loss, ["b"])["b"], [5.0, 5.0, 5.0])
 
 
 def test_frozen_params_absent_from_backward():
     store = ParamStore()
     store.add("a", np.ones((1, 1)), "backbone")
     store.add("c", np.ones((1, 1)), "gate")
-    store.set_trainable_only("gate")
     t = Tape(store)
     loss = t.reduce_sum(t.mul(t.param("a"), t.param("c")))
     t.forward({}, output=loss)
-    grads = t.backward(loss)
+    grads = t.backward(loss, ["c"])
     assert "a" not in grads and "c" in grads
 
 
@@ -293,13 +292,12 @@ def test_backward_skips_vjps_of_frozen_operands(monkeypatch):
     store.add("W", np.ones((2, 3)), "backbone")
     store.add("b", np.zeros(2), "gate")
     store.add("T", np.ones((4, 3)), "backbone")
-    store.set_trainable_only("gate")
     t = Tape(store)
     x = t.gather(t.param("T"), t.input("idx"))
     loss = t.reduce_sum(t.add(t.matmul(x, t.param("W"), transpose_b=True), t.param("b")))
     t.forward({"idx": np.array([0, 3, 3])}, output=loss)
     calls = _count_unbroadcasts(monkeypatch)
-    grads = t.backward(loss)
+    grads = t.backward(loss, ["b"])
     assert list(grads) == ["b"] and calls == [(2,)]
     np.testing.assert_array_equal(grads["b"], [3.0, 3.0])
 
@@ -308,27 +306,49 @@ def test_bce_gets_no_vjp_through_labels_alone():
     store = ParamStore()
     store.add("P", np.full((3, 1), 0.25), "backbone")
     store.add("c", np.zeros((3, 1)), "gate")
-    store.set_trainable_only("gate")
     t = Tape(store)
-    # Labels are constants to bce, so a trainable label branch yields nothing,
-    # and the frozen probabilities are not differentiated.
+    # Labels are constants to bce, so a differentiated label branch yields
+    # nothing, and the probabilities, not in ``wrt``, are not differentiated.
     loss = t.bce(t.param("P"), t.sigmoid(t.param("c")))
     t.forward({}, output=loss)
-    assert t.backward(loss) == {}
+    assert t.backward(loss, ["c"]) == {}
 
 
 def test_backward_with_nothing_trainable_returns_empty_at_once(monkeypatch):
     store = ParamStore()
     store.add("W", np.ones((1, 2)), "backbone")
-    store.set_trainable_only("gate")
     t = Tape(store)
     loss = t.reduce_sum(t.add(t.matmul(t.input("x"), t.param("W"), transpose_b=True),
                                t.input("z")))
     t.forward({"x": np.ones((3, 2)), "z": np.ones((3, 1))}, output=loss)
     calls = _count_unbroadcasts(monkeypatch)
-    assert t.backward(loss) == {} and calls == []
-    store["W"].trainable = True  # a flag set directly reaches the next backward
-    assert list(t.backward(loss)) == ["W"] and calls
+    assert t.backward(loss, []) == {} and calls == []
+    assert list(t.backward(loss, ["W"])) == ["W"] and calls
+
+
+def test_backward_differentiates_exactly_the_names_in_wrt(monkeypatch):
+    rng = np.random.default_rng(2)
+    store = ParamStore()
+    store.add("W", rng.normal(size=(2, 3)), "backbone")
+    store.add("b", rng.normal(size=2), "gate")
+    store.add("T", rng.normal(size=(4, 3)), "backbone")
+    store.add("V", np.ones(2), "gate")  # on no tape
+    t = Tape(store)
+    x = t.gather(t.param("T"), t.input("idx"))
+    h = t.add(t.matmul(x, t.param("W"), transpose_b=True), t.param("b"))
+    loss = t.reduce_sum(t.sigmoid(h))
+    t.forward({"idx": np.array([0, 3, 3])}, output=loss)
+    full = t.backward(loss, store.names())
+    assert sorted(full) == ["T", "W", "b"]
+    calls = _count_unbroadcasts(monkeypatch)
+    # The add's VJP into b unbroadcasts to (2,), the one into the matmul to (3, 2).
+    for wrt, reached, unbroadcasts in ((["b", "V"], ["b"], [(2,)]),
+                                       (["W", "T"], ["T", "W"], [(3, 2)])):
+        calls.clear()
+        grads = t.backward(loss, wrt)
+        assert sorted(grads) == reached and calls == unbroadcasts
+        for name in reached:
+            assert grads[name].tobytes() == full[name].tobytes()
 
 
 def test_backward_after_the_tape_grows_matches_a_fresh_tape():
@@ -348,20 +368,20 @@ def test_backward_after_the_tape_grows_matches_a_fresh_tape():
     h = hidden(t)
     loss1 = t.reduce_sum(h)
     t.forward(inputs, output=loss1)
-    first = t.backward(loss1)
+    first = t.backward(loss1, store.names())
     loss2_node = loss2(t, h)  # a new param node and a loss reading it
     t.forward(inputs, output=loss2_node)
-    grown = t.backward(loss2_node)
+    grown = t.backward(loss2_node, store.names())
 
     fresh = Tape(store)
     fresh_loss = loss2(fresh, hidden(fresh))
     fresh.forward(inputs, output=fresh_loss)
-    want = fresh.backward(fresh_loss)
+    want = fresh.backward(fresh_loss, store.names())
     assert sorted(grown) == sorted(want) == ["V", "W"]
     for name in want:
         np.testing.assert_array_equal(grown[name], want[name])
     t.forward(inputs, output=loss1)
-    again = t.backward(loss1)
+    again = t.backward(loss1, store.names())
     assert list(again) == list(first) == ["W"]
     np.testing.assert_array_equal(again["W"], first["W"])
 
@@ -378,7 +398,7 @@ def test_non_scalar_loss_rejected():
     y = t.relu(t.input("x"))
     t.forward({"x": np.ones((2, 2))}, output=y)
     with pytest.raises(AutodiffError, match="scalar"):
-        t.backward(y)
+        t.backward(y, [])
 
 
 def test_backward_from_a_node_the_forward_did_not_output_is_refused():
@@ -391,8 +411,8 @@ def test_backward_from_a_node_the_forward_did_not_output_is_refused():
     t.forward({"x": np.ones((3, 2))}, output=doubled)
     with pytest.raises(AutodiffError, match=f"backward from node {loss}, but the last "
                                             f"training forward computed node {doubled}$"):
-        t.backward(loss)
-    np.testing.assert_array_equal(t.backward(doubled)["W"], [[6.0, 6.0]])
+        t.backward(loss, ["W"])
+    np.testing.assert_array_equal(t.backward(doubled, ["W"])["W"], [[6.0, 6.0]])
 
 
 def test_tape_reexecution_two_batches():
@@ -438,7 +458,7 @@ def sigmoid_both_ways(x):
     trained = []
     for _ in range(2):
         t.forward({"x": x}, output=loss)
-        trained.append(t.backward(loss)["W"])
+        trained.append(t.backward(loss, ["W"])["W"])
     return only, trained
 
 
@@ -483,13 +503,13 @@ def test_backward_without_a_training_forward_raises():
     y = t.matmul(t.input("x"), t.param("W"), transpose_b=True)
     loss = t.reduce_sum(t.mul(y, y))
     with pytest.raises(AutodiffError, match="training forward"):
-        t.backward(loss)
+        t.backward(loss, ["W"])
     x = np.ones((3, 2))
     t.forward({"x": x}, output=loss)
-    np.testing.assert_array_equal(t.backward(loss)["W"], [[12.0, 12.0]])
+    np.testing.assert_array_equal(t.backward(loss, ["W"])["W"], [[12.0, 12.0]])
     t.forward({"x": 2.0 * x}, output=y)  # forward-only: keeps nothing
     with pytest.raises(AutodiffError, match="training forward"):
-        t.backward(loss)
+        t.backward(loss, ["W"])
 
 
 def test_determinism_bit_identical():
@@ -503,7 +523,7 @@ def test_determinism_bit_identical():
         h = t.softmax(t.matmul(t.input("x"), t.param("W"), transpose_b=True))
         loss = t.reduce_sum(t.scale(h, 1.0 / 18))  # mean of (6, 3)
         v = t.forward({"x": x}, output=loss)
-        return np.asarray(v).tobytes() + t.backward(loss)["W"].tobytes()
+        return np.asarray(v).tobytes() + t.backward(loss, ["W"])["W"].tobytes()
 
     assert run() == run()
 
@@ -521,8 +541,9 @@ def test_param_store_group_selectors_and_checksums():
     store.add("A", np.ones((1, 2)), "expert(0,0,tower.0)")
     store.add("B", np.ones((2, 1)), "expert(1,0,tower.0)")
     store.add("G", np.zeros((2, 2)), "gate")
-    hit = store.set_trainable_only("expert(0,")
-    assert hit == ["A"]
+    # A tag matches by prefix: "expert(0," selects domain 0's experts alone.
+    assert store.group_bytes("expert(0,") == b"A|expert(0,0,tower.0)|(1, 2)|" + bytes(
+        np.ones(2).astype("<f8"))
     before = store.group_checksum(("backbone", "gate"))
     store.set("A", np.full((1, 2), 9.0))
     assert store.group_checksum(("backbone", "gate")) == before
@@ -601,7 +622,7 @@ def test_gather_range_error_in_a_training_forward_keeps_no_values():
                                                 r"range for table of 4 rows"):
             t.forward({"idx": np.array(bad)}, output=loss)
         with pytest.raises(AutodiffError, match="training forward"):
-            t.backward(loss)
+            t.backward(loss, ["T"])
 
 
 def test_integer_inputs_compute_in_float64():

@@ -221,7 +221,7 @@ def test_param_groups_counts_expert_groups():
         base = DenseLayer(store, f"l{li}", 4, 4, seed=li)
         MoELayer(store, base, [(0, 0), (1, 0)], rank=4, alpha=4.0, n_domains=2, gated=True,
                  seed=li)
-    tags = {g for _, g, _ in store.param_groups() if g.startswith("expert(")}
+    tags = {g for _, g in store.param_groups() if g.startswith("expert(")}
     assert len(tags) == 6
 
 

@@ -117,9 +117,9 @@ def test_zero_init_adapted_model_matches_plain_bitwise(arch, mode):
 def test_moe_param_group_counts():
     m = build_model(FeatureSchema((("u", 5), ("i", 5)), 4, n_domains=2),
                     "mlp", "moe", AdapterConfig(experts_per_domain=2), hidden=(6, 5))
-    groups = [g for _, g, _ in m.store.param_groups()]
+    groups = [g for _, g in m.store.param_groups()]
     expert_tags = {g for g in groups if g.startswith("expert(")}
-    gate_params = [n for n, g, _ in m.store.param_groups() if g == "gate"]
+    gate_params = [n for n, g in m.store.param_groups() if g == "gate"]
     # tower depth 2 plus head: 3 adapted layers, 2 domains x 2 replicas each.
     assert len(expert_tags) == 12
     assert len(gate_params) == 3
@@ -178,7 +178,7 @@ def test_param_registration_order_is_pinned(mode, experts_per_domain):
     m = build_model(FeatureSchema((("u", 5), ("i", 4)), 2, n_domains=2), "mlp", mode,
                     AdapterConfig(rank=2, alpha=2.0, experts_per_domain=experts_per_domain),
                     hidden=(3,))
-    got = [(n, g, m.store.get(n).shape) for n, g, _ in m.store.param_groups()]
+    got = [(n, g, m.store.get(n).shape) for n, g in m.store.param_groups()]
     assert got == PINNED_PARAMS[mode]
 
 
@@ -267,6 +267,15 @@ def test_build_model_deterministic_by_seed():
         not np.array_equal(a.store.get(n), c.store.get(n)) for n in a.store.names())
 
 
+def test_seeds_that_agree_in_their_low_32_bits_draw_different_weights():
+    a = tiny("deepfm", "moe", seed=0)
+    b = tiny("deepfm", "moe", seed=2**32)
+    # Every randomly drawn tensor differs: the embeddings, weights and A's.
+    drawn = [n for n in a.store.names() if a.store.get(n).any()]
+    assert drawn and all(
+        not np.array_equal(a.store.get(n), b.store.get(n)) for n in drawn)
+
+
 def test_id_out_of_range_names_field():
     m = tiny()
     bad = np.array([[2, 11]])
@@ -292,14 +301,12 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     for name in m.store.names():
         m.store.set(name, rng.normal(size=m.store.get(name).shape))
-    m.store.set_trainable_only("gate")
     path = tmp_path / "model.npz"
     save_checkpoint(m, path)
     m2 = load_checkpoint(path)
     assert (m2.arch, m2.mode, m2.hidden) == (m.arch, m.mode, m.hidden)
     for name in m.store.names():
         np.testing.assert_array_equal(m.store.get(name), m2.store.get(name))
-        assert m.store[name].trainable == m2.store[name].trainable
     ids = rand_ids(30, seed=8)
     np.testing.assert_array_equal(m.predict(ids, 1), m2.predict(ids, 1))
 
@@ -308,6 +315,27 @@ def _manifest_and_arrays(path):
     with np.load(path) as z:
         arrays = {k: z[k] for k in z.files}
     return json.loads(arrays.pop("manifest").tobytes()), arrays
+
+
+def test_checkpoint_manifest_has_no_trainable_key_and_an_old_one_is_ignored(tmp_path):
+    m = _randomized(tiny("wdl", "moe", seed=12, experts_per_domain=2))
+    path = tmp_path / "model.npz"
+    save_checkpoint(m, path)
+    manifest, arrays = _manifest_and_arrays(path)
+    assert all(set(rec) == {"name", "group", "key"} for rec in manifest["params"])
+    # Older checkpoints carry a per-parameter flag; it loads and changes nothing.
+    for rec in manifest["params"]:
+        rec["trainable"] = rec["group"] == "gate"
+    old = tmp_path / "old.npz"
+    np.savez(old, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
+             **arrays)
+    fresh, legacy = load_checkpoint(path), load_checkpoint(old)
+    for name in m.store.names():
+        assert legacy.store.get(name).tobytes() == fresh.store.get(name).tobytes()
+    ids = rand_ids(30, seed=8)
+    for d in range(2):
+        assert legacy.predict(ids, d).tobytes() == m.predict(ids, d).tobytes()
+        assert fresh.predict(ids, d).tobytes() == m.predict(ids, d).tobytes()
 
 
 def test_checkpoint_writes_the_removed_gate_options_false(tmp_path):
@@ -362,19 +390,19 @@ def _randomized(model, seed=0):
     return model
 
 
-def _backward_as(model, view, trainable, ids, y, domain):
-    model.store.set_trainable_only(trainable)
+def _backward_as(model, view, wrt, ids, y, domain):
     tape, _, loss = model.tape(view)
     tape.forward(model.bind_inputs(ids, domain, y), output=loss)
-    return tape.backward(loss)
+    return tape.backward(loss, wrt)
 
 
-def _assert_pruned_equals_full(model, view, trainable, domain):
+def _assert_pruned_equals_full(model, view, own, domain):
     ids = rand_ids(40, seed=6)
     y = (np.random.default_rng(7).random(40) > 0.5).astype(float)
-    full = _backward_as(model, view, lambda g: True, ids, y, domain)
-    pruned = _backward_as(model, view, trainable, ids, y, domain)
-    expected = {n for n, _, trainable in model.store.param_groups() if trainable} & set(full)
+    wrt = [n for n, g in model.store.param_groups() if g.startswith(own)]
+    full = _backward_as(model, view, model.store.names(), ids, y, domain)
+    pruned = _backward_as(model, view, wrt, ids, y, domain)
+    expected = set(wrt) & set(full)
     assert expected and set(pruned) == expected
     for name in expected:
         assert np.array_equal(pruned[name], full[name]), name
@@ -396,7 +424,7 @@ def _step(model, view, ids, y, domain):
     """One training forward and backward through ``view``: (loss, grads)."""
     tape, _, loss = model.tape(view)
     value = tape.forward(model.bind_inputs(ids, domain, y), output=loss)
-    return value, tape.backward(loss)
+    return value, tape.backward(loss, model.store.names())
 
 
 def _bits(value, grads):
@@ -407,9 +435,7 @@ def _bits(value, grads):
 def test_tail_then_full_batch_matches_fresh_tapes(view):
     """A grown arena, and leading-row views of it, give a fresh tape's bits."""
     def build():
-        m = _randomized(tiny("deepfm", "moe", seed=5, experts_per_domain=2), seed=2)
-        m.store.set_trainable_only(lambda g: True)
-        return m
+        return _randomized(tiny("deepfm", "moe", seed=5, experts_per_domain=2), seed=2)
 
     ids = rand_ids(40, seed=3)
     y = (np.random.default_rng(4).random(40) > 0.5).astype(float)
@@ -423,9 +449,7 @@ def test_tail_then_full_batch_matches_fresh_tapes(view):
 @pytest.mark.parametrize("view", ["mixture", "expert:1:0", "backbone"])
 def test_a_released_tape_trains_again_as_a_fresh_tape(view):
     def build():
-        m = _randomized(tiny("wdl", "moe", seed=5, experts_per_domain=2), seed=2)
-        m.store.set_trainable_only(lambda g: True)
-        return m
+        return _randomized(tiny("wdl", "moe", seed=5, experts_per_domain=2), seed=2)
 
     ids = rand_ids(40, seed=3)
     y = (np.random.default_rng(4).random(40) > 0.5).astype(float)
@@ -435,7 +459,7 @@ def test_a_released_tape_trains_again_as_a_fresh_tape(view):
     tape.release()
     assert not tape._arena and not tape._bound
     with pytest.raises(AutodiffError, match="training forward"):
-        tape.backward(loss)
+        tape.backward(loss, used.store.names())
     # A smaller batch than the released arena's: it grows anew, from nothing.
     again = _bits(*_step(used, view, ids[:7], y[:7], 1))
     assert again == _bits(*_step(build(), view, ids[:7], y[:7], 1))
@@ -443,7 +467,6 @@ def test_a_released_tape_trains_again_as_a_fresh_tape(view):
 
 def test_handed_out_arrays_survive_later_calls_at_the_same_row_count():
     m = _randomized(tiny("mlp", "moe", seed=6, experts_per_domain=2))
-    m.store.set_trainable_only(lambda g: True)
     ids_a, ids_b = rand_ids(30, seed=1), rand_ids(30, seed=2)
     y = (np.random.default_rng(3).random(30) > 0.5).astype(float)
     tape, p_node, _ = m.tape("mixture")
@@ -464,7 +487,7 @@ def test_predict_keeps_no_values_and_backward_needs_a_training_forward():
     m = tiny("mlp", "moe", seed=7)
     tape, _, loss = m.tape("mixture")
     with pytest.raises(AutodiffError, match="training forward"):
-        tape.backward(loss)
+        tape.backward(loss, m.store.names())
     ids = rand_ids(4000, seed=8)
     y = (np.random.default_rng(9).random(50) > 0.5).astype(float)
     tape.forward(m.bind_inputs(ids[:50], 0, y), output=loss)
@@ -481,7 +504,7 @@ def test_predict_keeps_no_values_and_backward_needs_a_training_forward():
     assert held < p.nbytes + 64 * 1024
     # The forward-only call ended the training forward's values.
     with pytest.raises(AutodiffError, match="training forward"):
-        tape.backward(loss)
+        tape.backward(loss, m.store.names())
 
 
 def _on_fixture_platform() -> bool:
