@@ -3,12 +3,12 @@
 Every layer registers its parameters in a shared ``ParamStore`` under a
 group tag ("backbone", "gate", or "expert(d,k,layer)") and knows how to emit
 its ops onto a ``Tape``.  An adapted layer owns a bank of low-rank experts
-(LoRA adapters), all of one rank and one ``alpha``, and runs as one affine
-map, ``x @ (W + M @ A).T + b``: its experts are folded into the weight once
-per batch (LoRA's weight merge), so the batch rows meet a single matmul.
-The bypass form of a hard-routed row adds the backbone and its own domain's
-expert alone (``M = (alpha/rank) * B``); the gated form adds every expert,
-each ``B`` scaled per rank block by the domain's one softmax row
+(LoRA adapters), all of one rank and one ``alpha``, plus a gate table over
+them.  It runs as one affine map, ``x @ (W + M @ A).T + b``: its experts are
+folded into the weight once per batch (LoRA's weight merge), so the batch
+rows meet a single matmul.  The bypass form adds the backbone and one expert
+alone (``M = (alpha/rank) * B``); the gated form adds every expert, each
+``B`` scaled per rank block by the domain's one softmax row
 (``M = B_cat * (weights @ S)``, ``A`` = every expert's ``A`` stacked along
 rows).
 """
@@ -98,21 +98,18 @@ class MoELayer:
     Expert ``(d, k)``, replica k of domain d, is ``{base}.e{d}.{k}``: ``A``
     (rank, d_in) drawn Gaussian and ``B`` (d_out, rank) zero, both tagged
     ``expert(d,k,base)``, so its delta ``(alpha/rank) * B @ A`` is exactly
-    zero until trained.  The experts are registered in ``keys`` order.  A
-    ``gated`` layer then adds a gate table, ``{base}.gate``, whose columns
-    follow that order.  Without a gate the layer is hard-routed: ``keys``
-    holds ``(d, 0)`` for each domain and a row uses only its own (the
-    per-domain adapter baseline).
+    zero until trained.  The experts are registered in ``keys`` order, then
+    the gate table ``{base}.gate``, whose columns follow that order and
+    which starts uniform.  The bypass form uses one expert and not the gate
+    (a per-domain adapter row); the mixture uses every expert and the gate.
     """
 
     def __init__(self, store: ParamStore, base: DenseLayer, keys: list[tuple[int, int]],
-                 rank: int, alpha: float, n_domains: int, gated: bool, seed: int):
+                 rank: int, alpha: float, n_domains: int, seed: int):
         if not keys:
             raise AutodiffError("adapted layer needs at least one expert")
         if rank < 1:
             raise AutodiffError(f"adapter rank must be >= 1, got {rank}")
-        if not gated and list(keys) != [(d, 0) for d in range(n_domains)]:
-            raise AutodiffError("hard routing requires exactly one expert per domain")
         self.base = base
         self.rank = int(rank)
         self.scaling = float(alpha) / self.rank
@@ -122,7 +119,7 @@ class MoELayer:
             a = rng_for(seed, f"{name}.A").normal(0.0, ADAPTER_INIT_STD, size=(rank, d_in))
             store.add(f"{name}.A", a, f"expert({d},{k},{base.name})")
             store.add(f"{name}.B", np.zeros((d_out, rank)), f"expert({d},{k},{base.name})")
-        self.gate = GateNet(store, f"{base.name}.gate", n_domains, len(keys)) if gated else None
+        self.gate = GateNet(store, f"{base.name}.gate", n_domains, len(keys))
 
     def emit_single_expert(self, tape: Tape, x: int, domain: int, replica: int) -> int:
         """Bypass form: backbone plus one expert's delta, no gate at all.
@@ -152,9 +149,6 @@ class MoELayer:
         ``pre = x @ (W + M @ A_cat).T + b``.  Node count does not depend on
         the number of experts, and ``B = 0`` still gives an exact zero delta.
         """
-        if self.gate is None:
-            raise AutodiffError(
-                f"layer {self.base.name!r} is hard-routed; emit its domain's expert")
         weights = self.gate.emit_weights(tape, domain_node)
         spread = np.kron(np.eye(len(self.experts)), np.full((1, self.rank), self.scaling))
         a_cat = tape.concat([tape.param(f"{e}.A") for e in self.experts], axis=0)

@@ -6,17 +6,17 @@ memorization term over raw ids, ``deepfm`` additionally adds the pairwise
 interaction term computed from the same embeddings.  The probability is
 always sigmoid(sum of logits).
 
-Modes differ only in the tower and head layers, and the mode alone is the
-routing: ``plain`` uses bare dense layers; ``mlora`` wraps each in
-per-domain low-rank adapters of which a row uses only its own domain's;
-``moe`` mixes all adapters of all domains through a learned per-domain
-gate.  Embeddings, the wide tables, and the interaction term always belong
-to the backbone.
+Every mode builds the same parameters: each tower and head layer carries
+``experts_per_domain`` low-rank adapters per domain and a per-domain gate
+over them, an exact no-op at init; embeddings, the wide tables, and the
+interaction term belong to the backbone.  The mode picks only the phases
+that train and the view that predicts: ``plain`` the backbone, ``mlora``
+a row's own domain's adapter, ``moe`` every adapter mixed by the gate.
 
 A model owns one ``ParamStore`` plus a static tape per forward view, and
-``views()`` lists them: ``backbone`` (base weights only), ``expert:d:k``
-(backbone plus exactly one adapter, no gate) for each adapter, and
-``mixture`` (the softmax-gated forward) in ``moe``.  Training phases pick
+``views()`` lists them, the same in every mode: ``backbone`` (base weights
+only), ``expert:d:k`` (backbone plus exactly one adapter, no gate) for each
+adapter, and ``mixture`` (the softmax-gated forward).  Training phases pick
 views; prediction uses ``predict_view(domain)``: ``backbone``,
 ``expert:d:0`` or ``mixture`` by mode.
 """
@@ -156,19 +156,15 @@ class CtrModel:
     # ---- construction ---------------------------------------------------
 
     def expert_keys(self) -> list[tuple[int, int]]:
-        """(domain, replica) of every adapter, in gate-column order; none when plain."""
-        if self.mode == "plain":
-            return []
+        """(domain, replica) of every adapter, in gate-column order."""
         return [(d, k) for d in range(self.schema.n_domains)
                 for k in range(self.adapter_cfg.experts_per_domain)]
 
     def _make_layer(self, name: str, d_in: int, d_out: int, activation: str):
         base = DenseLayer(self.store, name, d_in, d_out, activation, self.seed)
-        if self.mode == "plain":
-            return base
         cfg = self.adapter_cfg
         return MoELayer(self.store, base, self.expert_keys(), cfg.rank, cfg.alpha,
-                        self.schema.n_domains, gated=self.mode == "moe", seed=self.seed)
+                        self.schema.n_domains, self.seed)
 
     def _build(self) -> None:
         sch = self.schema
@@ -189,9 +185,7 @@ class CtrModel:
 
     # ---- tape assembly --------------------------------------------------
 
-    def _emit_layer(self, layer, tape: Tape, x: int, view: str) -> int:
-        if self.mode == "plain":
-            return layer.emit(tape, x)
+    def _emit_layer(self, layer: MoELayer, tape: Tape, x: int, view: str) -> int:
         if view == "backbone":
             return layer.base.emit(tape, x)
         if view == "mixture":
@@ -200,18 +194,15 @@ class CtrModel:
         return layer.emit_single_expert(tape, x, int(d), int(k))
 
     def views(self) -> list[str]:
-        """The forward views of this model's mode, the names ``tape`` accepts."""
-        views = ["backbone"] + [f"expert:{d}:{k}" for d, k in self.expert_keys()]
-        if self.mode == "moe":
-            views.append("mixture")
-        return views
+        """The forward views, the names ``tape`` accepts; the same in every mode."""
+        return ["backbone"] + [f"expert:{d}:{k}" for d, k in self.expert_keys()] + ["mixture"]
 
     def tape(self, view: str) -> tuple[Tape, int, int]:
         """(tape, probability node, loss node) for a forward view.
 
-        Every mode has "backbone"; an mlora or moe model has one
-        "expert:d:k" per adapter; only a moe model has "mixture".  Any
-        other name raises ``AutodiffError`` naming the view and the mode.
+        The views are "backbone", one "expert:d:k" per adapter and
+        "mixture".  Any other name raises ``AutodiffError`` naming the view
+        and the mode.
         """
         if view in self._tapes:
             return self._tapes[view]
@@ -269,11 +260,9 @@ class CtrModel:
         return ids
 
     def bind_inputs(self, ids: np.ndarray, domain: int, y: np.ndarray | None = None) -> dict:
-        inputs = {}
+        inputs = {"domain": np.array([domain])}
         for f, (fname, _) in enumerate(self.schema.fields):
             inputs[f"ids.{fname}"] = ids[:, f]
-        if self.mode != "plain":
-            inputs["domain"] = np.array([domain])
         if y is not None:
             inputs["y"] = np.reshape(y, (-1, 1))
         return inputs
@@ -376,9 +365,20 @@ def load_checkpoint(path) -> CtrModel:
                                  "checkpoints with it false can be loaded")
         model = CtrModel(schema, manifest["arch"], manifest["mode"], AdapterConfig(**adapter),
                          tuple(manifest["hidden"]), manifest["seed"])
+        names = set(model.store.names())
         manifest_names = {rec["name"] for rec in manifest["params"]}
-        if set(model.store.names()) != manifest_names:
-            raise ValueError(f"{path}: parameter set does not match model config")
+        if names != manifest_names:
+            raise ValueError(f"{path}: parameter set does not match model config; missing "
+                             f"{_first_few(names - manifest_names)}, unexpected "
+                             f"{_first_few(manifest_names - names)}")
         for rec in manifest["params"]:
+            if rec["key"] not in z.files:
+                raise ValueError(f"{path}: no array for parameter {rec['name']!r}")
             model.store.set(rec["name"], z[rec["key"]])
     return model
+
+
+def _first_few(names) -> str:
+    """The first three of ``names`` sorted, then a count of the rest; or "none"."""
+    names = sorted(names)
+    return ", ".join(names[:3] + [f"{len(names) - 3} more"] * (len(names) > 3)) or "none"

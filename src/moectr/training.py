@@ -7,8 +7,9 @@ absent from the graph, so replicas of one domain differ only by their A-matrix
 init and experts are trained independently, one after another.  Phase 3
 freezes everything but the gate tables and fits the mixture weights on
 shuffled single-domain batches that cover each domain's rows once an epoch.
-The model's mode picks the phases: ``plain`` runs phase 1 alone, ``mlora``
-builds no gate tables and stops after phase 2, and ``moe`` runs all three.
+Each phase runs on any model, since every mode builds the same parameters;
+the mode picks only which run: ``plain`` phase 1 alone, ``mlora`` phases 1
+and 2, ``moe`` all three.  What a mode skips stays at its no-op init.
 
 The backbone, each expert and the gates are units, and one trainer runs
 them all.  A unit names the tensors it trains, those whose group tag
@@ -311,8 +312,6 @@ def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
     The backbone and gates stay frozen; each expert trains through the
     bypass view, so experts never see one another.
     """
-    if model.mode == "plain":
-        raise ValueError("per-domain expert training needs an adapted model")
     frozen = _frozen_groups(model, "expert(")
     outside = lambda g: not g.startswith("expert(")  # noqa: E731
     before = model.store.group_checksum(outside)
@@ -330,14 +329,7 @@ def run_phase2(model: CtrModel, train: Dataset, val: Dataset,
 
 def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
                cfg: TrainConfig) -> PhaseReport:
-    """Fit the gate tables through the mixture view; everything else frozen.
-
-    Only a ``moe`` model has gate tables: ``mlora`` routes by domain and is
-    refused.
-    """
-    if model.mode != "moe":
-        raise ValueError("gate training applies only to moe models; "
-                         f"this {model.mode} model has no gate tables")
+    """Fit the gate tables through the mixture view; everything else frozen."""
     frozen = _frozen_groups(model, "gate")
 
     def batches(epoch):

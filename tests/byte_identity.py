@@ -10,6 +10,10 @@ file and of the test-split predictions, and the predictions themselves.
 A change that means to alter outputs regenerates the fixture:
 
     PYTHONPATH=src python tests/byte_identity.py
+
+It prints each file hash and prediction hash that differs from the fixture
+it replaces, as ``<pipeline>/<file>`` or ``<pipeline> predictions_sha256``,
+or ``nothing moved``.
 """
 
 from __future__ import annotations
@@ -104,7 +108,24 @@ def run(name: str, out_dir: str) -> dict:
             "predictions": preds.tolist()}
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """The hashes that differ between two fixtures' ``pipelines``, sorted by pipeline."""
+    out = []
+    for name in sorted(set(old) | set(new)):
+        was, now = old.get(name, {}), new.get(name, {})
+        files_was, files_now = was.get("files", {}), now.get("files", {})
+        out += [f"{name}/{f}" for f in sorted(set(files_was) | set(files_now))
+                if files_was.get(f) != files_now.get(f)]
+        if was.get("predictions_sha256") != now.get("predictions_sha256"):
+            out.append(f"{name} predictions_sha256")
+    return out
+
+
 def main() -> int:
+    old = {"platform": None, "pipelines": {}}
+    if os.path.exists(FIXTURE):
+        with open(FIXTURE, encoding="utf-8") as fh:
+            old = json.load(fh)
     pipelines = {}
     for name in PIPELINES:
         with tempfile.TemporaryDirectory() as tmp:
@@ -115,6 +136,9 @@ def main() -> int:
                   sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(pipelines)} pipelines to {FIXTURE}")
+    if old["platform"] != fingerprint():
+        print(f"platform changed from {old['platform']} to {fingerprint()}")
+    print("\n".join(moved(old["pipelines"], pipelines)) or "nothing moved")
     return 0
 
 

@@ -66,8 +66,7 @@ def composite_layer_grad_err() -> float:
     def f(theta):
         store = ParamStore()
         base = DenseLayer(store, "l0", 3, 4, "relu")
-        layer = MoELayer(store, base, [(0, 0), (1, 0)], rank=2, alpha=2.0, n_domains=2,
-                         gated=True, seed=0)
+        layer = MoELayer(store, base, [(0, 0), (1, 0)], rank=2, alpha=2.0, n_domains=2, seed=0)
         head = DenseLayer(store, "head", 4, 1, "identity")
         off = 0
         for (name, shape), size in zip(layout, sizes):

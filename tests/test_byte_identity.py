@@ -47,3 +47,45 @@ def test_pipelines_reproduce_the_fixture(tmp_path, pytestconfig):
         with capture.global_and_fixture_disabled():
             print(line, flush=True)
     assert not faults, "; ".join(faults)
+
+
+def _npz(path):
+    """(manifest without its mode, {array key: bytes}, mode) of a checkpoint."""
+    with np.load(path) as z:
+        arrays = {k: z[k].tobytes() for k in z.files}
+    manifest = json.loads(arrays.pop("manifest"))
+    return manifest, arrays, manifest.pop("mode")
+
+
+def test_a_plain_run_is_the_first_phase_of_mlora_and_moe(tmp_path):
+    # Every mode builds the same parameters and phase 1 trains the same
+    # tensors, so a plain run is the first phase of the other two, and an
+    # mlora run's expert units are the moe run's.
+    for arch in ("mlp", "wdl", "deepfm"):
+        outs = {}
+        for mode in ("plain", "mlora", "moe"):
+            outs[mode] = tmp_path / f"{arch}-{mode}"
+            outs[mode].mkdir()
+            byte_identity.run(f"{arch}-{mode}", str(outs[mode]))
+        lines = {m: (out / "phases.jsonl").read_bytes().splitlines() for m, out in outs.items()}
+        assert lines["plain"][0] == lines["mlora"][0] == lines["moe"][0], arch
+        children = [json.loads(lines[m][1])["children"] for m in ("mlora", "moe")]
+        assert children[0] == children[1], arch
+        for phase, modes in (("phase1", ("plain", "mlora", "moe")), ("phase2", ("mlora", "moe"))):
+            got = [_npz(outs[m] / f"{phase}.npz") for m in modes]
+            assert [mode for _, _, mode in got] == list(modes)
+            for manifest, arrays, _ in got[1:]:
+                assert manifest == got[0][0], (arch, phase)
+                assert arrays == got[0][1], (arch, phase)
+
+
+def test_regeneration_names_what_moved():
+    with open(byte_identity.FIXTURE, encoding="utf-8") as fh:
+        old = json.load(fh)["pipelines"]
+    assert byte_identity.moved(old, old) == []
+    new = json.loads(json.dumps(old))
+    new["wdl-moe"]["files"]["phase3.npz"] = "0" * 64
+    new["mlp-plain"]["predictions_sha256"] = "1" * 64
+    del new["deepfm-mlora"]["files"]["phase2.npz"]
+    assert byte_identity.moved(old, new) == [
+        "deepfm-mlora/phase2.npz", "mlp-plain predictions_sha256", "wdl-moe/phase3.npz"]

@@ -36,8 +36,7 @@ def _one_adapter_layer():
     """An identity layer with one rank-4 adapter, alpha 4, for one domain."""
     store = ParamStore()
     base = DenseLayer(store, "l0", 8, 16, activation="identity", seed=1)
-    layer = MoELayer(store, base, [(0, 0)], rank=4, alpha=4.0, n_domains=1, gated=False,
-                     seed=3)
+    layer = MoELayer(store, base, [(0, 0)], rank=4, alpha=4.0, n_domains=1, seed=3)
     return store, base, layer
 
 
@@ -89,8 +88,7 @@ def _two_expert_layer():
     store = ParamStore()
     base = DenseLayer(store, "l0", 1, 2, activation="identity")
     store.set("l0.W", np.zeros((2, 1)))
-    layer = MoELayer(store, base, [(0, 0), (1, 0)], rank=1, alpha=1.0, n_domains=2,
-                     gated=True, seed=0)
+    layer = MoELayer(store, base, [(0, 0), (1, 0)], rank=1, alpha=1.0, n_domains=2, seed=0)
     for d, col in enumerate(([1.0, 0.0], [0.0, 1.0])):
         store.set(f"l0.e{d}.0.A", np.array([[1.0]]))
         store.set(f"l0.e{d}.0.B", np.array(col).reshape(2, 1))
@@ -106,7 +104,7 @@ def test_mlora_only_addressed_adapter_contributes():
     store = ParamStore()
     base = DenseLayer(store, "l0", 3, 2, activation="relu", seed=0)
     layer = MoELayer(store, base, [(d, 0) for d in range(3)], rank=2, alpha=2.0, n_domains=3,
-                     gated=False, seed=0)
+                     seed=0)
     for d in range(3):
         store.set(f"l0.e{d}.0.B", np.random.default_rng(10 + d).normal(size=(2, 2)))
     x = np.array([[0.3, -1.2, 0.7]])
@@ -121,18 +119,17 @@ def test_mlora_only_addressed_adapter_contributes():
 def test_mlora_domain_out_of_range():
     store = ParamStore()
     base = DenseLayer(store, "l0", 2, 2, seed=0)
-    layer = MoELayer(store, base, [(0, 0)], rank=4, alpha=4.0, n_domains=1, gated=False,
-                     seed=0)
+    layer = MoELayer(store, base, [(0, 0)], rank=4, alpha=4.0, n_domains=1, seed=0)
     with pytest.raises(AutodiffError, match=r"no expert \(1,0\) on layer 'l0'"):
         bypass(store, layer, np.ones((1, 2)), 1)
 
 
 def _relu_layer(n_domains):
-    """A relu layer 4 -> 3 with one rank-2 expert per domain, no gate."""
+    """A relu layer 4 -> 3 with one rank-2 expert per domain."""
     store = ParamStore()
     base = DenseLayer(store, "l0", 4, 3, activation="relu", seed=1)
     return store, MoELayer(store, base, [(d, 0) for d in range(n_domains)], rank=2,
-                           alpha=4.0, n_domains=n_domains, gated=False, seed=0)
+                           alpha=4.0, n_domains=n_domains, seed=0)
 
 
 def test_moe_one_hot_equals_mlora_bitwise():
@@ -153,19 +150,19 @@ def test_zero_init_moe_layer_matches_dense_bitwise():
     store = ParamStore()
     base = DenseLayer(store, "l0", 5, 4, activation="relu", seed=2)
     layer = MoELayer(store, base, [(d, k) for d in range(2) for k in range(2)], rank=4,
-                     alpha=4.0, n_domains=2, gated=True, seed=7)
+                     alpha=4.0, n_domains=2, seed=7)
     x = np.random.default_rng(3).normal(size=(11, 5))
     np.testing.assert_array_equal(mixture(store, layer, x, 0),
                                   layer_forward(store, base.emit, x))
 
 
 def _hard_routed_layer(rng):
-    """A relu layer with one rank-2 expert per domain for 2 domains, no gate."""
+    """A relu layer with one rank-2 expert per domain for 2 domains."""
     store = ParamStore()
     base = DenseLayer(store, "l0", 5, 4, activation="relu", seed=2)
     store.set("l0.b", rng.normal(size=4))
     return store, base, MoELayer(store, base, [(0, 0), (1, 0)], rank=2, alpha=3.0,
-                                 n_domains=2, gated=False, seed=0)
+                                 n_domains=2, seed=0)
 
 
 def test_bypass_forward_matches_numpy_reference():
@@ -199,8 +196,7 @@ def test_moe_forward_matches_per_expert_reference():
     base = DenseLayer(store, "l0", d_in, d_out, activation="relu", seed=4)
     store.set("l0.b", rng.normal(size=d_out))
     keys = [(d, k) for d in range(3) for k in range(2)]
-    layer = MoELayer(store, base, keys, rank=rank, alpha=alpha, n_domains=3, gated=True,
-                     seed=0)
+    layer = MoELayer(store, base, keys, rank=rank, alpha=alpha, n_domains=3, seed=0)
     for d, k in keys:
         store.set(f"l0.e{d}.{k}.B", rng.normal(size=(d_out, rank)))
     store.set("l0.gate.logits", rng.normal(size=(3, len(keys))))
@@ -219,8 +215,7 @@ def test_param_groups_counts_expert_groups():
     store = ParamStore()
     for li in range(3):
         base = DenseLayer(store, f"l{li}", 4, 4, seed=li)
-        MoELayer(store, base, [(0, 0), (1, 0)], rank=4, alpha=4.0, n_domains=2, gated=True,
-                 seed=li)
+        MoELayer(store, base, [(0, 0), (1, 0)], rank=4, alpha=4.0, n_domains=2, seed=li)
     tags = {g for _, g in store.param_groups() if g.startswith("expert(")}
     assert len(tags) == 6
 
@@ -231,24 +226,20 @@ def test_layer_construction_errors():
         DenseLayer(store, "l0", 2, 2, activation="tanh")
     base = DenseLayer(store, "l1", 2, 2, seed=0)
     with pytest.raises(AutodiffError, match="rank"):
-        MoELayer(store, base, [(0, 0)], rank=0, alpha=4.0, n_domains=1, gated=True, seed=0)
+        MoELayer(store, base, [(0, 0)], rank=0, alpha=4.0, n_domains=1, seed=0)
     with pytest.raises(AutodiffError, match="expert"):
-        MoELayer(store, base, [], rank=4, alpha=4.0, n_domains=1, gated=False, seed=0)
+        MoELayer(store, base, [], rank=4, alpha=4.0, n_domains=1, seed=0)
     with pytest.raises(AutodiffError, match="at least one column"):
         GateNet(store, "g0", n_domains=1, n_cols=0)
-    with pytest.raises(AutodiffError, match="one expert per domain"):
-        MoELayer(store, base, [(0, 1)], rank=4, alpha=4.0, n_domains=1, gated=False, seed=0)
 
 
 def test_layer_misuse_errors():
     store = ParamStore()
     base = DenseLayer(store, "l0", 2, 2, seed=0)
-    hard = MoELayer(store, base, [(0, 0)], rank=4, alpha=4.0, n_domains=1, gated=False, seed=0)
+    hard = MoELayer(store, base, [(0, 0)], rank=4, alpha=4.0, n_domains=1, seed=0)
     tape = Tape(store)
     with pytest.raises(AutodiffError, match=r"no expert \(0,1\) on layer 'l0'"):
         hard.emit_single_expert(tape, tape.input("x"), 0, 1)
-    with pytest.raises(AutodiffError, match="hard-routed"):
-        hard.emit(tape, tape.input("x"), tape.input("domain"))
 
 
 def test_moe_mixture_gradients_match_central_differences():

@@ -161,17 +161,21 @@ PINNED_PARAMS = {
         ("tower.0.e0.0.B", "expert(0,0,tower.0)", (3, 2)),
         ("tower.0.e1.0.A", "expert(1,0,tower.0)", (2, 4)),
         ("tower.0.e1.0.B", "expert(1,0,tower.0)", (3, 2)),
+        ("tower.0.gate.logits", "gate", (2, 2)),
         ("head.W", "backbone", (1, 3)),
         ("head.b", "backbone", (1,)),
         ("head.e0.0.A", "expert(0,0,head)", (2, 3)),
         ("head.e0.0.B", "expert(0,0,head)", (1, 2)),
         ("head.e1.0.A", "expert(1,0,head)", (2, 3)),
         ("head.e1.0.B", "expert(1,0,head)", (1, 2)),
+        ("head.gate.logits", "gate", (2, 2)),
     ],
 }
+# Every mode builds the same parameters; plain leaves its adapters and gates unused.
+PINNED_PARAMS["plain"] = PINNED_PARAMS["mlora"]
 
 
-@pytest.mark.parametrize("mode,experts_per_domain", [("moe", 2), ("mlora", 1)])
+@pytest.mark.parametrize("mode,experts_per_domain", [("moe", 2), ("mlora", 1), ("plain", 1)])
 def test_param_registration_order_is_pinned(mode, experts_per_domain):
     # Checkpoint keys p00000, p00001, ... follow this order, so a reordered
     # registration changes every checkpoint's bytes on any platform.
@@ -217,8 +221,8 @@ def test_each_merged_layer_runs_one_batch_row_matmul(view, cfg):
 
 
 @pytest.mark.parametrize("mode,bad_views", [
-    ("plain", ["expert:0:0", "expert:7:3", "mixture", "bogus"]),
-    ("mlora", ["expert:0:1", "expert:2:0", "expert:x:0", "mixture", "bogus"]),
+    ("plain", ["expert:0:1", "expert:7:3", "bogus"]),
+    ("mlora", ["expert:0:1", "expert:2:0", "expert:x:0", "bogus"]),
     ("moe", ["expert:0:1", "expert:x:0", "bogus"]),
 ])
 def test_an_unknown_view_is_refused_naming_it_and_the_routing(mode, bad_views):
@@ -599,4 +603,40 @@ def test_load_refuses_an_unknown_format_and_a_mismatched_parameter_set(tmp_path)
         load_checkpoint(path)
     resave(params=manifest["params"][:-1])
     with pytest.raises(ValueError, match="parameter set does not match model config"):
+        load_checkpoint(path)
+
+
+def test_load_names_the_parameters_that_do_not_match(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(tiny("mlp", "mlora"), path)
+    manifest, arrays = _manifest_and_arrays(path)
+
+    def resave(params):
+        body = json.dumps({**manifest, "params": params}).encode()
+        kept = {rec["key"]: arrays[rec["key"]] for rec in params if rec["key"] in arrays}
+        np.savez(path, manifest=np.frombuffer(body, dtype=np.uint8), **kept)
+
+    # An mlora checkpoint written before every mode built gate tables.
+    resave([rec for rec in manifest["params"] if rec["group"] != "gate"])
+    with pytest.raises(ValueError, match=re.escape(
+            "missing head.gate.logits, tower.0.gate.logits, tower.1.gate.logits, "
+            "unexpected none")):
+        load_checkpoint(path)
+    resave([rec for rec in manifest["params"] if not rec["name"].startswith("head.")]
+           + [{**manifest["params"][0], "name": "bogus"}])
+    with pytest.raises(ValueError, match=re.escape(
+            "missing head.W, head.b, head.e0.0.A, 4 more, unexpected bogus")):
+        load_checkpoint(path)
+
+
+def test_load_names_a_parameter_whose_array_is_absent(tmp_path):
+    path = tmp_path / "model.npz"
+    save_checkpoint(tiny("mlp", "moe"), path)
+    manifest, arrays = _manifest_and_arrays(path)
+    rec = next(r for r in manifest["params"] if r["name"] == "tower.1.b")
+    del arrays[rec["key"]]
+    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8),
+             **arrays)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: no array for parameter 'tower.1.b'")):
         load_checkpoint(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moectr import training
-from moectr.autodiff import AutodiffError, ParamStore, ShapeError, Tape
+from moectr.autodiff import ParamStore, ShapeError, Tape
 from moectr.data import (
     Dataset,
     SyntheticSpec,
@@ -485,12 +485,19 @@ def test_phase2_replicas_differ_only_by_init_stream():
     assert not np.array_equal(a0, a1)
 
 
-def test_phase2_requires_adapted_model_and_warns_on_empty_domain():
+def test_phase2_runs_on_any_mode_and_warns_on_empty_domain():
     ds = small_synth(seed=4)
     train, val, _ = split_dataset(ds, seed=4)
+    # A plain model has experts too: phase 2 trains them, and the backbone
+    # view that predicts for plain does not read them.
     plain = build_model(ds.schema, "mlp", "plain", seed=4, hidden=(8, 6))
-    with pytest.raises(ValueError, match="adapted"):
-        run_phase2(plain, train, val, FAST)
+    others = plain.store.group_bytes(lambda g: not g.startswith("expert("))
+    experts = plain.store.group_bytes("expert(")
+    before = plain.predict(val.ids, 0)
+    run_phase2(plain, train, val, FAST)
+    assert plain.store.group_bytes(lambda g: not g.startswith("expert(")) == others
+    assert plain.store.group_bytes("expert(") != experts
+    np.testing.assert_array_equal(plain.predict(val.ids, 0), before)
     # Rebuild the schema with a third, empty domain.
     schema3 = FeatureSchema(ds.schema.fields, ds.schema.embedding_dim, 3)
     ds3 = Dataset(schema3, ds.ids, ds.labels, ds.domains)
@@ -576,7 +583,7 @@ def test_pipeline_phase3_skips_a_domain_with_no_rows():
     assert np.isfinite(res.metrics.wauc) and 0.0 < res.metrics.wauc < 1.0
 
 
-def test_phase3_moves_gates_only_and_rejects_other_modes():
+def test_phase3_moves_gates_only_in_any_mode():
     ds = small_synth(seed=5)
     train, val, _ = split_dataset(ds, seed=5)
     model = build_model(ds.schema, "mlp", "moe", AdapterConfig(), seed=5, hidden=(8, 6))
@@ -588,10 +595,15 @@ def test_phase3_moves_gates_only_and_rejects_other_modes():
     assert model.store.group_bytes(lambda g: g != "gate") == frozen
     assert model.store.group_bytes("gate") != gates_before
     assert rep.phase == 3 and rep.epochs_run >= 1
-    # mlora routes by domain and has no gate tables.
+    # mlora has gate tables too; its domain-routed predictions do not read them.
     mlora = build_model(ds.schema, "mlp", "mlora", AdapterConfig(), seed=5, hidden=(8, 6))
-    with pytest.raises(ValueError, match="only to moe models; this mlora model"):
-        run_phase3(mlora, train, val, FAST)
+    run_phase1(mlora, train, val, FAST)
+    run_phase2(mlora, train, val, FAST)
+    frozen = mlora.store.group_bytes(lambda g: g != "gate")
+    before = mlora.predict(val.ids, 1)
+    run_phase3(mlora, train, val, FAST)
+    assert mlora.store.group_bytes(lambda g: g != "gate") == frozen
+    np.testing.assert_array_equal(mlora.predict(val.ids, 1), before)
 
 
 def test_gate_starts_uniform_then_sharpens_toward_own_expert():
@@ -620,13 +632,13 @@ def test_pipeline_phase_counts_and_checkpoints(tmp_path, mode, n_phases):
     assert res.metrics.context["mode"] == mode
 
 
-MLORA_VIEWS = ["backbone", "expert:0:0", "expert:1:0"]
+VIEWS = ["backbone", "expert:0:0", "expert:1:0", "mixture"]
 
 
 @pytest.mark.parametrize("mode,adapter,views,phases", [
-    ("plain", AdapterConfig(), ["backbone"], [1]),
-    ("mlora", AdapterConfig(), MLORA_VIEWS, [1, 2]),
-    ("moe", AdapterConfig(), MLORA_VIEWS + ["mixture"], [1, 2, 3]),
+    ("plain", AdapterConfig(), VIEWS, [1]),
+    ("mlora", AdapterConfig(), VIEWS, [1, 2]),
+    ("moe", AdapterConfig(), VIEWS, [1, 2, 3]),
     ("moe", AdapterConfig(experts_per_domain=2),
      ["backbone", "expert:0:0", "expert:0:1", "expert:1:0", "expert:1:1", "mixture"],
      [1, 2, 3]),
@@ -660,8 +672,10 @@ def test_mlora_predict_runs_the_domain_expert_view():
         rows = ds.ids[ds.domains == d]
         np.testing.assert_array_equal(res.model.predict(rows, d),
                                       res.model.predict(rows, d, view=f"expert:{d}:0"))
-    with pytest.raises(AutodiffError, match="mixture"):
-        res.model.tape("mixture")
+    # No phase of mlora trains the gates: they stay at their zero init.
+    for name, group in res.model.store.param_groups():
+        if group == "gate":
+            assert not res.model.store.get(name).any(), name
 
 
 def test_the_store_owns_its_arrays_and_adam_moves_them_in_place():
