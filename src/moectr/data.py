@@ -97,7 +97,8 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.schema, self.ids[idx], self.labels[idx], self.domains[idx])
+        return Dataset(self.schema, np.take(self.ids, idx, axis=0), self.labels[idx],
+                       self.domains[idx])
 
     def rows_of_domain(self, domain: int) -> np.ndarray:
         return np.flatnonzero(self.domains == domain)
@@ -107,7 +108,7 @@ class Dataset:
 
     def batch(self, indices) -> Batch:
         idx = np.asarray(indices, dtype=np.int64)
-        return Batch(self.ids[idx], self.labels[idx])
+        return Batch(np.take(self.ids, idx, axis=0), self.labels[idx])
 
 
 def write_csv(ds: Dataset, path) -> None:

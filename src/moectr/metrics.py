@@ -173,7 +173,7 @@ def evaluate(model: CtrModel, ds: Dataset, view: str | None = None) -> MetricsRe
             per_auc.append((None, 0))
             notes.append(f"domain {d}: no rows in evaluation split")
             continue
-        probs = model.predict(ds.ids[rows], d, view=view)
+        probs = model.predict(np.take(ds.ids, rows, axis=0), d, view=view)
         a = auc(ds.labels[rows], probs)
         if a is None:
             notes.append(f"domain {d}: single-class split, AUC undefined")

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import AutodiffError, ParamStore, Tape, rng_for
-from .layers import DenseLayer, MoELayer
+from .layers import MoELayer
 
 __all__ = [
     "ARCHS",
@@ -161,10 +161,9 @@ class CtrModel:
                 for k in range(self.adapter_cfg.experts_per_domain)]
 
     def _make_layer(self, name: str, d_in: int, d_out: int, activation: str):
-        base = DenseLayer(self.store, name, d_in, d_out, activation, self.seed)
         cfg = self.adapter_cfg
-        return MoELayer(self.store, base, self.expert_keys(), cfg.rank, cfg.alpha,
-                        self.schema.n_domains, self.seed)
+        return MoELayer(self.store, name, d_in, d_out, activation, self.expert_keys(),
+                        cfg.rank, cfg.alpha, self.schema.n_domains, self.seed)
 
     def _build(self) -> None:
         sch = self.schema
@@ -187,7 +186,7 @@ class CtrModel:
 
     def _emit_layer(self, layer: MoELayer, tape: Tape, x: int, view: str) -> int:
         if view == "backbone":
-            return layer.base.emit(tape, x)
+            return layer.emit_backbone(tape, x)
         if view == "mixture":
             return layer.emit(tape, x, tape.input("domain"))
         _, d, k = view.split(":")

@@ -294,7 +294,7 @@ def _train_one_expert(model: CtrModel, d: int, k: int, train: Dataset,
 
     def val_metric():
         if scorable:
-            return auc(val_labels, model.predict(val.ids[val_rows], d, view=view))
+            return auc(val_labels, model.predict(np.take(val.ids, val_rows, axis=0), d, view=view))
 
     rep = _train_unit(model, cfg, 2, f"expert({d},{k})", f"expert({d},{k},", view,
                       batches, val_metric)

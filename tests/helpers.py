@@ -7,7 +7,7 @@ import numpy as np
 
 from moectr.autodiff import ParamStore, Tape
 from moectr.data import _CLUSTERS, SyntheticSpec, _latents
-from moectr.layers import DenseLayer, MoELayer
+from moectr.layers import MoELayer
 from moectr.models import CtrModel
 
 
@@ -48,8 +48,9 @@ def grad_check(f, theta: np.ndarray, eps: float = 1e-5) -> float:
 def composite_layer_grad_err() -> float:
     """``grad_check`` of one graph touching every layer type.
 
-    A relu base layer with two rank-2 experts mixed by a softmax gate, then
-    a dense head, sigmoid and bce, every tensor drawn from one seed.
+    A relu layer with two rank-2 experts mixed by a softmax gate, then a
+    head in its backbone form, sigmoid and bce, every tensor drawn from one
+    seed.
     """
     rng = np.random.default_rng(9)
     x = rng.normal(size=(6, 3)) + 0.2
@@ -65,16 +66,17 @@ def composite_layer_grad_err() -> float:
 
     def f(theta):
         store = ParamStore()
-        base = DenseLayer(store, "l0", 3, 4, "relu")
-        layer = MoELayer(store, base, [(0, 0), (1, 0)], rank=2, alpha=2.0, n_domains=2, seed=0)
-        head = DenseLayer(store, "head", 4, 1, "identity")
+        layer = MoELayer(store, "l0", 3, 4, "relu", [(0, 0), (1, 0)], rank=2, alpha=2.0,
+                         n_domains=2, seed=0)
+        head = MoELayer(store, "head", 4, 1, "identity", [(0, 0)], rank=2, alpha=2.0,
+                        n_domains=2, seed=0)
         off = 0
         for (name, shape), size in zip(layout, sizes):
             store.set(name, theta[off : off + size].reshape(shape))
             off += size
         tape = Tape(store)
         h = layer.emit(tape, tape.input("x"), tape.input("domain"))
-        p = tape.sigmoid(head.emit(tape, h))
+        p = tape.sigmoid(head.emit_backbone(tape, h))
         loss = tape.bce(p, tape.input("y"))
         v = tape.forward({"x": x, "domain": np.array([1]), "y": y}, output=loss)
         grads = tape.backward(loss, store.names())

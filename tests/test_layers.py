@@ -3,7 +3,7 @@ import pytest
 
 from helpers import composite_layer_grad_err, layer_forward, lora_delta
 from moectr.autodiff import AutodiffError, ParamStore, Tape
-from moectr.layers import DenseLayer, GateNet, MoELayer
+from moectr.layers import MoELayer
 
 
 def mixture(store, layer, x, domain):
@@ -18,42 +18,49 @@ def bypass(store, layer, x, domain, replica=0):
         store, lambda t, xn: layer.emit_single_expert(t, xn, domain, replica), x)
 
 
-def weights(store, gate, domain):
-    """The gate's softmax weights for ``domain``: one row."""
-    return layer_forward(store, lambda t, _: gate.emit_weights(t, t.input("domain")),
-                         domain=domain)[0]
+def weights(store, layer, domain):
+    """The gate's softmax weights for ``domain``: the one row the mixture reads."""
+    tape = Tape(store)
+    layer.emit(tape, tape.input("x"), tape.input("domain"))
+    softmax = next(i for i, node in enumerate(tape.nodes) if node.op == "softmax")
+    return tape.forward({"domain": np.array([domain])}, output=softmax)[0]
+
+
+def _small_layer(n_domains, keys):
+    """A relu layer 2 -> 2 with one rank-1 expert per key and the gate over them."""
+    store = ParamStore()
+    return store, MoELayer(store, "l0", 2, 2, "relu", keys, rank=1, alpha=1.0,
+                           n_domains=n_domains, seed=0)
 
 
 def test_dense_identity_forward():
-    store = ParamStore()
-    layer = DenseLayer(store, "l0", 2, 2, activation="relu")
+    store, layer = _small_layer(1, [(0, 0)])
     store.set("l0.W", np.eye(2))
-    np.testing.assert_array_equal(layer_forward(store, layer.emit, [[1.0, 2.0]]),
+    np.testing.assert_array_equal(layer_forward(store, layer.emit_backbone, [[1.0, 2.0]]),
                                   [[1.0, 2.0]])
 
 
 def _one_adapter_layer():
     """An identity layer with one rank-4 adapter, alpha 4, for one domain."""
     store = ParamStore()
-    base = DenseLayer(store, "l0", 8, 16, activation="identity", seed=1)
-    layer = MoELayer(store, base, [(0, 0)], rank=4, alpha=4.0, n_domains=1, seed=3)
-    return store, base, layer
+    return store, MoELayer(store, "l0", 8, 16, "identity", [(0, 0)], rank=4, alpha=4.0,
+                           n_domains=1, seed=3)
 
 
 def test_zero_init_adapter_delta_is_exactly_zero():
-    store, base, layer = _one_adapter_layer()
+    store, layer = _one_adapter_layer()
     x = np.random.default_rng(0).normal(size=(32, 8))
     np.testing.assert_array_equal(store.get("l0.e0.0.B"), np.zeros((16, 4)))
-    delta = bypass(store, layer, x, 0) - layer_forward(store, base.emit, x)
+    delta = bypass(store, layer, x, 0) - layer_forward(store, layer.emit_backbone, x)
     np.testing.assert_array_equal(delta, np.zeros((32, 16)))
 
 
 def test_lora_delta_shape_and_scaling():
-    store, base, layer = _one_adapter_layer()
+    store, layer = _one_adapter_layer()
     assert layer.scaling == 1.0
     store.set("l0.e0.0.B", np.random.default_rng(1).normal(size=(16, 4)))
     x = np.random.default_rng(2).normal(size=(32, 8))
-    d = bypass(store, layer, x, 0) - layer_forward(store, base.emit, x)
+    d = bypass(store, layer, x, 0) - layer_forward(store, layer.emit_backbone, x)
     assert d.shape == (32, 16)
     np.testing.assert_allclose(
         d, lora_delta(x, store.get("l0.e0.0.A"), store.get("l0.e0.0.B"), layer.scaling),
@@ -61,34 +68,31 @@ def test_lora_delta_shape_and_scaling():
 
 
 def test_gate_uniform_at_init():
-    store = ParamStore()
-    gate = GateNet(store, "g0", n_domains=2, n_cols=3)
-    np.testing.assert_allclose(weights(store, gate, 0), np.full(3, 1.0 / 3.0), atol=1e-15)
+    store, layer = _small_layer(2, [(0, 0), (0, 1), (1, 0)])
+    np.testing.assert_allclose(weights(store, layer, 0), np.full(3, 1.0 / 3.0), atol=1e-15)
 
 
 def test_gate_weights_simplex_for_random_logits():
-    store = ParamStore()
-    gate = GateNet(store, "g0", n_domains=4, n_cols=5)
-    store.set("g0.logits", np.random.default_rng(0).normal(size=(4, 5)) * 8.0)
+    store, layer = _small_layer(4, [(d, 0) for d in range(4)] + [(0, 1)])
+    store.set("l0.gate.logits", np.random.default_rng(0).normal(size=(4, 5)) * 8.0)
     for d in range(4):
-        w = weights(store, gate, d)
+        w = weights(store, layer, d)
         assert w.min() >= 0.0
         assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_gate_domain_out_of_range():
-    store = ParamStore()
-    gate = GateNet(store, "g0", n_domains=2, n_cols=2)
+    store, layer = _small_layer(2, [(0, 0), (1, 0)])
     with pytest.raises(AutodiffError, match="index out of range for table of 2 rows"):
-        weights(store, gate, 5)
+        weights(store, layer, 5)
 
 
 def _two_expert_layer():
     """Two domains, one rank-1 expert each, deltas [1,0] and [0,1] for x=[1]."""
     store = ParamStore()
-    base = DenseLayer(store, "l0", 1, 2, activation="identity")
+    layer = MoELayer(store, "l0", 1, 2, "identity", [(0, 0), (1, 0)], rank=1, alpha=1.0,
+                     n_domains=2, seed=0)
     store.set("l0.W", np.zeros((2, 1)))
-    layer = MoELayer(store, base, [(0, 0), (1, 0)], rank=1, alpha=1.0, n_domains=2, seed=0)
     for d, col in enumerate(([1.0, 0.0], [0.0, 1.0])):
         store.set(f"l0.e{d}.0.A", np.array([[1.0]]))
         store.set(f"l0.e{d}.0.B", np.array(col).reshape(2, 1))
@@ -102,9 +106,8 @@ def test_moe_uniform_gate_adds_half_of_each_delta():
 
 def test_mlora_only_addressed_adapter_contributes():
     store = ParamStore()
-    base = DenseLayer(store, "l0", 3, 2, activation="relu", seed=0)
-    layer = MoELayer(store, base, [(d, 0) for d in range(3)], rank=2, alpha=2.0, n_domains=3,
-                     seed=0)
+    layer = MoELayer(store, "l0", 3, 2, "relu", [(d, 0) for d in range(3)], rank=2, alpha=2.0,
+                     n_domains=3, seed=0)
     for d in range(3):
         store.set(f"l0.e{d}.0.B", np.random.default_rng(10 + d).normal(size=(2, 2)))
     x = np.array([[0.3, -1.2, 0.7]])
@@ -118,8 +121,8 @@ def test_mlora_only_addressed_adapter_contributes():
 
 def test_mlora_domain_out_of_range():
     store = ParamStore()
-    base = DenseLayer(store, "l0", 2, 2, seed=0)
-    layer = MoELayer(store, base, [(0, 0)], rank=4, alpha=4.0, n_domains=1, seed=0)
+    layer = MoELayer(store, "l0", 2, 2, "relu", [(0, 0)], rank=4, alpha=4.0, n_domains=1,
+                     seed=0)
     with pytest.raises(AutodiffError, match=r"no expert \(1,0\) on layer 'l0'"):
         bypass(store, layer, np.ones((1, 2)), 1)
 
@@ -127,9 +130,8 @@ def test_mlora_domain_out_of_range():
 def _relu_layer(n_domains):
     """A relu layer 4 -> 3 with one rank-2 expert per domain."""
     store = ParamStore()
-    base = DenseLayer(store, "l0", 4, 3, activation="relu", seed=1)
-    return store, MoELayer(store, base, [(d, 0) for d in range(n_domains)], rank=2,
-                           alpha=4.0, n_domains=n_domains, seed=0)
+    return store, MoELayer(store, "l0", 4, 3, "relu", [(d, 0) for d in range(n_domains)],
+                           rank=2, alpha=4.0, n_domains=n_domains, seed=0)
 
 
 def test_moe_one_hot_equals_mlora_bitwise():
@@ -148,26 +150,25 @@ def test_moe_one_hot_equals_mlora_bitwise():
 
 def test_zero_init_moe_layer_matches_dense_bitwise():
     store = ParamStore()
-    base = DenseLayer(store, "l0", 5, 4, activation="relu", seed=2)
-    layer = MoELayer(store, base, [(d, k) for d in range(2) for k in range(2)], rank=4,
-                     alpha=4.0, n_domains=2, seed=7)
+    layer = MoELayer(store, "l0", 5, 4, "relu", [(d, k) for d in range(2) for k in range(2)],
+                     rank=4, alpha=4.0, n_domains=2, seed=7)
     x = np.random.default_rng(3).normal(size=(11, 5))
     np.testing.assert_array_equal(mixture(store, layer, x, 0),
-                                  layer_forward(store, base.emit, x))
+                                  layer_forward(store, layer.emit_backbone, x))
 
 
 def _hard_routed_layer(rng):
     """A relu layer with one rank-2 expert per domain for 2 domains."""
     store = ParamStore()
-    base = DenseLayer(store, "l0", 5, 4, activation="relu", seed=2)
+    layer = MoELayer(store, "l0", 5, 4, "relu", [(0, 0), (1, 0)], rank=2, alpha=3.0,
+                     n_domains=2, seed=2)
     store.set("l0.b", rng.normal(size=4))
-    return store, base, MoELayer(store, base, [(0, 0), (1, 0)], rank=2, alpha=3.0,
-                                 n_domains=2, seed=0)
+    return store, layer
 
 
 def test_bypass_forward_matches_numpy_reference():
     rng = np.random.default_rng(41)
-    store, _, layer = _hard_routed_layer(rng)
+    store, layer = _hard_routed_layer(rng)
     for d in range(2):
         store.set(f"l0.e{d}.0.B", rng.normal(size=(4, 2)))
     x = rng.normal(size=(9, 5))
@@ -182,27 +183,27 @@ def test_zero_init_bypass_matches_dense_bitwise():
     # The gated merged path has the same check in
     # test_zero_init_moe_layer_matches_dense_bitwise.
     rng = np.random.default_rng(43)
-    store, base, layer = _hard_routed_layer(rng)
+    store, layer = _hard_routed_layer(rng)
     x = rng.normal(size=(11, 5))
     for d in range(2):
         np.testing.assert_array_equal(bypass(store, layer, x, d),
-                                      layer_forward(store, base.emit, x))
+                                      layer_forward(store, layer.emit_backbone, x))
 
 
 def test_moe_forward_matches_per_expert_reference():
     rng = np.random.default_rng(31)
     d_in, d_out, rank, alpha = 5, 4, 3, 2.5
     store = ParamStore()
-    base = DenseLayer(store, "l0", d_in, d_out, activation="relu", seed=4)
-    store.set("l0.b", rng.normal(size=d_out))
     keys = [(d, k) for d in range(3) for k in range(2)]
-    layer = MoELayer(store, base, keys, rank=rank, alpha=alpha, n_domains=3, seed=0)
+    layer = MoELayer(store, "l0", d_in, d_out, "relu", keys, rank=rank, alpha=alpha,
+                     n_domains=3, seed=4)
+    store.set("l0.b", rng.normal(size=d_out))
     for d, k in keys:
         store.set(f"l0.e{d}.{k}.B", rng.normal(size=(d_out, rank)))
     store.set("l0.gate.logits", rng.normal(size=(3, len(keys))))
     x = rng.normal(size=(9, d_in))
     for domain in range(3):
-        w = weights(store, layer.gate, domain)
+        w = weights(store, layer, domain)
         mixed = x @ store.get("l0.W").T + store.get("l0.b")
         for j, (d, k) in enumerate(keys):
             A, B = store.get(f"l0.e{d}.{k}.A"), store.get(f"l0.e{d}.{k}.B")
@@ -214,29 +215,26 @@ def test_moe_forward_matches_per_expert_reference():
 def test_param_groups_counts_expert_groups():
     store = ParamStore()
     for li in range(3):
-        base = DenseLayer(store, f"l{li}", 4, 4, seed=li)
-        MoELayer(store, base, [(0, 0), (1, 0)], rank=4, alpha=4.0, n_domains=2, seed=li)
+        MoELayer(store, f"l{li}", 4, 4, "relu", [(0, 0), (1, 0)], rank=4, alpha=4.0,
+                 n_domains=2, seed=li)
     tags = {g for _, g in store.param_groups() if g.startswith("expert(")}
     assert len(tags) == 6
 
 
 def test_layer_construction_errors():
     store = ParamStore()
-    with pytest.raises(AutodiffError, match="activation"):
-        DenseLayer(store, "l0", 2, 2, activation="tanh")
-    base = DenseLayer(store, "l1", 2, 2, seed=0)
+    with pytest.raises(AutodiffError, match="unknown activation 'tanh'"):
+        MoELayer(store, "l0", 2, 2, "tanh", [(0, 0)], rank=4, alpha=4.0, n_domains=1, seed=0)
     with pytest.raises(AutodiffError, match="rank"):
-        MoELayer(store, base, [(0, 0)], rank=0, alpha=4.0, n_domains=1, seed=0)
-    with pytest.raises(AutodiffError, match="expert"):
-        MoELayer(store, base, [], rank=4, alpha=4.0, n_domains=1, seed=0)
-    with pytest.raises(AutodiffError, match="at least one column"):
-        GateNet(store, "g0", n_domains=1, n_cols=0)
+        MoELayer(store, "l0", 2, 2, "relu", [(0, 0)], rank=0, alpha=4.0, n_domains=1, seed=0)
+    with pytest.raises(AutodiffError, match="at least one expert"):
+        MoELayer(store, "l0", 2, 2, "relu", [], rank=4, alpha=4.0, n_domains=1, seed=0)
 
 
 def test_layer_misuse_errors():
     store = ParamStore()
-    base = DenseLayer(store, "l0", 2, 2, seed=0)
-    hard = MoELayer(store, base, [(0, 0)], rank=4, alpha=4.0, n_domains=1, seed=0)
+    hard = MoELayer(store, "l0", 2, 2, "relu", [(0, 0)], rank=4, alpha=4.0, n_domains=1,
+                    seed=0)
     tape = Tape(store)
     with pytest.raises(AutodiffError, match=r"no expert \(0,1\) on layer 'l0'"):
         hard.emit_single_expert(tape, tape.input("x"), 0, 1)

@@ -186,6 +186,55 @@ def test_param_registration_order_is_pinned(mode, experts_per_domain):
     assert got == PINNED_PARAMS[mode]
 
 
+# (op, name) of every node, in push order, of three views of the moe model
+# above.  A refactor that reorders, adds or drops a node changes a graph here.
+PINNED_GRAPHS = {
+    "backbone": [
+        ("param", "emb.u"), ("input", "ids.u"), ("gather", None), ("param", "emb.i"),
+        ("input", "ids.i"), ("gather", None), ("concat", None), ("param", "tower.0.W"),
+        ("matmul", None), ("param", "tower.0.b"), ("add", None), ("relu", None),
+        ("param", "head.W"), ("matmul", None), ("param", "head.b"), ("add", None),
+        ("sigmoid", None), ("input", "y"), ("bce", None),
+    ],
+    "expert:1:1": [
+        ("param", "emb.u"), ("input", "ids.u"), ("gather", None), ("param", "emb.i"),
+        ("input", "ids.i"), ("gather", None), ("concat", None), ("param", "tower.0.W"),
+        ("param", "tower.0.b"), ("param", "tower.0.e1.1.B"), ("scale", None),
+        ("param", "tower.0.e1.1.A"), ("matmul", None), ("add", None), ("matmul", None),
+        ("add", None), ("relu", None), ("param", "head.W"), ("param", "head.b"),
+        ("param", "head.e1.1.B"), ("scale", None), ("param", "head.e1.1.A"), ("matmul", None),
+        ("add", None), ("matmul", None), ("add", None), ("sigmoid", None), ("input", "y"),
+        ("bce", None),
+    ],
+    "mixture": [
+        ("param", "emb.u"), ("input", "ids.u"), ("gather", None), ("param", "emb.i"),
+        ("input", "ids.i"), ("gather", None), ("concat", None), ("input", "domain"),
+        ("param", "tower.0.gate.logits"), ("gather", None), ("softmax", None),
+        ("param", "tower.0.e0.0.A"), ("param", "tower.0.e0.1.A"), ("param", "tower.0.e1.0.A"),
+        ("param", "tower.0.e1.1.A"), ("concat", None), ("param", "tower.0.e0.0.B"),
+        ("param", "tower.0.e0.1.B"), ("param", "tower.0.e1.0.B"), ("param", "tower.0.e1.1.B"),
+        ("concat", None), ("const", None), ("matmul", None), ("param", "tower.0.W"),
+        ("param", "tower.0.b"), ("mul", None), ("matmul", None), ("add", None),
+        ("matmul", None), ("add", None), ("relu", None), ("param", "head.gate.logits"),
+        ("gather", None), ("softmax", None), ("param", "head.e0.0.A"),
+        ("param", "head.e0.1.A"), ("param", "head.e1.0.A"), ("param", "head.e1.1.A"),
+        ("concat", None), ("param", "head.e0.0.B"), ("param", "head.e0.1.B"),
+        ("param", "head.e1.0.B"), ("param", "head.e1.1.B"), ("concat", None), ("const", None),
+        ("matmul", None), ("param", "head.W"), ("param", "head.b"), ("mul", None),
+        ("matmul", None), ("add", None), ("matmul", None), ("add", None), ("sigmoid", None),
+        ("input", "y"), ("bce", None),
+    ],
+}
+
+
+@pytest.mark.parametrize("view", sorted(PINNED_GRAPHS))
+def test_view_graph_is_pinned(view):
+    m = build_model(FeatureSchema((("u", 5), ("i", 4)), 2, n_domains=2), "mlp", "moe",
+                    AdapterConfig(rank=2, alpha=2.0, experts_per_domain=2), hidden=(3,))
+    tape, _, _ = m.tape(view)
+    assert [(node.op, node.meta.get("name")) for node in tape.nodes] == PINNED_GRAPHS[view]
+
+
 def test_mixture_tape_size_does_not_grow_with_experts():
     def op_nodes(experts_per_domain):
         tape, _, _ = tiny("mlp", "moe", experts_per_domain=experts_per_domain).tape("mixture")
