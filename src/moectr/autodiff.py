@@ -14,10 +14,16 @@ the tape's arena, one reused float64 buffer per node grown to the largest
 row count seen (a smaller batch uses leading-row views), and keeps them for
 a ``backward`` from that loss, whose plan writes each VJP into the arena as
 well.  The arena lives until ``Tape.release`` drops it; a later training
-forward grows it again.  Any other forward is forward-only: a value is
-dropped, or its buffer reused in place, after its last reader, and nothing
-is kept once the call returns.  Whatever a call hands out (outputs, losses,
-gradients) is its own array, never a view into the arena.
+forward grows it again.  Any other forward is forward-only, and runs
+through ``Tape.forward_blocks``: the caller binds some inputs once (the
+shared ones) and hands the rest over in blocks of rows.  The plan splits,
+once per output and names of the block inputs, into the steps that read no
+block input, which run once per call, and the row steps, which run once per
+block.  A row value is dropped, or its buffer reused in place, after its
+last reader in the block; a shared value, like a leaf, is never dropped or
+written into while the call runs, and nothing is kept once it ends.  A
+forward-only ``Tape.forward`` is one such block.  Whatever a call hands out
+(outputs, losses, gradients) is its own array, never a view into the arena.
 
 Gradients flow back in reverse node order and accumulate additively, so a
 parameter used in several places receives the sum of its contributions.
@@ -332,8 +338,17 @@ class _ForwardPlan:
     params: list[tuple[int, Param]]
     consts: list[tuple[int, np.ndarray]]
     steps: list[tuple[int, object]]  # (node, run)
-    # Forward-only liveness, per step: the values it reads last (dropped
-    # after it), and those of them whose buffer it may write into.
+
+
+@dataclass
+class _BlockPlan:
+    """A forward plan split for ``forward_blocks``, per names of the block inputs."""
+
+    block_inputs: list[tuple[int, str, np.dtype | None]]
+    shared: list[tuple[int, object]]  # steps that read no block input: once per call
+    rows: list[tuple[int, object]]  # steps that do: once per block
+    # Liveness, per row step: the row values it reads last (dropped after
+    # it), and those of them whose buffer it may write into.
     frees: list[tuple[int, ...]]
     reuse: list[tuple[int, ...]]
 
@@ -352,8 +367,9 @@ class Tape:
     """A static Wengert list over a shared ``ParamStore``.
 
     Build the graph once with the op methods (each returns an integer node
-    id), then call ``forward`` with a dict of input arrays and ``backward``
-    from a loss node.  A tape keeps the values of its last training
+    id), then call ``forward`` with a dict of input arrays (or
+    ``forward_blocks`` to score rows in blocks) and ``backward`` from a
+    loss node.  A tape keeps the values of its last training
     forward, in its arena, until the next forward of any kind, and the
     arena itself until ``release``; a forward-only call keeps nothing.  A
     tape is not safe to share across threads.
@@ -365,6 +381,7 @@ class Tape:
         self._inputs: dict[str, int] = {}
         self._param_nodes: dict[str, int] = {}
         self._forward_plans: dict[int, _ForwardPlan] = {}
+        self._block_plans: dict[tuple, _BlockPlan] = {}
         self._backward_plans: dict[tuple, _BackwardPlan] = {}
         # Training state: flat float64 buffers by slot, the arena views
         # bound per (plan, input shapes), and the last training forward's
@@ -456,14 +473,16 @@ class Tape:
         plan = self._forward_plans.get(output)
         if plan is not None:
             return plan
+        if not (0 <= output < len(self.nodes)):
+            raise AutodiffError(f"output node {output} out of range")
         live = [False] * (output + 1)
         live[output] = True
         for nid in range(output, -1, -1):
             if live[nid]:
                 for a in self.nodes[nid].args:
                     live[a] = True
-        plan = _ForwardPlan(output, [], [], [], [], [], [])
-        last: dict[int, int] = {}  # value -> index of the step that reads it last
+        plan = _ForwardPlan(output, [], [], [], [])
+        read = set()  # nodes read by a step
         values = set()  # nodes read other than as a gather's index
         for nid in range(output + 1):
             node = self.nodes[nid]
@@ -476,21 +495,46 @@ class Tape:
             elif node.op == "const":
                 plan.consts.append((nid, node.meta["value"]))
             else:
-                for a in node.args:
-                    last[a] = len(plan.steps)
+                read.update(node.args)
                 values.update(node.args[:1] if node.op == "gather" else node.args)
                 plan.steps.append((nid, _forward_kernel(nid, node, self.nodes)))
-        plan.inputs = [(nid, name, None if nid in last and nid not in values else _F8)
+        plan.inputs = [(nid, name, None if nid in read and nid not in values else _F8)
                        for nid, name in plan.inputs]
-        for i, (nid, _) in enumerate(plan.steps):
-            node = self.nodes[nid]
-            # Leaves belong to the caller or the store: never freed or reused.
-            dying = tuple(dict.fromkeys(
-                a for a in node.args if last[a] == i and self.nodes[a].op not in _LEAVES))
-            plan.frees.append(dying)
-            plan.reuse.append(dying if node.op in _ELEMENTWISE else ())
         self._forward_plans[output] = plan
         return plan
+
+    def _block_plan(self, plan: _ForwardPlan, names: frozenset) -> _BlockPlan:
+        """Split ``plan``, once per set of block input names, into shared and row steps.
+
+        A row step reads a block input or another row step.  Liveness covers
+        the row steps only: a shared value, like a leaf, lives for the call.
+        """
+        key = (plan.output, names)
+        split = self._block_plans.get(key)
+        if split is not None:
+            return split
+        split = _BlockPlan([i for i in plan.inputs if i[1] in names], [], [], [], [])
+        row = {nid for nid, _, _ in split.block_inputs}
+        for nid, run in plan.steps:
+            if any(a in row for a in self.nodes[nid].args):
+                row.add(nid)
+                split.rows.append((nid, run))
+            else:
+                split.shared.append((nid, run))
+        last: dict[int, int] = {}  # row value -> index of the row step that reads it last
+        for i, (nid, _) in enumerate(split.rows):
+            for a in self.nodes[nid].args:
+                last[a] = i
+        for i, (nid, _) in enumerate(split.rows):
+            node = self.nodes[nid]
+            # Block inputs belong to the caller: never freed or reused.
+            dying = tuple(dict.fromkeys(
+                a for a in node.args
+                if last[a] == i and a in row and self.nodes[a].op != "input"))
+            split.frees.append(dying)
+            split.reuse.append(dying if node.op in _ELEMENTWISE else ())
+        self._block_plans[key] = split
+        return split
 
     def _shape_error(self, nid: int, vals: list) -> ShapeError:
         node = self.nodes[nid]
@@ -514,37 +558,45 @@ class Tape:
             views.append(flat[:size].reshape(shape))
         return views
 
+    @staticmethod
+    def _values(plan: _ForwardPlan) -> list:
+        """A value slot per node up to the output, with the plan's params and consts."""
+        vals: list = [None] * (plan.output + 1)
+        for nid, p in plan.params:
+            vals[nid] = p.value  # read at every call: ``set`` replaces the array
+        for nid, c in plan.consts:
+            vals[nid] = c
+        return vals
+
+    @staticmethod
+    def _bind(vals: list, inputs: dict, specs) -> None:
+        for nid, name, dtype in specs:
+            if name not in inputs:
+                raise AutodiffError(f"input {name!r} not bound")
+            vals[nid] = np.asarray(inputs[name], dtype=dtype)
+
     def forward(self, inputs: dict[str, np.ndarray], output: int) -> np.ndarray:
         """Execute the nodes ``output`` depends on and return its value.
 
         A forward to a loss, a ``bce`` or a full ``reduce_sum`` node, is a
         training forward: values are written into the arena and kept for
         ``backward``.  Any other forward, a 0-d one included, is
-        forward-only and keeps nothing: each value is dropped, or its buffer
-        reused, after its last reader.  Either kind ends the values of an
-        earlier training forward.  The result is the caller's own array.
-        Inputs that ``output`` does not depend on need not be bound.  An
-        input that the graph reads only as a gather's index is bound as
-        given, and the gather refuses one that is not integer or out of its
-        table's range, naming the input; every other input is cast to
-        float64, so integer inputs never compute in integers.
+        forward-only: it is one block of ``forward_blocks``, with every
+        input bound in the block, and keeps nothing.  Either kind ends the
+        values of an earlier training forward.  The result is the caller's
+        own array.  Inputs that ``output`` does not depend on need not be
+        bound.  An input that the graph reads only as a gather's index is
+        bound as given, and the gather refuses one that is not integer or
+        out of its table's range, naming the input; every other input is
+        cast to float64, so integer inputs never compute in integers.
         """
-        if not (0 <= output < len(self.nodes)):
-            raise AutodiffError(f"output node {output} out of range")
         plan = self._forward_plan(output)
-        self._train = None
-        vals: list = [None] * (output + 1)
-        for nid, name, dtype in plan.inputs:
-            if name not in inputs:
-                raise AutodiffError(f"input {name!r} not bound")
-            vals[nid] = np.asarray(inputs[name], dtype=dtype)
-        for nid, p in plan.params:
-            vals[nid] = p.value  # read at every call: ``set`` replaces the array
-        for nid, c in plan.consts:
-            vals[nid] = c
         node = self.nodes[output]
         if not (node.op == "bce" or (node.op == "reduce_sum" and node.meta["axis"] is None)):
-            return self._forward_only(plan, vals)
+            return next(self.forward_blocks({}, [inputs], output))
+        self._train = None
+        vals = self._values(plan)
+        self._bind(vals, inputs, plan.inputs)
         # Output shapes follow from the input shapes, so views are bound per
         # input signature; the first call of a signature allocates and
         # learns the shapes.
@@ -564,22 +616,48 @@ class Tape:
         self._train = (plan, vals, sig)
         return vals[output].copy()
 
-    def _forward_only(self, plan: _ForwardPlan, vals: list) -> np.ndarray:
-        try:
-            for (nid, run), frees, reuse in zip(plan.steps, plan.frees, plan.reuse):
-                out = None
-                if reuse:
-                    shape = np.broadcast_shapes(*(vals[a].shape for a in self.nodes[nid].args))
-                    out = next((vals[a] for a in reuse if vals[a].shape == shape), None)
-                vals[nid] = run(vals, out)
-                for a in frees:
-                    vals[a] = None
-        except AutodiffError:
-            raise
-        except ValueError as e:
-            raise self._shape_error(nid, vals) from e
-        out = vals[plan.output]
-        return out.copy() if self.nodes[plan.output].op in _LEAVES else out
+    def forward_blocks(self, shared: dict[str, np.ndarray], blocks, output: int):
+        """Yield the value of ``output`` for each block of rows, forward-only.
+
+        ``shared`` binds the inputs every block reads alike (a domain index,
+        say); each dict of ``blocks`` binds the rest, the same names in
+        every block.  The steps that read no block input run once, at the
+        first block; the row steps run once per block, each row value
+        dropped, or its buffer reused, after its last reader.  Inputs are
+        bound and checked as by ``forward``.  Each value yielded is the
+        caller's own array, and nothing is kept once the generator ends.
+        Iterating it ends the values of an earlier training forward.
+        """
+        plan = self._forward_plan(output)
+        self._train = None
+        vals = self._values(plan)
+        split = None
+        for block in blocks:
+            steps = []
+            if split is None:
+                names = frozenset(block).intersection(name for _, name, _ in plan.inputs)
+                split = self._block_plan(plan, names)
+                self._bind(vals, shared, [i for i in plan.inputs if i[1] not in names])
+                steps = [(step, (), ()) for step in split.shared]
+                # The output is the block's own array only if a row step makes it.
+                copy = not split.rows or split.rows[-1][0] != output
+            self._bind(vals, block, split.block_inputs)
+            steps += zip(split.rows, split.frees, split.reuse)
+            try:
+                for (nid, run), frees, reuse in steps:
+                    out = None
+                    if reuse:
+                        shape = np.broadcast_shapes(
+                            *(vals[a].shape for a in self.nodes[nid].args))
+                        out = next((vals[a] for a in reuse if vals[a].shape == shape), None)
+                    vals[nid] = run(vals, out)
+                    for a in frees:
+                        vals[a] = None
+            except AutodiffError:
+                raise
+            except ValueError as e:
+                raise self._shape_error(nid, vals) from e
+            yield vals[output].copy() if copy else vals[output]
 
     def release(self) -> None:
         """Drop the training arena, its bound views and the last training forward.

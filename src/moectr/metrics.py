@@ -164,7 +164,6 @@ def evaluate(model: CtrModel, ds: Dataset, view: str | None = None) -> MetricsRe
     if ds.schema.n_domains != model.schema.n_domains:
         raise ValueError("dataset and model disagree on the number of domains")
     sp = sparsity(ds)
-    counts = ds.domain_counts()
     per_auc: list[tuple[float | None, int]] = []
     notes: list[str] = []
     for d in range(ds.schema.n_domains):
@@ -177,7 +176,7 @@ def evaluate(model: CtrModel, ds: Dataset, view: str | None = None) -> MetricsRe
         a = auc(ds.labels[rows], probs)
         if a is None:
             notes.append(f"domain {d}: single-class split, AUC undefined")
-        per_auc.append((a, int(counts[d])))
+        per_auc.append((a, int(rows.size)))
     entries = [(a, float(n)) for a, n in per_auc]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

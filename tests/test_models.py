@@ -1,12 +1,14 @@
 import json
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import byte_identity
 from helpers import fm_pairwise, grad_check, model_loss_fn, sample_inputs, wide_logit
+from moectr import autodiff
 from moectr.autodiff import AutodiffError, Tape
 from moectr.models import (
     PREDICT_BLOCK_ROWS,
@@ -565,6 +567,22 @@ def _on_fixture_platform() -> bool:
         return json.load(fh)["platform"] == byte_identity.fingerprint()
 
 
+def _count_blocks(monkeypatch) -> list[int]:
+    """Patch ``Tape.forward_blocks`` to note the rows of each block it runs."""
+    rows = []
+    forward_blocks = Tape.forward_blocks
+
+    def counted(self, shared, blocks, output):
+        def noted():
+            for block in blocks:
+                rows.append(len(block["ids.user_id"]))
+                yield block
+        return forward_blocks(self, shared, noted(), output)
+
+    monkeypatch.setattr(Tape, "forward_blocks", counted)
+    return rows
+
+
 @pytest.mark.parametrize("mode", ["plain", "mlora", "moe"])
 @pytest.mark.parametrize("rows,forwards", [
     (PREDICT_BLOCK_ROWS * 5 // 2, 3),  # a half-block tail runs on its own
@@ -576,14 +594,7 @@ def test_blocked_predict_matches_one_unblocked_forward(monkeypatch, mode, rows, 
     ids = rand_ids(rows, seed=5)
     tape, p_node, _ = m.tape(m.predict_view(1))
     want = tape.forward(m.bind_inputs(ids, 1), output=p_node).reshape(-1)
-    calls = []
-    forward = Tape.forward
-
-    def counted(self, inputs, output):
-        calls.append(len(inputs["ids.user_id"]))
-        return forward(self, inputs, output)
-
-    monkeypatch.setattr(Tape, "forward", counted)
+    calls = _count_blocks(monkeypatch)
     got = m.predict(ids, 1)
     assert len(calls) == forwards and sum(calls) == rows
     assert got.shape == (rows,) and got.dtype == np.float64
@@ -610,6 +621,67 @@ def test_predict_memory_is_bounded_by_one_block():
     # One pass over all ten blocks' rows would hold several (rows, 64)
     # values at once, 20 MiB each; a block's are a tenth of that.
     assert peak < p.nbytes + 2 * PREDICT_BLOCK_ROWS * 64 * 8
+
+
+def _reads_ids(tape, nid) -> bool:
+    """Whether node ``nid`` depends on an ``ids.<field>`` input."""
+    node = tape.nodes[nid]
+    if node.op == "input":
+        return node.meta["name"].startswith("ids.")
+    return any(_reads_ids(tape, a) for a in node.args)
+
+
+@pytest.mark.parametrize("mode", ["plain", "mlora", "moe"])
+def test_a_three_block_predict_runs_each_row_independent_step_once(monkeypatch, mode):
+    runs = Counter()
+    kernel = autodiff._forward_kernel
+
+    def counting(nid, node, nodes):
+        run = kernel(nid, node, nodes)
+
+        def counted(vals, out):
+            runs[nid] += 1
+            return run(vals, out)
+        return counted
+
+    monkeypatch.setattr(autodiff, "_forward_kernel", counting)
+    m = _randomized(tiny("mlp", mode, seed=4), seed=3)  # compiles no plan
+    m.predict(rand_ids(3 * PREDICT_BLOCK_ROWS, seed=5), 1)
+    tape = m.tape(m.predict_view(1))[0]
+    once = {nid for nid in runs if not _reads_ids(tape, nid)}
+    assert all(runs[nid] == (1 if nid in once else 3) for nid in runs)
+    ops = Counter(tape.nodes[nid].op for nid in once)
+    # Per layer: backbone none; the bypass form's scaled B, B @ A and
+    # merged W; the mixture's gate, softmax, concats and merged weight too.
+    assert ops == {"plain": {}, "mlora": {"scale": 3, "matmul": 3, "add": 3},
+                   "moe": {"gather": 3, "softmax": 3, "concat": 6, "matmul": 6,
+                           "mul": 3, "add": 3}}[mode]
+
+
+@pytest.mark.parametrize("mode", ["plain", "mlora", "moe"])
+def test_a_three_block_predict_equals_three_one_block_predicts(monkeypatch, mode):
+    m = _randomized(tiny("mlp", mode, seed=4), seed=3)
+    ids = rand_ids(3 * PREDICT_BLOCK_ROWS, seed=5)
+    before = m.store.group_checksum(lambda g: True)
+    blocks = _count_blocks(monkeypatch)
+    got = m.predict(ids, 1)
+    assert blocks == [PREDICT_BLOCK_ROWS] * 3
+    # A block that wrote into a value all blocks share, or into a
+    # parameter, would move the blocks after it or the checksum.
+    want = [m.predict(ids[i:i + PREDICT_BLOCK_ROWS], 1)
+            for i in range(0, ids.shape[0], PREDICT_BLOCK_ROWS)]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    assert m.store.group_checksum(lambda g: True) == before
+
+
+@pytest.mark.parametrize("mode", ["plain", "mlora", "moe"])
+def test_an_out_of_range_id_in_the_last_block_is_refused_naming_its_field(mode):
+    m = tiny("mlp", mode)
+    ids = rand_ids(3 * PREDICT_BLOCK_ROWS, seed=5)
+    ids[-1, 1] = 11
+    with pytest.raises(ValueError, match=re.escape(
+            "index out of range for table of 11 rows (input 'ids.item_id')")):
+        m.predict(ids, 1)
 
 
 @pytest.mark.parametrize("fields,named", [
