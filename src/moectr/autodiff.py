@@ -13,17 +13,18 @@ full ``reduce_sum`` node, is a training forward.  It writes every value into
 the tape's arena, one reused float64 buffer per node grown to the largest
 row count seen (a smaller batch uses leading-row views), and keeps them for
 a ``backward`` from that loss, whose plan writes each VJP into the arena as
-well.  The arena lives until ``Tape.release`` drops it; a later training
-forward grows it again.  Any other forward is forward-only, and runs
-through ``Tape.forward_blocks``: the caller binds some inputs once (the
-shared ones) and hands the rest over in blocks of rows.  The plan splits,
-once per output and names of the block inputs, into the steps that read no
-block input, which run once per call, and the row steps, which run once per
-block.  A row value is dropped, or its buffer reused in place, after its
-last reader in the block; a shared value, like a leaf, is never dropped or
-written into while the call runs, and nothing is kept once it ends.  A
-forward-only ``Tape.forward`` is one such block.  Whatever a call hands out
-(outputs, losses, gradients) is its own array, never a view into the arena.
+well.  The arena lives until ``Tape.release`` drops it, or a forward-only
+call does; a later training forward grows it again.  Any other forward is
+forward-only, and runs through ``Tape.forward_blocks``: the caller binds
+some inputs once (the shared ones) and hands the rest over in blocks of
+rows.  The plan splits, once per output and names of the block inputs,
+into the steps that read no block input, which run once per call, and the
+row steps, which run once per block.  A row value is dropped, or its
+buffer reused in place, after its last reader in the block; a shared
+value, like a leaf, is never dropped or written into while the call runs,
+and nothing is kept once it ends.  A forward-only ``Tape.forward`` is one
+such block.  Whatever a call hands out (outputs, losses, gradients) is its
+own array, never a view into the arena.
 
 Gradients flow back in reverse node order and accumulate additively, so a
 parameter used in several places receives the sum of its contributions.
@@ -371,8 +372,10 @@ class Tape:
     ``forward_blocks`` to score rows in blocks) and ``backward`` from a
     loss node.  A tape keeps the values of its last training
     forward, in its arena, until the next forward of any kind, and the
-    arena itself until ``release``; a forward-only call keeps nothing.  A
-    tape is not safe to share across threads.
+    arena itself until ``release`` or the next forward-only call, which
+    keeps nothing.  So validation between training steps reuses the
+    training arena's memory instead of adding to it.  A tape is not safe
+    to share across threads.
     """
 
     def __init__(self, store: ParamStore):
@@ -582,13 +585,14 @@ class Tape:
         training forward: values are written into the arena and kept for
         ``backward``.  Any other forward, a 0-d one included, is
         forward-only: it is one block of ``forward_blocks``, with every
-        input bound in the block, and keeps nothing.  Either kind ends the
-        values of an earlier training forward.  The result is the caller's
-        own array.  Inputs that ``output`` does not depend on need not be
-        bound.  An input that the graph reads only as a gather's index is
-        bound as given, and the gather refuses one that is not integer or
-        out of its table's range, naming the input; every other input is
-        cast to float64, so integer inputs never compute in integers.
+        input bound in the block, keeps nothing and drops the arena.
+        Either kind ends the values of an earlier training forward.  The
+        result is the caller's own array.  Inputs that ``output`` does not
+        depend on need not be bound.  An input that the graph reads only
+        as a gather's index is bound as given, and the gather refuses one
+        that is not integer or out of its table's range, naming the input;
+        every other input is cast to float64, so integer inputs never
+        compute in integers.
         """
         plan = self._forward_plan(output)
         node = self.nodes[output]
@@ -626,10 +630,11 @@ class Tape:
         dropped, or its buffer reused, after its last reader.  Inputs are
         bound and checked as by ``forward``.  Each value yielded is the
         caller's own array, and nothing is kept once the generator ends.
-        Iterating it ends the values of an earlier training forward.
+        Iterating it releases the tape: the values of an earlier training
+        forward end and its arena is dropped.
         """
         plan = self._forward_plan(output)
-        self._train = None
+        self.release()
         vals = self._values(plan)
         split = None
         for block in blocks:
@@ -662,8 +667,9 @@ class Tape:
     def release(self) -> None:
         """Drop the training arena, its bound views and the last training forward.
 
-        Compiled plans stay.  ``backward`` then raises until the next
-        training forward, which grows the arena again as on a fresh tape.
+        Every forward-only call starts with this.  Compiled plans stay.
+        ``backward`` then raises until the next training forward, which
+        grows the arena again as on a fresh tape.
         """
         self._arena.clear()
         self._bound.clear()

@@ -3,7 +3,8 @@
 On-disk format is a UTF-8 CSV with header ``user_id,item_id,domain_id,label``
 plus optional trailing context columns; all values are non-negative integers
 and labels are 0/1.  In memory a ``Dataset`` keeps the id columns, labels,
-and domains as flat numpy arrays in file order.
+and domains as flat numpy arrays in file order, each in the narrowest
+unsigned type its schema allows.
 
 The generator plants a latent structure that domain-specific adapters can
 actually exploit: users and items each belong to one of four hidden
@@ -45,24 +46,38 @@ DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 
 @dataclass(frozen=True)
 class Batch:
-    """Rows of one training step, as the dataset holds them; the tape casts labels to float64."""
+    """Rows of one training step, in the dataset's column types; the tape casts labels to float64."""
 
-    ids: np.ndarray      # (n, n_fields) int64
-    labels: np.ndarray   # (n,) int64, 0 or 1
+    ids: np.ndarray      # (n, n_fields), the dataset's id type
+    labels: np.ndarray   # (n,) uint8, 0 or 1
 
 
 def _whole(values, column: str) -> np.ndarray:
-    """``values`` as int64; a fractional or non-finite float is an error, not truncated."""
+    """``values`` as an integer array, for range checks.
+
+    Integer and bool input is returned in the dtype it arrives in, so a
+    narrow column is never widened.  Anything else becomes int64, and a
+    fractional or non-finite float is an error, not truncated.
+    """
     arr = np.asarray(values)
+    if arr.dtype.kind in "iub":
+        return arr
     if arr.dtype.kind == "f":
         bad = ~np.isfinite(arr) | (arr != np.trunc(arr))
         if bad.any():
             raise ValueError(f"{column} holds {arr[bad][0]}, which is not a whole number")
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(np.int64)
 
 
 class Dataset:
-    """Rows of (feature ids, label, domain) under a fixed schema."""
+    """Rows of (feature ids, label, domain) under a fixed schema.
+
+    The schema alone fixes the column types: ids take the smallest unsigned
+    type that holds the largest cardinality less one, labels are uint8, and
+    domains take the smallest unsigned type that holds ``n_domains - 1``.
+    With at most 65,536 ids per field and 256 domains, a row of two ids
+    costs 6 bytes.  Every subset, split and batch keeps these types.
+    """
 
     def __init__(self, schema: FeatureSchema, ids: np.ndarray,
                  labels: np.ndarray, domains: np.ndarray):
@@ -81,16 +96,16 @@ class Dataset:
             col = _whole(ids[:, f], f"field {fname!r}")
             if col.min() < 0 or col.max() >= card:
                 raise ValueError(f"field {fname!r} has ids outside [0, {card})")
-        ids = ids.astype(np.int64, copy=False)
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
         if domains.min() < 0 or domains.max() >= schema.n_domains:
             raise ValueError(
                 f"domain ids must lie in [0, {schema.n_domains})")
+        max_card = max(card for _, card in schema.fields)
         self.schema = schema
-        self.ids = ids
-        self.labels = labels
-        self.domains = domains
+        self.ids = ids.astype(np.min_scalar_type(max_card - 1), copy=False)
+        self.labels = labels.astype(np.uint8, copy=False)
+        self.domains = domains.astype(np.min_scalar_type(schema.n_domains - 1), copy=False)
 
     def __len__(self) -> int:
         return self.ids.shape[0]

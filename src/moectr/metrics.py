@@ -103,7 +103,7 @@ def sparsity(ds: Dataset) -> SparsityReport:
     n_items = ds.schema.fields[1][1]
     n_domains = ds.schema.n_domains
     grid = float(n_users) * float(n_items)
-    codes = ds.ids[:, 0] * n_items + ds.ids[:, 1]
+    codes = ds.ids[:, 0].astype(np.int64) * n_items + ds.ids[:, 1]  # U * I overflows the id type
     keys = np.sort(codes * n_domains + ds.domains)
     keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
     per_domain = np.bincount(keys % n_domains, minlength=n_domains).tolist()

@@ -14,6 +14,7 @@ from moectr.data import (
     write_synthetic,
 )
 from moectr.data import _sample_pairs
+from moectr.metrics import sparsity
 from moectr.models import FeatureSchema
 from moectr.training import TrainConfig, train_pipeline
 
@@ -104,6 +105,74 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.domains, ds.domains)
 
 
+@pytest.mark.parametrize("card,want", [(256, np.uint8), (257, np.uint16), (65_537, np.uint32)])
+def test_ids_take_the_smallest_unsigned_type_of_the_largest_cardinality(card, want):
+    schema = FeatureSchema((("user_id", 3), ("item_id", card)), n_domains=2)
+    ds = Dataset(schema, np.array([[2, card - 1], [0, 0]]), np.array([1, 0]), np.array([0, 1]))
+    assert ds.ids.dtype == want
+    np.testing.assert_array_equal(ds.ids, [[2, card - 1], [0, 0]])
+
+
+@pytest.mark.parametrize("n_domains,want", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_domains_take_the_smallest_unsigned_type_of_the_domain_count(n_domains, want):
+    schema = FeatureSchema((("user_id", 3),), n_domains=n_domains)
+    ds = Dataset(schema, np.array([[2], [0]]), np.array([True, False]),
+                 np.array([n_domains - 1, 0]))
+    assert ds.domains.dtype == want and ds.labels.dtype == np.uint8
+    np.testing.assert_array_equal(ds.domains, [n_domains - 1, 0])
+
+
+def test_a_row_costs_six_bytes_on_the_benchmark_schema_and_keeps_its_types():
+    ds = generate_synthetic(SyntheticSpec(n_domains=4, n_users=2000, n_items=2500,
+                                          rows_per_domain=300))
+    assert ds.ids.nbytes + ds.labels.nbytes + ds.domains.nbytes == 6 * len(ds)
+    types = (np.uint16, np.uint8, np.uint8)
+    for part in split_dataset(ds) + (ds.subset([3, 0]),):
+        assert (part.ids.dtype, part.labels.dtype, part.domains.dtype) == types
+    batch = ds.batch([5, 1])
+    assert (batch.ids.dtype, batch.labels.dtype) == types[:2]
+
+
+def test_csv_bytes_and_values_survive_a_round_trip(tmp_path):
+    rng = np.random.default_rng(12)
+    fields = (("user_id", 300), ("item_id", 40), ("hour", 24))
+    n = 200
+    ids = np.column_stack([rng.integers(0, card, n) for _, card in fields])
+    labels, domains = rng.integers(0, 2, n), np.arange(n) % 3
+    ds = Dataset(FeatureSchema(fields, n_domains=3), ids, labels, domains)
+    path, again = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(ds, path)
+    # The bytes of the same rows written from int64 columns.
+    ref = tmp_path / "ref.csv"
+    cols = np.column_stack([ids[:, :2], domains, labels, ids[:, 2:]]).astype(np.int64)
+    np.savetxt(ref, cols, fmt="%d", delimiter=",",
+               header="user_id,item_id,domain_id,label,hour", comments="")
+    assert path.read_bytes() == ref.read_bytes()
+    back = load_csv(path)
+    np.testing.assert_array_equal(back.ids, ids)
+    np.testing.assert_array_equal(back.labels, labels)
+    np.testing.assert_array_equal(back.domains, domains)
+    write_csv(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_sparsity_counts_pairs_whose_codes_overflow_the_id_type():
+    rng = np.random.default_rng(13)
+    schema = FeatureSchema((("user_id", 300), ("item_id", 300)), n_domains=3)
+    n = 3000
+    ids = np.column_stack([rng.integers(0, 300, n), rng.integers(0, 300, n)])
+    ids[-200:] = ids[:200]  # repeated pairs, some in another domain
+    domains = rng.integers(0, 3, n)
+    ds = Dataset(schema, ids, rng.integers(0, 2, n), domains)
+    assert ds.ids.dtype == np.uint16 and 299 * 300 + 299 > np.iinfo(np.uint16).max
+    pairs = [(int(u), int(i)) for u, i in ids]
+    grid = 300.0 * 300.0
+    rep = sparsity(ds)
+    assert rep.overall == 1.0 - len(set(pairs)) / grid
+    assert rep.per_domain == tuple(
+        1.0 - len({p for p, dd in zip(pairs, domains) if dd == d}) / grid for d in range(3))
+
+
 def test_csv_round_trips_a_context_field_and_trains_on_it(tmp_path):
     rng = np.random.default_rng(11)
     fields = (("user_id", 20), ("item_id", 15), ("hour", 24))
@@ -173,7 +242,7 @@ def test_integral_floats_and_bools_are_accepted():
     schema = FeatureSchema((("user_id", 5), ("item_id", 5)), n_domains=2)
     ds = Dataset(schema, np.array([[1.0, 2.0], [3.0, 0.0]]), np.array([True, False]),
                  np.array([1.0, 0.0]))
-    assert ds.ids.dtype == ds.labels.dtype == ds.domains.dtype == np.int64
+    assert ds.ids.dtype == ds.labels.dtype == ds.domains.dtype == np.uint8
     np.testing.assert_array_equal(ds.ids, [[1, 2], [3, 0]])
     np.testing.assert_array_equal(ds.labels, [1, 0])
     np.testing.assert_array_equal(ds.domains, [1, 0])

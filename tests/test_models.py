@@ -520,6 +520,22 @@ def test_a_released_tape_trains_again_as_a_fresh_tape(view):
     assert again == _bits(*_step(build(), view, ids[:7], y[:7], 1))
 
 
+@pytest.mark.parametrize("view", ["mixture", "expert:1:0", "backbone"])
+def test_a_predict_drops_the_training_arena_and_the_next_step_keeps_its_bits(view):
+    def build():
+        return _randomized(tiny("wdl", "moe", seed=5, experts_per_domain=2), seed=2)
+
+    ids, later = rand_ids(40, seed=3), rand_ids(40, seed=8)
+    y = (np.random.default_rng(4).random(40) > 0.5).astype(float)
+    used, never = build(), build()
+    for model in (used, never):
+        _step(model, view, ids, y, 1)
+    tape = used.tape(view)[0]
+    used.predict(ids, 1, view=view)
+    assert not tape._arena and not tape._bound and tape._train is None
+    assert _bits(*_step(used, view, later, y, 1)) == _bits(*_step(never, view, later, y, 1))
+
+
 def test_handed_out_arrays_survive_later_calls_at_the_same_row_count():
     m = _randomized(tiny("mlp", "moe", seed=6, experts_per_domain=2))
     ids_a, ids_b = rand_ids(30, seed=1), rand_ids(30, seed=2)
