@@ -8,23 +8,21 @@ the graph reads only as a gather's index is bound as given, and every other
 input is cast to float64 once, as it is bound.
 
 Each output node is compiled once into a plan: one bound kernel per node it
-depends on, with its operand slots.  A forward to a loss, a ``bce`` or a
-full ``reduce_sum`` node, is a training forward.  It writes every value into
-the tape's arena, one reused float64 buffer per node grown to the largest
-row count seen (a smaller batch uses leading-row views), and keeps them for
-a ``backward`` from that loss, whose plan writes each VJP into the arena as
-well.  The arena lives until ``Tape.release`` drops it, or a forward-only
-call does; a later training forward grows it again.  Any other forward is
-forward-only, and runs through ``Tape.forward_blocks``: the caller binds
-some inputs once (the shared ones) and hands the rest over in blocks of
-rows.  The plan splits, once per output and names of the block inputs,
-into the steps that read no block input, which run once per call, and the
-row steps, which run once per block.  A row value is dropped, or its
-buffer reused in place, after its last reader in the block; a shared
-value, like a leaf, is never dropped or written into while the call runs,
-and nothing is kept once it ends.  A forward-only ``Tape.forward`` is one
-such block.  Whatever a call hands out (outputs, losses, gradients) is its
-own array, never a view into the arena.
+depends on, with its operand slots.  ``Tape.forward`` is the training
+forward.  It writes every value into the tape's arena, one reused float64
+buffer per node grown to the largest row count seen (a smaller batch uses
+leading-row views), and keeps them for a ``backward`` from its output,
+whose plan writes each VJP into the arena as well.  The arena lives until
+``Tape.release`` drops it, or a forward-only call does; a later training
+forward grows it again.  ``Tape.forward_blocks`` is the one forward-only
+call: the caller binds some inputs once (the shared ones) and hands the
+rest over in blocks of rows.  The plan splits, once per output and names of
+the block inputs, into the steps that read no block input, which run once
+per call, and the row steps, which run once per block.  A row value is
+dropped, or its buffer reused in place, after its last reader in the block;
+a shared value, like a leaf, is never dropped or written into while the
+call runs, and nothing is kept once it ends.  Whatever a call hands out
+(outputs, losses, gradients) is its own array, never a view into the arena.
 
 Gradients flow back in reverse node order and accumulate additively, so a
 parameter used in several places receives the sum of its contributions.
@@ -368,14 +366,13 @@ class Tape:
     """A static Wengert list over a shared ``ParamStore``.
 
     Build the graph once with the op methods (each returns an integer node
-    id), then call ``forward`` with a dict of input arrays (or
-    ``forward_blocks`` to score rows in blocks) and ``backward`` from a
-    loss node.  A tape keeps the values of its last training
-    forward, in its arena, until the next forward of any kind, and the
-    arena itself until ``release`` or the next forward-only call, which
-    keeps nothing.  So validation between training steps reuses the
-    training arena's memory instead of adding to it.  A tape is not safe
-    to share across threads.
+    id), then call ``forward`` with a dict of input arrays and ``backward``
+    from its 0-d output, or ``forward_blocks`` to score rows in blocks.  A
+    tape keeps the values of its last ``forward``, in its arena, until the
+    next forward of either kind, and the arena itself until ``release`` or
+    the next ``forward_blocks``, which keeps nothing.  So validation between
+    training steps reuses the training arena's memory instead of adding to
+    it.  A tape is not safe to share across threads.
     """
 
     def __init__(self, store: ParamStore):
@@ -581,23 +578,15 @@ class Tape:
     def forward(self, inputs: dict[str, np.ndarray], output: int) -> np.ndarray:
         """Execute the nodes ``output`` depends on and return its value.
 
-        A forward to a loss, a ``bce`` or a full ``reduce_sum`` node, is a
-        training forward: values are written into the arena and kept for
-        ``backward``.  Any other forward, a 0-d one included, is
-        forward-only: it is one block of ``forward_blocks``, with every
-        input bound in the block, keeps nothing and drops the arena.
-        Either kind ends the values of an earlier training forward.  The
-        result is the caller's own array.  Inputs that ``output`` does not
-        depend on need not be bound.  An input that the graph reads only
-        as a gather's index is bound as given, and the gather refuses one
-        that is not integer or out of its table's range, naming the input;
-        every other input is cast to float64, so integer inputs never
-        compute in integers.
+        The values are written into the arena and kept for ``backward``
+        until the next forward of either kind.  The result is the caller's
+        own array.  Inputs that ``output`` does not depend on need not be
+        bound.  An input that the graph reads only as a gather's index is
+        bound as given, and the gather refuses one that is not integer or
+        out of its table's range, naming the input; every other input is
+        cast to float64, so integer inputs never compute in integers.
         """
         plan = self._forward_plan(output)
-        node = self.nodes[output]
-        if not (node.op == "bce" or (node.op == "reduce_sum" and node.meta["axis"] is None)):
-            return next(self.forward_blocks({}, [inputs], output))
         self._train = None
         vals = self._values(plan)
         self._bind(vals, inputs, plan.inputs)
@@ -618,7 +607,7 @@ class Tape:
             self._bound[key] = self._views(
                 [(("value", nid), vals[nid].shape) for nid, _ in plan.steps])
         self._train = (plan, vals, sig)
-        return vals[output].copy()
+        return np.array(vals[output])  # numpy gives a 0-d result as a scalar when out is None
 
     def forward_blocks(self, shared: dict[str, np.ndarray], blocks, output: int):
         """Yield the value of ``output`` for each block of rows, forward-only.
@@ -720,7 +709,7 @@ class Tape:
         return plan
 
     def backward(self, loss: int, wrt) -> dict[str, np.ndarray]:
-        """Gradients of ``loss``, the output of the last training forward, for ``wrt``.
+        """Gradients of ``loss``, the 0-d output of the last ``forward``, for ``wrt``.
 
         ``wrt`` names the parameters to differentiate; of them, those the
         loss reaches are returned, and any other name is absent.  Work that
@@ -728,19 +717,20 @@ class Tape:
         with a name of ``wrt`` upstream, and with none the result is ``{}``
         at once.  Pruning must not reorder how a returned gradient
         accumulates, so it matches a backward over every parameter bit for
-        bit.  Must follow the training forward to ``loss`` (a ``bce`` or
-        full ``reduce_sum`` node), with no other forward in between; any
-        other node is refused.  The gradients returned are the caller's
-        own arrays.
+        bit.  Must follow the ``forward`` to ``loss`` with no other forward
+        in between; any other node, and an output that is not a scalar, is
+        refused.  The gradients returned are the caller's own arrays.
         """
         if self._train is None:
-            raise AutodiffError(
-                "backward needs the values of a training forward (a forward to a "
-                "scalar loss: bce or a full reduce_sum) and the last forward kept none")
+            raise AutodiffError("backward needs the values of a training forward, "
+                                "and the last forward kept none")
         plan, vals, sig = self._train
         if loss != plan.output:
             raise AutodiffError(f"backward from node {loss}, but the last training "
                                 f"forward computed node {plan.output}")
+        if np.ndim(vals[loss]) != 0:
+            raise AutodiffError(f"backward from node {loss}, whose value has shape "
+                                f"{np.shape(vals[loss])}: a loss must be a scalar")
         bplan = self._backward_plan(loss, wrt)
         key = ("backward", bplan.key, sig)
         bound = self._bound.get(key)

@@ -35,7 +35,7 @@ __all__ = [
     "split_dataset",
     "generate_synthetic",
     "write_synthetic",
-    "batch_iter",
+    "shuffled_batches",
     "domain_batches",
 ]
 
@@ -127,7 +127,15 @@ class Dataset:
 
 
 def write_csv(ds: Dataset, path) -> None:
-    """Serialize a dataset; the same dataset always yields identical bytes."""
+    """Serialize a dataset; the same dataset always yields identical bytes.
+
+    The format names its first two columns ``user_id`` and ``item_id``, so a
+    schema whose first two fields are named otherwise is refused.
+    """
+    names = [n for n, _ in ds.schema.fields[:2]]
+    if names != list(BASE_COLUMNS[:2]):
+        raise ValueError(f"write_csv needs a schema whose first two fields are "
+                         f"user_id and item_id, got {names}")
     header = list(BASE_COLUMNS) + [n for n, _ in ds.schema.fields[2:]]
     cols = np.column_stack([ds.ids[:, :2], ds.domains, ds.labels, ds.ids[:, 2:]])
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -238,38 +246,35 @@ def split_dataset(ds: Dataset, ratios: tuple[float, float, float] = DEFAULT_RATI
     return tuple(out)
 
 
-def batch_iter(ds: Dataset, batch_size: int, seed: int = 0, epoch: int = 0):
-    """Yield batches covering every row exactly once.
+def shuffled_batches(rows, batch_size: int, rng) -> list[np.ndarray]:
+    """``rng.permutation(rows)`` cut into pieces of ``batch_size``; the last may be short.
 
-    Rows come in a permutation determined by (seed, epoch).  The last batch
-    may be short.
+    The one batch rule of training.  ``rows`` is an index array, or a count
+    n for ``np.arange(n)``; the order is ``rows[rng.permutation(rows.size)]``
+    either way, but shuffling a copy of ``rows`` holds one index array fewer.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n = len(ds)
-    order = np.random.default_rng([seed, epoch]).permutation(n)
-    for start in range(0, n, batch_size):
-        yield ds.batch(order[start : start + batch_size])
+    order = rng.permutation(rows)
+    return [order[start : start + batch_size] for start in range(0, order.size, batch_size)]
 
 
 def domain_batches(ds: Dataset, batch_size: int, seed: int = 0,
                    epoch: int = 0) -> list[tuple[int, np.ndarray]]:
     """Single-domain batches for one epoch, in a deterministic shuffled order.
 
-    Each domain's rows are shuffled and chunked once per epoch, so every row
-    appears exactly once and a domain gets batches in proportion to its size;
-    a domain with no rows gets none.  The batches of all domains are then
-    shuffled together.
+    One generator, keyed ``[seed, epoch]``, cuts each domain's rows by
+    ``shuffled_batches`` in domain order, so every row appears exactly once
+    and a domain gets batches in proportion to its size; a domain with no
+    rows gets none and draws nothing.  The batches of all domains are then
+    shuffled together by the same generator.
     """
-    per_domain: list[tuple[int, np.ndarray]] = []
     rng = np.random.default_rng([seed, epoch])
+    per_domain: list[tuple[int, np.ndarray]] = []
     for d in range(ds.schema.n_domains):
         rows = ds.rows_of_domain(d)
-        if rows.size == 0:
-            continue
-        perm = rows[rng.permutation(rows.size)]
-        for start in range(0, perm.size, batch_size):
-            per_domain.append((d, perm[start : start + batch_size]))
+        if rows.size:
+            per_domain += [(d, b) for b in shuffled_batches(rows, batch_size, rng)]
     order = rng.permutation(len(per_domain))
     return [per_domain[i] for i in order]
 

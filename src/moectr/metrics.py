@@ -97,8 +97,12 @@ def sparsity(ds: Dataset) -> SparsityReport:
 
     The grid size comes from the schema cardinalities; duplicates of the
     same pair count once.  Reported per domain and over all domains pooled,
-    from one sort of the (pair, domain) keys.
+    from one sort of the (pair, domain) keys.  The item field is the
+    schema's second; a schema without one is refused.
     """
+    if len(ds.schema.fields) < 2:
+        raise ValueError(f"sparsity needs an item field after {ds.schema.fields[0][0]!r}, "
+                         f"and this schema has no second field")
     n_users = ds.schema.fields[0][1]
     n_items = ds.schema.fields[1][1]
     n_domains = ds.schema.n_domains

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .autodiff import ParamStore, ShapeError
-from .data import DEFAULT_RATIOS, Dataset, batch_iter, domain_batches, split_dataset
+from .data import DEFAULT_RATIOS, Dataset, domain_batches, shuffled_batches, split_dataset
 from .metrics import MetricsReport, auc, evaluate
 from .models import (
     DEFAULT_HIDDEN,
@@ -211,14 +211,15 @@ def _frozen_groups(model: CtrModel, own: str) -> str:
 
 
 def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: str,
-                view: str, batches, val_metric, frozen_groups: str = "") -> PhaseReport:
+                view: str, train: Dataset, batches, val_metric,
+                frozen_groups: str = "") -> PhaseReport:
     """Train one unit, the tensors whose group tag starts with ``own``.
 
     Every tensor outside ``own`` is hashed before and after, and a moved
     byte aborts with ``NumericError``.  The unit gets an ``AdamState`` for
     its own tensors, whose names are the ``wrt`` of every backward, and
-    steps once per ``(domain, batch)`` of
-    ``batches(epoch)`` through the one tape of ``view``, for at most the
+    steps once per ``(domain, rows)`` of ``batches(epoch)``, on
+    ``train.batch(rows)``, through the one tape of ``view``, for at most the
     phase's epoch count, and releases that tape's training arena when it
     ends, also on an error; early stopping watches ``val_metric()``, which
     gives None when the unit has no validation rows to score.
@@ -237,7 +238,8 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
     try:
         for epoch in range(cfg.epochs[phase - 1]):
             total, rows = 0.0, 0
-            for domain, batch in batches(epoch):
+            for domain, batch_rows in batches(epoch):
+                batch = train.batch(batch_rows)
                 inputs = model.bind_inputs(batch.ids, domain, batch.labels)
                 loss = float(tape.forward(inputs, output=loss_node))
                 if not np.isfinite(loss):
@@ -265,39 +267,40 @@ def _train_unit(model: CtrModel, cfg: TrainConfig, phase: int, unit: str, own: s
                        frozen_groups, before, after)
 
 
+def _epochs_of(rows, domain: int, batch_size: int, key: int):
+    """Batches of ``rows`` for each epoch, by ``shuffled_batches`` keyed ``[key, epoch]``."""
+    return lambda epoch: [(domain, b) for b in shuffled_batches(
+        rows, batch_size, np.random.default_rng([key, epoch]))]
+
+
 def run_phase1(model: CtrModel, train: Dataset, val: Dataset,
                cfg: TrainConfig) -> PhaseReport:
     """Fit the backbone on all domains pooled; adapters and gates untouched."""
     frozen = _frozen_groups(model, "backbone")
-
-    def batches(epoch):
-        for b in batch_iter(train, cfg.batch_size, seed=cfg.seed * 1000 + 1, epoch=epoch):
-            yield 0, b  # backbone view ignores the domain
-
-    return _train_unit(model, cfg, 1, "backbone", "backbone", "backbone", batches,
+    # Every training row; the backbone view ignores the domain.
+    batches = _epochs_of(len(train), 0, cfg.batch_size, cfg.seed * 1000 + 1)
+    return _train_unit(model, cfg, 1, "backbone", "backbone", "backbone", train, batches,
                        lambda: evaluate(model, val, view="backbone").wauc, frozen)
 
 
 def _train_one_expert(model: CtrModel, d: int, k: int, train: Dataset,
                       val: Dataset, cfg: TrainConfig) -> PhaseReport:
-    sub = train.subset(train.rows_of_domain(d))
+    """Fit expert (d, k) on domain d's rows; every replica of d draws the same batches."""
     val_rows = val.rows_of_domain(d)
     val_labels = val.labels[val_rows]
+    val_ids = np.take(val.ids, val_rows, axis=0)
     # AUC ranks positives against negatives: a split missing either class
     # can never be scored, so it is not predicted every epoch only to fail.
     scorable = 0 < val_labels.sum() < val_labels.size
     view = f"expert:{d}:{k}"
 
-    def batches(epoch):
-        for b in batch_iter(sub, cfg.batch_size, seed=cfg.seed * 1000 + 20 + d, epoch=epoch):
-            yield d, b
-
     def val_metric():
         if scorable:
-            return auc(val_labels, model.predict(np.take(val.ids, val_rows, axis=0), d, view=view))
+            return auc(val_labels, model.predict(val_ids, d, view=view))
 
+    batches = _epochs_of(train.rows_of_domain(d), d, cfg.batch_size, cfg.seed * 1000 + 20 + d)
     rep = _train_unit(model, cfg, 2, f"expert({d},{k})", f"expert({d},{k},", view,
-                      batches, val_metric)
+                      train, batches, val_metric)
     if val_rows.size == 0:
         rep.warnings.append(f"domain {d}: no validation rows, no early stopping")
     elif not scorable:
@@ -331,13 +334,9 @@ def run_phase3(model: CtrModel, train: Dataset, val: Dataset,
                cfg: TrainConfig) -> PhaseReport:
     """Fit the gate tables through the mixture view; everything else frozen."""
     frozen = _frozen_groups(model, "gate")
-
-    def batches(epoch):
-        for d, rows in domain_batches(train, cfg.batch_size,
-                                      seed=cfg.seed * 1000 + 3, epoch=epoch):
-            yield d, train.batch(rows)
-
-    return _train_unit(model, cfg, 3, "gates", "gate", "mixture", batches,
+    batches = lambda epoch: domain_batches(  # noqa: E731
+        train, cfg.batch_size, seed=cfg.seed * 1000 + 3, epoch=epoch)
+    return _train_unit(model, cfg, 3, "gates", "gate", "mixture", train, batches,
                        lambda: evaluate(model, val).wauc, frozen)
 
 

@@ -397,8 +397,21 @@ def test_non_scalar_loss_rejected():
     t = Tape(ParamStore())
     y = t.relu(t.input("x"))
     t.forward({"x": np.ones((2, 2))}, output=y)
-    with pytest.raises(AutodiffError, match="scalar"):
+    with pytest.raises(AutodiffError, match=r"shape \(2, 2\): a loss must be a scalar$"):
         t.backward(y, [])
+
+
+def test_backward_runs_from_any_0d_output():
+    store = ParamStore()
+    store.add("W", np.array([[1.0, 2.0]]), "backbone")
+    t = Tape(store)
+    total = t.reduce_sum(t.matmul(t.input("x"), t.param("W"), transpose_b=True))
+    doubled = t.scale(total, 2.0)  # 0-d, but neither a bce nor a reduce_sum
+    # The first forward allocates its arena, the second reuses it.
+    for _ in range(2):
+        value = t.forward({"x": np.ones((3, 2))}, output=doubled)
+        assert isinstance(value, np.ndarray) and value.shape == () and value == 18.0
+        np.testing.assert_array_equal(t.backward(doubled, ["W"])["W"], [[6.0, 6.0]])
 
 
 def test_backward_from_a_node_the_forward_did_not_output_is_refused():
@@ -438,7 +451,23 @@ def test_forward_only_reuses_a_buffer_only_after_its_last_reader():
     z = hv * hv + hv * 2.0
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     expect = e / e.sum(axis=-1, keepdims=True) + 1.0 / (1.0 + np.exp(-hv))
-    np.testing.assert_allclose(t.forward({"x": x}, output=out), expect, rtol=1e-15, atol=0)
+    got = next(t.forward_blocks({}, [{"x": x}], out))
+    np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0)
+
+
+def test_forward_blocks_hands_out_a_copy_of_an_output_made_by_a_shared_step():
+    store = ParamStore()
+    store.add("W", np.array([[1.0, 2.0]]), "backbone")
+    t = Tape(store)
+    w = t.param("W")
+    doubled = t.scale(w, 2.0)  # reads no block input: a shared step, run once
+    t.matmul(t.input("x"), doubled, transpose_b=True)
+    blocks = [{"x": np.ones((1, 2))}, {"x": np.ones((3, 2))}]
+    for output, want in ((doubled, [[2.0, 4.0]]), (w, [[1.0, 2.0]])):
+        first, second = t.forward_blocks({}, blocks, output)
+        first[...] = 0.0  # each block's value is its own array
+        np.testing.assert_array_equal(second, want)
+    np.testing.assert_array_equal(store.get("W"), [[1.0, 2.0]])
 
 
 def sigmoid_both_ways(x):
@@ -454,7 +483,7 @@ def sigmoid_both_ways(x):
     t = Tape(store)
     s = t.sigmoid(t.scale(t.input("x"), 1.0))
     loss = t.reduce_sum(t.mul(s, t.param("W")))
-    only = t.forward({"x": x}, output=s)
+    only = next(t.forward_blocks({}, [{"x": x}], s))
     trained = []
     for _ in range(2):
         t.forward({"x": x}, output=loss)
@@ -507,7 +536,7 @@ def test_backward_without_a_training_forward_raises():
     x = np.ones((3, 2))
     t.forward({"x": x}, output=loss)
     np.testing.assert_array_equal(t.backward(loss, ["W"])["W"], [[12.0, 12.0]])
-    t.forward({"x": 2.0 * x}, output=y)  # forward-only: keeps nothing
+    next(t.forward_blocks({}, [{"x": 2.0 * x}], y))  # forward-only: keeps nothing
     with pytest.raises(AutodiffError, match="training forward"):
         t.backward(loss, ["W"])
 

@@ -5,10 +5,10 @@ from helpers import rule_agreement, sample_pairs_loop
 from moectr.data import (
     Dataset,
     SyntheticSpec,
-    batch_iter,
     domain_batches,
     generate_synthetic,
     load_csv,
+    shuffled_batches,
     split_dataset,
     write_csv,
     write_synthetic,
@@ -26,25 +26,26 @@ def small_ds(n=10, n_domains=2, seed=0):
     return Dataset(schema, ids, rng.integers(0, 2, n), rng.integers(0, n_domains, n))
 
 
-def test_batch_iter_sizes_and_order():
-    schema = FeatureSchema((("user_id", 10), ("item_id", 1)), n_domains=1)
-    zeros = np.zeros(10, dtype=int)
-    ds = Dataset(schema, np.column_stack([np.arange(10), zeros]), zeros, zeros)
-    batches = list(batch_iter(ds, 4, seed=5))
-    assert [len(b.labels) for b in batches] == [4, 4, 2]
-    # Row i holds user i, so the users seen show each row exactly once.
-    users = np.concatenate([b.ids[:, 0] for b in batches])
-    np.testing.assert_array_equal(np.sort(users), np.arange(10))
+def test_shuffled_batches_sizes_and_coverage():
+    rows = np.arange(100, 110)
+    batches = shuffled_batches(rows, 4, np.random.default_rng(5))
+    assert [b.size for b in batches] == [4, 4, 2]
+    np.testing.assert_array_equal(np.sort(np.concatenate(batches)), rows)
 
 
-def test_batch_iter_shuffle_deterministic_and_complete():
-    ds = small_ds(23)
-    a = np.concatenate([b.ids for b in batch_iter(ds, 5, seed=3, epoch=1)])
-    b = np.concatenate([b.ids for b in batch_iter(ds, 5, seed=3, epoch=1)])
-    c = np.concatenate([b.ids for b in batch_iter(ds, 5, seed=3, epoch=2)])
+def test_shuffled_batches_follow_the_generator_deterministically():
+    rows = np.flatnonzero(small_ds(23).domains == 1)
+
+    def cut(key):
+        return np.concatenate(shuffled_batches(rows, 5, np.random.default_rng(key)))
+
+    a, b, c = cut([3, 1]), cut([3, 1]), cut([3, 2])
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    np.testing.assert_array_equal(np.sort(a, axis=0), np.sort(ds.ids, axis=0))
+    np.testing.assert_array_equal(a, rows[np.random.default_rng([3, 1]).permutation(rows.size)])
+    # A count n stands for np.arange(n) and draws the same order.
+    whole = [shuffled_batches(n, 5, np.random.default_rng([3, 1])) for n in (23, np.arange(23))]
+    np.testing.assert_array_equal(np.concatenate(whole[0]), np.concatenate(whole[1]))
 
 
 def test_split_80_10_10_per_domain():
@@ -412,6 +413,22 @@ def test_split_of_too_few_rows_names_the_empty_part():
         split_dataset(small_ds(1))
 
 
-def test_batch_iter_refuses_a_batch_size_below_one():
+def test_the_batch_rule_refuses_a_batch_size_below_one():
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
-        next(batch_iter(small_ds(4), 0))
+        shuffled_batches(np.arange(4), 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        domain_batches(small_ds(4), 0)
+
+
+@pytest.mark.parametrize("fields", [
+    (("user_id", 5),),
+    (("u", 5), ("i", 4)),
+    (("item_id", 5), ("user_id", 4)),
+])
+def test_write_csv_refuses_a_schema_its_header_cannot_name(tmp_path, fields):
+    ids = np.zeros((2, len(fields)), dtype=int)
+    ds = Dataset(FeatureSchema(fields, n_domains=2), ids, np.array([0, 1]), np.array([0, 1]))
+    path = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match="first two fields are user_id and item_id"):
+        write_csv(ds, path)
+    assert not path.exists()

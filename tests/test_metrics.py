@@ -146,6 +146,15 @@ def test_sparsity_ignores_duplicate_pairs():
     assert rep.per_domain == (0.75, 0.75)
 
 
+def test_sparsity_and_evaluate_name_a_missing_item_field():
+    schema = FeatureSchema((("user_id", 5),), n_domains=2)
+    ds = Dataset(schema, np.array([[0], [3], [4]]), np.array([1, 0, 1]), np.array([0, 1, 1]))
+    model = build_model(schema, "mlp", "plain", seed=0, hidden=(4,))
+    for score in (lambda: sparsity(ds), lambda: evaluate(model, ds)):
+        with pytest.raises(ValueError, match="sparsity needs an item field after 'user_id'"):
+            score()
+
+
 def sparsity_unique(ds):
     """Per-domain and pooled sparsity from one ``np.unique`` per set: the reference."""
     n_users, n_items = ds.schema.fields[0][1], ds.schema.fields[1][1]

@@ -485,6 +485,58 @@ def test_phase2_replicas_differ_only_by_init_stream():
     assert not np.array_equal(a0, a1)
 
 
+def _keyed_batches(rows, key, epochs, size):
+    """``rows`` permuted by the generator keyed ``[key, epoch]``, cut into ``size`` pieces."""
+    out = []
+    for epoch in range(epochs):
+        order = rows[np.random.default_rng([key, epoch]).permutation(rows.size)]
+        out += [order[i : i + size] for i in range(0, order.size, size)]
+    return out
+
+
+def _assert_same_batches(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_every_unit_draws_its_batches_by_one_keyed_rule(monkeypatch):
+    """Phase 1 cuts all training rows, expert (d, k) domain d's rows, each by
+    a permutation keyed on the seed and the epoch; the key of an expert
+    leaves out k, so every replica of a domain steps the same batches."""
+    ds = small_synth(seed=2)
+    cfg = replace(FAST, epochs=(2, 2, 1), seed=3)  # patience 2: no stop in 2 epochs
+    train, val, _ = split_dataset(ds, seed=cfg.seed)
+    model = build_model(ds.schema, "mlp", "moe", AdapterConfig(experts_per_domain=2),
+                        seed=cfg.seed, hidden=(8, 6))
+    drawn = []
+    batch = Dataset.batch
+
+    def recording(self, rows):
+        assert self is train
+        drawn.append(np.asarray(rows))
+        return batch(self, rows)
+
+    monkeypatch.setattr(Dataset, "batch", recording)
+    size, base = cfg.batch_size, cfg.seed * 1000
+    assert run_phase1(model, train, val, cfg).epochs_run == 2
+    _assert_same_batches(drawn, _keyed_batches(np.arange(len(train)), base + 1, 2, size))
+    drawn.clear()
+    assert all(c.epochs_run == 2 for c in run_phase2(model, train, val, cfg).children)
+    per_expert, at = {}, 0
+    for d, k in model.expert_keys():
+        want = _keyed_batches(train.rows_of_domain(d), base + 20 + d, 2, size)
+        per_expert[d, k] = drawn[at : at + len(want)]
+        at += len(want)
+        _assert_same_batches(per_expert[d, k], want)
+    assert at == len(drawn)
+    for d in range(ds.schema.n_domains):
+        _assert_same_batches(per_expert[d, 0], per_expert[d, 1])
+    drawn.clear()
+    run_phase3(model, train, val, cfg)
+    _assert_same_batches(drawn, [rows for _, rows in domain_batches(train, size, base + 3)])
+
+
 def test_phase2_runs_on_any_mode_and_warns_on_empty_domain():
     ds = small_synth(seed=4)
     train, val, _ = split_dataset(ds, seed=4)
